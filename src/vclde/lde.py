@@ -3,15 +3,24 @@ variable-coefficient linear difference equations of order p:
 
     y_t = phi_1(t) y_{t-1} + ... + phi_p(t) y_{t-p} + v_t.
 
-The default evaluation path is the banded principal-chain recurrence, which
-is O((t-s)*p); the dense-determinant, Leibnizian, nested-sum, and
-companion-product routes exist as independently computed equivalents for
-cross-verification.  All operations are pure; independent queries may run
-concurrently because the chain memo is per call, never shared.
+Every production value comes from one of two linear kernels.  The banded
+chain (``_banded_chain``) expands an order-(t-s) banded Hessenbergian along
+its last row, O((t-s)*p) time; its first column is a function of the row
+index, so the same kernel serves each fundamental-solution branch (Green's
+function, xi, Casorati matrix) and the bordered Kittappa determinants of the
+particular and general solutions.  It keeps only the last p minors, so a
+single value needs O(p) memory.  The Green row (``_green_row``) runs the
+adjoint recurrence backward from H(t, t) = 1 and yields every H(t, s+j) of
+the Green's-function solution in one O((t-s)*p) pass.
+
+The Leibnizian, nested-sum, companion-product and forward-recursion routes
+are independent verification oracles.  All operations are pure and keep no
+state between calls, so independent queries may run concurrently.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
@@ -22,10 +31,10 @@ from .coefficients import (
     PrincipalMatrixSpec,
     build_phi_matrix,
 )
-from .hessenberg import HessenbergMatrix, det_leibniz_oracle, det_recurrence
+from .hessenberg import det_leibniz_oracle
 from .leibnizian import det_leibnizian
 from .nested_sum import green_nested_sum
-from .scalar import Scalar
+from .scalar import BackendMismatchError, Scalar, backend_of
 
 GREEN_METHODS = ("recurrence", "leibnizian", "nested", "companion")
 SOLVE_METHODS = ("green", "kittappa", "leibnizian", "nested", "recursion")
@@ -121,34 +130,73 @@ class SolutionProblem:
             raise MissingForcingError(t) from None
 
 
-def principal_chain(model: CoefficientModel, m: int, t: int, s: int) -> list[Scalar]:
-    """Determinants of the leading blocks of the branch-m banded matrix.
+def _banded_chain(
+    model: CoefficientModel,
+    s: int,
+    k: int,
+    first: Callable[[int, tuple[Scalar, ...]], Scalar | None],
+    keep_all: bool = False,
+) -> deque:
+    """Leading principal minors d_1..d_k of an order-k banded Hessenbergian.
 
-    Returns [d_0, ..., d_{t-s}] where d_n is the order-n leading principal
-    minor (d_0 = 1), computed by the banded recurrence in O((t-s)*p) scalar
-    operations.  This is the default route for every fundamental-solution
-    value.
+    Row n of the matrix holds -1 on the superdiagonal, phi_r(s+n) in column
+    n-r+1 for 1 <= r <= min(n-1, p), and ``first(n, row)`` in column 1, where
+    ``row`` is (phi_1(s+n), ..., phi_p(s+n)).  A None from ``first`` means
+    column 1 is zero in that row and every later one, so it is not called
+    again.  Expanding along the last row gives
+
+        d_0 = 1,   d_n = sum_r phi_r(s+n) d_{n-r} + first(n, row),
+
+    one coefficient row and O(p) scalar operations per step.  Only the last
+    p minors are kept unless ``keep_all`` is set, so a value needs O(p)
+    memory.
     """
+    zero = model.zero
+    row_of = model.phi_row
+    dets: deque = deque(maxlen=None if keep_all else model.p)
+    for n in range(1, k + 1):
+        row = row_of(s + n)
+        acc: Scalar | None = None
+        # row[r-1] pairs with d_{n-r}; d_0 enters only through column 1
+        for coeff, det in zip(row, reversed(dets)):
+            term = coeff * det
+            acc = term if acc is None else acc + term
+        if first is not None:
+            head = first(n, row)
+            if head is None:
+                first = None
+            else:
+                acc = head if acc is None else acc + head
+        dets.append(acc if acc is not None else zero)
+    return dets
+
+
+def _branch_chain(
+    model: CoefficientModel, m: int, t: int, s: int, keep_all: bool = False
+) -> deque:
+    """Chain of the branch-m matrix, whose column 1 is phi_{n-1+m}(s+n)
+    while n-1+m <= p and zero below."""
     p = model.p
     if not 1 <= m <= p:
         raise DomainError(f"branch {m} outside 1..{p}")
     if t <= s:
         raise DomainError(f"chain requires t > s, got t={t}, s={s}")
-    dets: list[Scalar] = [model.one]
-    row_of = model.phi_row
-    for n in range(1, t - s + 1):
-        row = row_of(s + n)
-        hi = n - 1 if n - 1 < p else p
-        acc: Scalar | None = None
-        for r in range(1, hi + 1):
-            term = row[r - 1] * dets[n - r]
-            acc = term if acc is None else acc + term
+
+    def first(n: int, row: tuple[Scalar, ...]) -> Scalar | None:
         q = n - 1 + m
-        if q <= p:
-            first = row[q - 1]  # multiplies d_0 = 1
-            acc = first if acc is None else acc + first
-        dets.append(acc if acc is not None else model.zero)
-    return dets
+        return row[q - 1] if q <= p else None
+
+    return _banded_chain(model, s, t - s, first, keep_all)
+
+
+def principal_chain(model: CoefficientModel, m: int, t: int, s: int) -> list[Scalar]:
+    """Determinants of the leading blocks of the branch-m banded matrix.
+
+    Returns [d_0, ..., d_{t-s}] where d_n is the order-n leading principal
+    minor (d_0 = 1), computed by the banded recurrence in O((t-s)*p) scalar
+    operations.
+    """
+    return [model.one, *_branch_chain(model, m, t, s, keep_all=True)]
 
 
 def xi(model: CoefficientModel, m: int, t: int, s: int) -> Scalar:
@@ -163,7 +211,7 @@ def xi(model: CoefficientModel, m: int, t: int, s: int) -> Scalar:
         raise DomainError(f"t={t} below the window start {s - model.p + 1}")
     if t <= s:
         return model.one if t == s - m + 1 else model.zero
-    return principal_chain(model, m, t, s)[-1]
+    return _branch_chain(model, m, t, s)[-1]
 
 
 def green(model: CoefficientModel, t: int, s: int) -> Scalar:
@@ -175,8 +223,28 @@ def green(model: CoefficientModel, t: int, s: int) -> Scalar:
     if t < s - model.p + 1:
         raise DomainError(f"t={t} below the window start {s - model.p + 1}")
     if t > s:
-        return principal_chain(model, 1, t, s)[-1]
+        return _branch_chain(model, 1, t, s)[-1]
     return model.one if t == s else model.zero
+
+
+def _green_row(model: CoefficientModel, t: int, s: int) -> list[Scalar]:
+    """[H(t, t), H(t, t-1), ..., H(t, s+1)] from the adjoint recurrence
+
+        H(t, t) = 1,   H(t, u) = sum_{m=1..min(p, t-u)} phi_m(u+m) H(t, u+m),
+
+    run backward from u = t-1.  Each of the rows t, t-1, ..., s+2 is read
+    once and no row past t is read, so the whole row costs O((t-s)*p).
+    """
+    values = [model.one]
+    rows: deque = deque(maxlen=model.p)  # rows[m-1] = phi_row(u+m)
+    for u in range(t - 1, s, -1):
+        rows.appendleft(model.phi_row(u + 1))
+        acc: Scalar | None = None
+        for m, row in enumerate(rows, start=1):
+            term = row[m - 1] * values[-m]
+            acc = term if acc is None else acc + term
+        values.append(acc)
+    return values
 
 
 def green_leibnizian(
@@ -231,13 +299,13 @@ def casorati(model: CoefficientModel, t: int, s: int) -> CasoratiMatrix:
     p = model.p
     columns = []
     for branch in range(1, p + 1):
-        chain = principal_chain(model, branch, t, s) if t > s else None
+        # the last p minors d_{t-s-p+1..t-s}; entry i is d_{t-s-i+1}
+        tail = _branch_chain(model, branch, t, s) if t > s else None
         col = []
         for i in range(1, p + 1):
             u = t - i + 1
-            n = u - s
-            if n >= 1:
-                col.append(chain[n])
+            if u > s:
+                col.append(tail[-i])
             else:
                 col.append(model.one if u == s - branch + 1 else model.zero)
         columns.append(col)
@@ -304,19 +372,25 @@ def _acc(total: Scalar | None, term: Scalar) -> Scalar:
 
 
 def _green_memo(
-    model: CoefficientModel, t: int, method: str, enum_limit: int | None
+    model: CoefficientModel, t: int, s: int, method: str, enum_limit: int | None
 ) -> Callable[[int], Scalar]:
+    """H(t, anchor) for anchors above s.  The recurrence method reads one
+    Green row, built on first use; the verification methods expand each
+    anchor on its own and memoize it."""
     cache: dict[int, Scalar] = {}
+    row: list[Scalar] = []
 
     def at(anchor: int) -> Scalar:
+        if t == anchor:
+            return model.one
+        if t < anchor:
+            return model.zero
+        if method == "recurrence":
+            if not row:
+                row.extend(_green_row(model, t, s))
+            return row[t - anchor]
         if anchor not in cache:
-            if t == anchor:
-                cache[anchor] = model.one
-            elif t < anchor:
-                cache[anchor] = model.zero
-            elif method == "recurrence":
-                cache[anchor] = green(model, t, anchor)
-            elif method == "leibnizian":
+            if method == "leibnizian":
                 cache[anchor] = green_leibnizian(model, t, anchor, enum_limit)
             else:
                 cache[anchor] = green_nested_sum(model, t, anchor)
@@ -326,7 +400,7 @@ def _green_memo(
 
 
 def _initial_part(
-    problem: SolutionProblem, green_at: Callable[[int], Scalar]
+    problem: SolutionProblem, t: int, green_at: Callable[[int], Scalar]
 ) -> Scalar | None:
     model, s, p = problem.model, problem.s, problem.p
     total: Scalar | None = None
@@ -334,7 +408,8 @@ def _initial_part(
         y0 = problem.initial_value(m)
         if not y0:
             continue
-        for j in range(1, p - m + 2):
+        # H(t, s+j) = 0 for s+j > t, so rows past t are never read
+        for j in range(1, min(p - m + 1, t - s) + 1):
             coeff = model.phi(m + j - 1, s + j)
             if not coeff:
                 continue
@@ -399,8 +474,8 @@ def homogeneous_solution_green(problem: SolutionProblem, t: int) -> Scalar:
     _check_window(problem, t)
     if t <= problem.s:
         return problem.prescribed(t)
-    green_at = _green_memo(problem.model, t, "recurrence", None)
-    total = _initial_part(problem, green_at)
+    green_at = _green_memo(problem.model, t, problem.s, "recurrence", None)
+    total = _initial_part(problem, t, green_at)
     return total if total is not None else problem.model.zero
 
 
@@ -410,53 +485,39 @@ def particular_solution(problem: SolutionProblem, t: int) -> Scalar:
         raise DomainError(f"requires t >= s, got t={t}, s={problem.s}")
     if t == problem.s:
         return problem.model.zero
-    green_at = _green_memo(problem.model, t, "recurrence", None)
+    green_at = _green_memo(problem.model, t, problem.s, "recurrence", None)
     total = _forcing_part(problem, t, green_at)
     return total if total is not None else problem.model.zero
 
 
-def _bordered_matrix(
-    problem: SolutionProblem, t: int, with_init: bool
-) -> HessenbergMatrix:
-    model, s, p = problem.model, problem.s, problem.p
-    k = t - s
-    minus_one = -model.one
+def _bordered_solution(problem: SolutionProblem, t: int, with_init: bool) -> Scalar:
+    """Bordered Hessenbergian of order t-s on the banded chain: column 1 is
+    v_{s+n}, plus sum_m phi_{m+n-1}(s+n) y_{s-m+1} when ``with_init``."""
+    if t <= problem.s:
+        raise DomainError(f"requires t > s, got t={t}, s={problem.s}")
+    model, s = problem.model, problem.s
+    backend = model.backend
+    init = problem.init[::-1] if with_init else ()  # init[m-1] = y_{s-m+1}
 
-    def first_column(i: int) -> Scalar:
-        acc = problem.forcing_value(s + i)
-        if with_init:
-            for m in range(1, p + 1):
-                q = m + i - 1
-                if q > p:
-                    break
-                coeff = model.phi(q, s + i)
-                if not coeff:
-                    continue
-                y0 = problem.initial_value(m)
-                if not y0:
-                    continue
+    def first(n: int, row: tuple[Scalar, ...]) -> Scalar:
+        acc = problem.forcing_value(s + n)
+        for m in range(1, len(init) - n + 2):  # phi_{m+n-1} exists while m+n-1 <= p
+            coeff, y0 = row[m + n - 2], init[m - 1]
+            if coeff and y0:
                 acc = acc + coeff * y0
+        if backend_of(acc) != backend:
+            raise BackendMismatchError(
+                f"bordered column mixes backends: {backend} vs {backend_of(acc)}"
+            )
         return acc
 
-    def entry(i: int, j: int) -> Scalar:
-        if j == i + 1:
-            return minus_one
-        if j == 1:
-            return first_column(i)
-        q = i - j + 1
-        if 1 <= q <= p:
-            return model.phi(q, s + i)
-        return model.zero
-
-    return HessenbergMatrix.from_function(k, entry, model.backend)
+    return _banded_chain(model, s, t - s, first)[-1]
 
 
 def particular_solution_det(problem: SolutionProblem, t: int) -> Scalar:
     """Particular solution as one bordered Hessenbergian whose first column
     is the forcing sequence."""
-    if t <= problem.s:
-        raise DomainError(f"requires t > s, got t={t}, s={problem.s}")
-    return det_recurrence(_bordered_matrix(problem, t, with_init=False))
+    return _bordered_solution(problem, t, with_init=False)
 
 
 def general_solution(problem: SolutionProblem, t: int) -> Scalar:
@@ -465,20 +526,13 @@ def general_solution(problem: SolutionProblem, t: int) -> Scalar:
     _check_window(problem, t)
     if t <= problem.s:
         return problem.prescribed(t)
-    green_at = _green_memo(problem.model, t, "recurrence", None)
-    total = _initial_part(problem, green_at)
-    forced = _forcing_part(problem, t, green_at)
-    if forced is not None:
-        total = _acc(total, forced)
-    return total if total is not None else problem.model.zero
+    return _general_solution_by(problem, t, "recurrence", None)
 
 
 def general_solution_kittappa(problem: SolutionProblem, t: int) -> Scalar:
     """Full solution as a single bordered Hessenbergian; the first column
     merges the initial-value and forcing contributions by multilinearity."""
-    if t <= problem.s:
-        raise DomainError(f"requires t > s, got t={t}, s={problem.s}")
-    return det_recurrence(_bordered_matrix(problem, t, with_init=True))
+    return _bordered_solution(problem, t, with_init=True)
 
 
 def _general_solution_by(
@@ -486,8 +540,8 @@ def _general_solution_by(
 ) -> Scalar:
     if t <= problem.s:
         raise DomainError(f"requires t > s, got t={t}, s={problem.s}")
-    green_at = _green_memo(problem.model, t, method, enum_limit)
-    total = _initial_part(problem, green_at)
+    green_at = _green_memo(problem.model, t, problem.s, method, enum_limit)
+    total = _initial_part(problem, t, green_at)
     forced = _forcing_part(problem, t, green_at)
     if forced is not None:
         total = _acc(total, forced)

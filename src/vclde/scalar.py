@@ -13,6 +13,7 @@ threads.
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -275,12 +276,19 @@ def scalars_close(
     return a == b
 
 
+def _int_str(n: int) -> str:
+    # Decimal converts an int exactly and is not bound by CPython's
+    # int-to-str digit limit, which exact answers routinely pass.
+    return str(decimal.Decimal(n))
+
+
 def format_rational(value: Union[Fraction, int]) -> str:
-    """Render a rational as "num/den", or plain "num" when integral."""
+    """Render a rational as "num/den", or plain "num" when integral, at any
+    number of digits."""
     f = Fraction(value)
     if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+        return _int_str(f.numerator)
+    return f"{_int_str(f.numerator)}/{_int_str(f.denominator)}"
 
 
 def parse_rational(text: Union[str, int]) -> Fraction:

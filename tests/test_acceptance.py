@@ -4,13 +4,16 @@ tolerances and runtime budgets.  One pass/fail line is printed per criterion
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
+import vclde
 from vclde import (
     CoefficientModel,
     Permutation,
@@ -63,11 +66,15 @@ def criterion(number, description):
 
 
 def run_cli(args):
+    # the child imports the same vclde as this process, installed or not
+    src = str(Path(vclde.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "vclde", *args],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

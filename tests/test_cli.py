@@ -290,6 +290,21 @@ def test_periodic_coefficients_file(tmp_path, capsys):
     assert json.loads(out)["H"] == "36"
 
 
+def test_rational_output_past_int_digit_limit(tmp_path, capsys):
+    # Rows (a/7, (7-a)/7) keep the numerator of H prime to 7, so H(6000, 0)
+    # has the reduced denominator 7^6000: 5071 digits, past CPython's default
+    # 4300-digit int-to-str limit.
+    coeffs = write_json(
+        tmp_path / "c7.json",
+        {"p": 2, "kind": "periodic", "period": 2, "rows": [["3/7", "4/7"], ["5/7", "2/7"]]},
+    )
+    code, out, err = run_cli(capsys, ["green", "--coeffs", coeffs, "--t", "6000", "--s", "0"])
+    assert code == 0, err
+    _, denominator = json.loads(out)["H"].split("/")
+    assert len(denominator) == 5071
+    assert denominator[-1] == "1"  # 7^6000 ends in 1
+
+
 def test_loaders_direct():
     rng = Random(1)
     rows = random_rows(rng, 2, 0, 6)

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from vclde import (
+    BackendMismatchError,
     CoefficientModel,
     DomainError,
     MissingForcingError,
@@ -333,6 +334,17 @@ def test_kittappa_reductions():
     geom = CoefficientModel.constant((Fraction(3),))
     no_forcing = SolutionProblem(geom, 0, (Fraction(5),))
     assert general_solution_kittappa(no_forcing, 4) == 5 * Fraction(3) ** 4
+
+
+def test_bordered_routes_reject_mixed_backends():
+    model = CoefficientModel.constant((Fraction(1, 2), Fraction(1, 3)))
+    float_forcing = SolutionProblem(model, 0, (Fraction(1), Fraction(2)), {1: 0.5, 2: 0.5})
+    float_init = SolutionProblem(model, 0, (0.5, 1.0), {1: Fraction(1), 2: Fraction(1)})
+    for problem in (float_forcing, float_init):
+        with pytest.raises(BackendMismatchError):
+            general_solution_kittappa(problem, 2)
+    with pytest.raises(BackendMismatchError):
+        particular_solution_det(float_forcing, 2)
 
 
 def test_solution_single_step():

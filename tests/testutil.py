@@ -76,3 +76,39 @@ def float_problem(problem: SolutionProblem, model: CoefficientModel) -> Solution
     return SolutionProblem(
         model, problem.s, tuple(float(v) for v in problem.init), forcing
     )
+
+
+def dense_bordered_matrix(
+    problem: SolutionProblem, t: int, with_init: bool
+) -> HessenbergMatrix:
+    """Reference for the Kittappa routes: the order-(t-s) bordered matrix
+    built densely, entry by entry.  Column 1 is the forcing v_{s+i}, plus
+    sum_m phi_{m+i-1}(s+i) y_{s-m+1} when ``with_init``; the other columns
+    are the banded phi entries and -1 on the superdiagonal."""
+    model, s, p = problem.model, problem.s, problem.p
+    minus_one = -model.one
+
+    def first_column(i):
+        acc = problem.forcing_value(s + i)
+        if with_init:
+            for m in range(1, p + 1):
+                q = m + i - 1
+                if q > p:
+                    break
+                coeff = model.phi(q, s + i)
+                y0 = problem.initial_value(m)
+                if coeff and y0:
+                    acc = acc + coeff * y0
+        return acc
+
+    def entry(i, j):
+        if j == i + 1:
+            return minus_one
+        if j == 1:
+            return first_column(i)
+        q = i - j + 1
+        if 1 <= q <= p:
+            return model.phi(q, s + i)
+        return model.zero
+
+    return HessenbergMatrix.from_function(t - s, entry, model.backend)
