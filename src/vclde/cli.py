@@ -10,7 +10,7 @@ stderr with a distinct exit code per failure class:
     2  parse/domain error
 
 The environment variable VCLDE_ENUM_LIMIT overrides the enumeration guard
-used by the leibnizian routes.
+used by the leibnizian and nested routes.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def cmd_verify(args) -> int:
     values = {
         "recurrence": evaluate_green(model, t, s, "recurrence"),
         "leibnizian": evaluate_green(lei_model, t, s, "leibnizian", enum_limit=limit),
-        "nested": evaluate_green(model, t, s, "nested"),
+        "nested": evaluate_green(model, t, s, "nested", enum_limit=limit),
         "companion": evaluate_green(model, t, s, "companion"),
     }
     reference = values["recurrence"]
@@ -310,6 +310,8 @@ def cmd_verify(args) -> int:
     entry = {"name": "casoratian-nonzero", "passed": nonzero}
     if not nonzero:
         entry["counterexample"] = {"casoratian": scalar_to_json(cas)}
+        if xi_matrix.vanishing_row is not None:
+            entry["counterexample"]["u"] = xi_matrix.vanishing_row
     checks.append(entry)
 
     if args.problem is not None:

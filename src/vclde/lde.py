@@ -31,8 +31,7 @@ from .coefficients import (
     PrincipalMatrixSpec,
     build_phi_matrix,
 )
-from .hessenberg import det_leibniz_oracle
-from .leibnizian import det_leibnizian
+from .leibnizian import check_enum_limit, det_leibnizian
 from .nested_sum import green_nested_sum
 from .scalar import BackendMismatchError, Scalar, backend_of
 
@@ -254,6 +253,7 @@ def green_leibnizian(
     principal matrix (verification route, exponential in t - s)."""
     if t <= s:
         raise DomainError(f"requires t > s, got t={t}, s={s}")
+    check_enum_limit(t - s, enum_limit)
     matrix = build_phi_matrix(PrincipalMatrixSpec(model, 1, t, s))
     return det_leibnizian(matrix, enum_limit=enum_limit)
 
@@ -281,15 +281,25 @@ def xi_via_green(model: CoefficientModel, m: int, t: int, s: int) -> Scalar:
 @dataclass(frozen=True)
 class CasoratiMatrix:
     """p x p matrix with entry (i, j) equal to the branch-j fundamental
-    solution at time t - i + 1; the identity matrix at t = s."""
+    solution at time t - i + 1; the identity matrix at t = s.
+
+    ``abel`` is its determinant by Abel's formula and ``vanishing_row`` the
+    first u in s+1..t with phi_p(u) = 0 (None if there is none); both are
+    filled in by :func:`casorati`.
+    """
 
     p: int
     t: int
     s: int
     entries: tuple[tuple[Scalar, ...], ...]
+    abel: Scalar
+    vanishing_row: int | None
 
     def casoratian(self) -> Scalar:
-        return det_leibniz_oracle(self.entries, oracle_limit=max(self.p, 9))
+        """The Casoratian det C(t, s): each one-step companion matrix has
+        determinant (-1)^(p+1) phi_p(u), so it is their product over
+        u = s+1..t, computed by :func:`casorati` in O(t-s)."""
+        return self.abel
 
 
 def casorati(model: CoefficientModel, t: int, s: int) -> CasoratiMatrix:
@@ -312,7 +322,18 @@ def casorati(model: CoefficientModel, t: int, s: int) -> CasoratiMatrix:
     entries = tuple(
         tuple(columns[j][i] for j in range(p)) for i in range(p)
     )
-    return CasoratiMatrix(p=p, t=t, s=s, entries=entries)
+    det, vanishing_row = model.one, None
+    for u in range(s + 1, t + 1):
+        factor = model.phi(p, u)
+        if not factor and vanishing_row is None:
+            vanishing_row = u
+        det = det * factor
+    if p % 2 == 0 and (t - s) % 2:
+        det = -det
+    return CasoratiMatrix(
+        p=p, t=t, s=s, entries=entries,
+        abel=det if det else model.zero, vanishing_row=vanishing_row,
+    )
 
 
 @dataclass(frozen=True)
@@ -393,7 +414,7 @@ def _green_memo(
             if method == "leibnizian":
                 cache[anchor] = green_leibnizian(model, t, anchor, enum_limit)
             else:
-                cache[anchor] = green_nested_sum(model, t, anchor)
+                cache[anchor] = green_nested_sum(model, t, anchor, enum_limit)
         return cache[anchor]
 
     return at
@@ -556,10 +577,12 @@ def general_solution_leibnizian(
     return _general_solution_by(problem, t, "leibnizian", enum_limit)
 
 
-def general_solution_nested(problem: SolutionProblem, t: int) -> Scalar:
+def general_solution_nested(
+    problem: SolutionProblem, t: int, enum_limit: int | None = None
+) -> Scalar:
     """General solution with every Green's value expanded by the nested-sum
     route."""
-    return _general_solution_by(problem, t, "nested", None)
+    return _general_solution_by(problem, t, "nested", enum_limit)
 
 
 def recursion_oracle(problem: SolutionProblem, t: int) -> Scalar:
@@ -613,7 +636,7 @@ def evaluate_green(
     if method == "leibnizian":
         return green_leibnizian(model, t, s, enum_limit)
     if method == "nested":
-        return green_nested_sum(model, t, s)
+        return green_nested_sum(model, t, s, enum_limit)
     return companion_product(model, t, s)[0][0]
 
 
@@ -636,5 +659,5 @@ def evaluate_solution(
     if method == "leibnizian":
         return general_solution_leibnizian(problem, t, enum_limit)
     if method == "nested":
-        return general_solution_nested(problem, t)
+        return general_solution_nested(problem, t, enum_limit)
     return recursion_oracle(problem, t)

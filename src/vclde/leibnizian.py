@@ -31,8 +31,12 @@ class EnumLimitError(ValueError):
     """Raised when an enumeration would exceed the configured term budget."""
 
 
-def _resolve_limit(enum_limit: int | None) -> int:
-    return DEFAULT_ENUM_LIMIT if enum_limit is None else enum_limit
+def check_enum_limit(k: int, enum_limit: int | None) -> None:
+    """Refuse an expansion of order k above ``enum_limit`` (default
+    :data:`DEFAULT_ENUM_LIMIT`); the expansions are exponential in k."""
+    limit = DEFAULT_ENUM_LIMIT if enum_limit is None else enum_limit
+    if k > limit:
+        raise EnumLimitError(f"order {k} exceeds the enumeration limit {limit}")
 
 
 def check_mask(k: int, mask: Mask) -> None:
@@ -123,25 +127,12 @@ def _columns_from_bits(bits) -> tuple[int, ...]:
 
 
 def sep_columns(k: int, m: int) -> tuple[int, ...]:
-    """All k factor columns of the m-th product in one pass.
+    """All k factor columns of the m-th product in one pass: the columns of
+    the mask :func:`mask_from_index` gives for m.
 
-    Agrees with :func:`column_for_index` at every position; used by the
-    evaluators to avoid the per-position rescan.
+    Agrees with :func:`column_for_index` at every position.
     """
-    if k < 1:
-        raise ValueError("order must be >= 1")
-    if not 0 <= m < (1 << (k - 1)):
-        raise ValueError(f"index {m} out of range [0, {(1 << (k - 1)) - 1}]")
-    cols = []
-    last = 0
-    for i in range(1, k + 1):
-        bit = 1 if i == k else (m >> (k - 1 - i)) & 1
-        if bit:
-            cols.append(last + 1)
-            last = i
-        else:
-            cols.append(i + 1)
-    return tuple(cols)
+    return _columns_from_bits(mask_from_index(k, m))
 
 
 @dataclass(frozen=True)
@@ -208,20 +199,15 @@ def mask_from_sep(term: SepTerm) -> Mask:
     return term.mask()
 
 
-def _index_sign(k: int, m: int) -> int:
-    zeros = (k - 1) - m.bit_count()
-    return -1 if zeros % 2 else 1
-
-
 def enumerate_seps(k: int, enum_limit: int | None = None) -> Iterator[SepTerm]:
     """Yield all 2^(k-1) products in ascending index order."""
-    limit = _resolve_limit(enum_limit)
-    if k > limit:
-        raise EnumLimitError(f"order {k} exceeds the enumeration limit {limit}")
+    check_enum_limit(k, enum_limit)
     if k < 1:
         raise ValueError("order must be >= 1")
-    for m in range(1 << (k - 1)):
-        yield SepTerm(k, sep_columns(k, m), _index_sign(k, m))
+    # itertools.product runs the leading bit slowest: ascending index m
+    for bits in itertools.product((0, 1), repeat=k - 1):
+        mask = bits + (1,)
+        yield SepTerm(k, _columns_from_bits(mask), -1 if mask.count(0) % 2 else 1)
 
 
 def det_leibnizian(matrix, enum_limit: int | None = None) -> Scalar:
@@ -229,35 +215,38 @@ def det_leibnizian(matrix, enum_limit: int | None = None) -> Scalar:
 
     Sums sign-flipped c-entries (so no explicit signature appears) in
     ascending index order; equals the recurrence evaluator exactly in the
-    rational and symbolic backends.  Guarded by ``enum_limit``: the
-    enumeration is exponential by nature, so an oversized order is an error
-    rather than a hang.
+    rational and symbolic backends.  The products are walked depth first
+    over the mask tree: row i takes column i + 1 (bit 0, tried first) or
+    column last + 1 (bit 1), the partial product is shared by every term
+    below it, and a subtree is cut at an exactly-zero entry, so only nonzero
+    prefixes are visited.  Each product and the summation order are those
+    of the term-by-term sum.  Guarded by ``enum_limit``: the term count is
+    exponential by nature, so an oversized order is an error rather than a
+    hang.
     """
-    limit = _resolve_limit(enum_limit)
     k = matrix.k
-    if k > limit:
-        raise EnumLimitError(f"order {k} exceeds the enumeration limit {limit}")
+    check_enum_limit(k, enum_limit)
     if k == 0:
         return matrix.one
     c = matrix.c
     total: Scalar | None = None
-    for m in range(1 << (k - 1)):
-        last = 0
-        prod: Scalar | None = None
-        for i in range(1, k + 1):
-            bit = 1 if i == k else (m >> (k - 1 - i)) & 1
-            if bit:
-                col = last + 1
-                last = i
-            else:
-                col = i + 1
-            a = c(i, col)
-            if not a:
-                prod = None
-                break
-            prod = a if prod is None else prod * a
-        if prod is not None:
-            total = prod if total is None else total + prod
+    # (rows chosen, last standard row, their product); the bit-1 child is
+    # pushed first so the bit-0 subtree is summed before it
+    stack: list = [(0, 0, None)]
+    while stack:
+        i, last, prod = stack.pop()
+        i += 1
+        a = c(i, last + 1)
+        if i == k:
+            if a:
+                term = a if prod is None else prod * a
+                total = term if total is None else total + term
+            continue
+        if a:
+            stack.append((i, i, a if prod is None else prod * a))
+        a = c(i, i + 1)
+        if a:
+            stack.append((i, last, a if prod is None else prod * a))
     return total if total is not None else matrix.zero
 
 

@@ -9,9 +9,8 @@ caller errors.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .coefficients import CoefficientModel, DomainError, PrincipalMatrixSpec, build_phi_matrix
+from .leibnizian import check_enum_limit
 from .scalar import Scalar
 
 
@@ -19,67 +18,49 @@ class SuperdiagonalError(ValueError):
     """Raised when a superdiagonal entry differs from -1."""
 
 
-def _index_tuples(j: int, k: int) -> Iterator[tuple[int, ...]]:
-    # Odometer over (k_1, ..., k_{j-1}) with k_1 in [j, k] and
-    # k_i in [j - i + 1, k_{i-1} - 1]; empty ranges prune the branch.
-    depth = j - 1
-    tup = [0] * depth
-    iters: list = [None] * depth
-    iters[0] = iter(range(j, k + 1))
-    level = 0
-    while level >= 0:
-        nxt = next(iters[level], None)
-        if nxt is None:
-            level -= 1
-            continue
-        tup[level] = nxt
-        if level == depth - 1:
-            yield tuple(tup)
-        else:
-            level += 1
-            iters[level] = iter(range(j - level, tup[level - 1]))
-
-
-def det_nested_sum(matrix) -> Scalar:
+def det_nested_sum(matrix, enum_limit: int | None = None) -> Scalar:
     """Determinant of a Hessenberg matrix whose superdiagonal is all -1.
 
-    h(k,1) plus, for each depth j, the sum over index tuples of
-    h(k,k_1) * prod h(k_{m-1}-1, k_m) * h(k_{j-1}-1, 1).  Empty nested
-    ranges contribute nothing and empty products contribute one.
+    h(k,1) plus, for each depth j, the sum over index chains
+    k >= k_1 > ... > k_{j-1} >= 2 of
+    h(k,k_1) * prod h(k_{m-1}-1, k_m) * h(k_{j-1}-1, 1).  The chains are
+    walked depth first from row k: at row r a chain either ends in column 1
+    or steps to column c in [2, r] and continues at row c - 1.  Each prefix
+    product is shared by every chain below it, a branch is cut at an
+    exactly-zero entry, and columns left of ``matrix.row_start(r)`` are
+    never read.  Guarded by ``enum_limit`` like the Leibnizian expansion,
+    which also bounds the depth of the walk.
     """
     k = matrix.k
     if k < 1:
         raise ValueError("nested-sum evaluation needs order >= 1")
+    check_enum_limit(k, enum_limit)
     minus_one = -matrix.one
     for i in range(1, k):
         if matrix.h(i, i + 1) != minus_one:
             raise SuperdiagonalError(
                 f"superdiagonal entry ({i},{i + 1}) is not -1"
             )
-    h = matrix.h
-    total = h(k, 1)
-    for j in range(2, k + 1):
-        for tup in _index_tuples(j, k):
-            factor = h(k, tup[0])
-            if not factor:
-                continue
-            dead = False
-            for idx in range(1, j - 1):
-                a = h(tup[idx - 1] - 1, tup[idx])
-                if not a:
-                    dead = True
-                    break
-                factor = factor * a
-            if dead:
-                continue
-            a = h(tup[j - 2] - 1, 1)
-            if not a:
-                continue
-            total = total + factor * a
+    h, row_start = matrix.h, matrix.row_start
+    total = matrix.zero
+    stack: list = [(k, None)]  # (row, product of the chain's entries so far)
+    while stack:
+        r, prod = stack.pop()
+        start = row_start(r)
+        if start == 1:
+            a = h(r, 1)
+            if a:
+                total = total + (a if prod is None else prod * a)
+        for col in range(r, max(start, 2) - 1, -1):
+            a = h(r, col)
+            if a:
+                stack.append((col - 1, a if prod is None else prod * a))
     return total
 
 
-def green_nested_sum(model: CoefficientModel, t: int, s: int) -> Scalar:
+def green_nested_sum(
+    model: CoefficientModel, t: int, s: int, enum_limit: int | None = None
+) -> Scalar:
     """Green's function H(t, s) through the nested-sum route.
 
     Substitutes h(i, j) = phi_{i-j+1}(s+i) under the extension conventions
@@ -87,4 +68,6 @@ def green_nested_sum(model: CoefficientModel, t: int, s: int) -> Scalar:
     """
     if t <= s:
         raise DomainError(f"requires t > s, got t={t}, s={s}")
-    return det_nested_sum(build_phi_matrix(PrincipalMatrixSpec(model, 1, t, s)))
+    check_enum_limit(t - s, enum_limit)
+    matrix = build_phi_matrix(PrincipalMatrixSpec(model, 1, t, s))
+    return det_nested_sum(matrix, enum_limit)

@@ -161,6 +161,66 @@ def test_enum_limit_env_exit_3(fib_coeffs, capsys, monkeypatch):
     assert json.loads(err)["error"] == "enum-limit"
 
 
+def test_nested_route_enum_limit_exit_3(fib_coeffs, fib_problem, capsys, monkeypatch):
+    code, _, err = run_cli(
+        capsys,
+        ["green", "--coeffs", fib_coeffs, "--t", "34", "--s", "0", "--method", "nested"],
+    )
+    assert code == 3
+    assert json.loads(err)["error"] == "enum-limit"
+    monkeypatch.setenv("VCLDE_ENUM_LIMIT", "3")
+    for argv in (
+        ["green", "--coeffs", fib_coeffs, "--t", "8", "--s", "0", "--method", "nested"],
+        ["solve", "--coeffs", fib_coeffs, "--problem", fib_problem, "--t", "6",
+         "--method", "nested"],
+    ):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 3
+        assert json.loads(err)["error"] == "enum-limit"
+
+
+def test_fundamental_order_12_without_permutation_oracle(tmp_path, capsys, monkeypatch):
+    import vclde
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Casoratian must not use the permutation oracle")
+
+    for module in (vclde, vclde.hessenberg, vclde.lde, vclde.cli):
+        if hasattr(module, "det_leibniz_oracle"):
+            monkeypatch.setattr(module, "det_leibniz_oracle", refuse)
+    p, s, t = 12, 0, 30
+    rows = random_rows(Random(12), p, s - p + 1, t, regular=True)
+    coeffs = write_json(
+        tmp_path / "c.json",
+        {"p": p, "kind": "table",
+         "rows": {str(u): [str(v) for v in row] for u, row in rows.items()}},
+    )
+    code, out, _ = run_cli(
+        capsys, ["fundamental", "--coeffs", coeffs, "--t", str(t), "--s", str(s)]
+    )
+    assert code == 0
+    expected = Fraction(1)
+    for u in range(s + 1, t + 1):
+        expected *= (-1) ** (p + 1) * rows[u][p - 1]
+    assert Fraction(json.loads(out)["casoratian"]) == expected
+
+
+def test_verify_names_vanishing_casoratian_row(tmp_path, capsys):
+    rows = random_rows(Random(4), 2, -1, 8, regular=True)
+    rows[4] = (rows[4][0], Fraction(0))
+    coeffs = write_json(
+        tmp_path / "c.json",
+        {"p": 2, "kind": "table",
+         "rows": {str(u): [str(v) for v in row] for u, row in rows.items()}},
+    )
+    code, out, _ = run_cli(capsys, ["verify", "--coeffs", coeffs, "--t", "7", "--s", "1"])
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert set(checks) == {"green-four-way", "fundamental-matrix", "casoratian-nonzero"}
+    assert checks["green-four-way"]["passed"] and checks["fundamental-matrix"]["passed"]
+    assert checks["casoratian-nonzero"]["counterexample"] == {"casoratian": "0", "u": 4}
+
+
 def test_fundamental_identity_and_step(fib_coeffs, capsys):
     code, out, _ = run_cli(capsys, ["fundamental", "--coeffs", fib_coeffs, "--t", "2", "--s", "2"])
     assert code == 0

@@ -112,3 +112,33 @@ def dense_bordered_matrix(
         return model.zero
 
     return HessenbergMatrix.from_function(t - s, entry, model.backend)
+
+
+def det_leibnizian_per_mask(matrix):
+    """Reference for ``det_leibnizian``: each of the 2^(k-1) products is
+    formed on its own from its mask index (row i takes column i + 1 for bit
+    0 and column last + 1 for bit 1), stopping at an exactly-zero entry, and
+    the products are summed in ascending index order."""
+    k = matrix.k
+    if k == 0:
+        return matrix.one
+    c = matrix.c
+    total = None
+    for m in range(1 << (k - 1)):
+        last = 0
+        prod = None
+        for i in range(1, k + 1):
+            bit = 1 if i == k else (m >> (k - 1 - i)) & 1
+            if bit:
+                col = last + 1
+                last = i
+            else:
+                col = i + 1
+            a = c(i, col)
+            if not a:
+                prod = None
+                break
+            prod = a if prod is None else prod * a
+        if prod is not None:
+            total = prod if total is None else total + prod
+    return total if total is not None else matrix.zero
