@@ -260,7 +260,6 @@ def cmd_verify(args) -> int:
     if t <= s:
         raise DomainError(f"verification requires t > s, got t={t}, s={s}")
     limit = _enum_limit()
-    float_mode = args.arith == scalar.FLOAT64
     lei_model = _corrupted(model, s) if args.corrupt else model
 
     def close(a, b) -> bool:
@@ -305,13 +304,15 @@ def cmd_verify(args) -> int:
         entry["counterexample"] = mismatch
     checks.append(entry)
 
-    cas = xi_matrix.casoratian()
-    nonzero = abs(cas) > scalar.DEFAULT_ABS_TOL if float_mode else bool(cas)
-    entry = {"name": "casoratian-nonzero", "passed": nonzero}
-    if not nonzero:
-        entry["counterexample"] = {"casoratian": scalar_to_json(cas)}
-        if xi_matrix.vanishing_row is not None:
-            entry["counterexample"]["u"] = xi_matrix.vanishing_row
+    # By Abel's formula the Casoratian vanishes exactly where some phi_p(u)
+    # does, so the check is exact in every arithmetic.
+    vanishing = xi_matrix.vanishing_row
+    entry = {"name": "casoratian-nonzero", "passed": vanishing is None}
+    if vanishing is not None:
+        entry["counterexample"] = {
+            "casoratian": scalar_to_json(xi_matrix.casoratian()),
+            "u": vanishing,
+        }
     checks.append(entry)
 
     if args.problem is not None:
@@ -379,8 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     so = sub.add_parser("solve", help="evaluate the general solution y_t")
     so.add_argument("--t", type=int, required=True)
     so.add_argument("--s", type=int, help="anchor (symbolic mode without a problem file)")
-    method_order = ("green", "kittappa", "leibnizian", "nested", "recursion")
-    common(so, with_method=method_order, with_problem=True)
+    common(so, with_method=SOLVE_METHODS, with_problem=True)
     so.set_defaults(func=cmd_solve)
 
     f = sub.add_parser("fundamental", help="print the fundamental matrix and Casoratian")

@@ -1,14 +1,12 @@
 """Variable-coefficient models and the banded matrices built from them.
 
 A :class:`CoefficientModel` evaluates the order-p coefficient family
-phi_m(t) over a declared integer domain, plus the extended accessor with
-phi_0(t) = -1 and phi_m(t) = 0 for m > p.  Evaluation must be pure: models
+phi_m(t) over a declared integer domain.  Evaluation must be pure: models
 are table-backed or closed-form, never stateful.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from . import scalar
@@ -24,8 +22,7 @@ class CoefficientModel:
     """Coefficients phi_m(t) for 1 <= m <= p over a declared t-domain.
 
     ``phi`` rejects positions outside 1..p and arguments outside the domain;
-    the error is never silently turned into a zero.  ``phi_ext`` adds the
-    extension conventions used by the full-matrix formulas.
+    the error is never silently turned into a zero.
     """
 
     __slots__ = ("p", "backend", "t_min", "t_max", "_row_fn")
@@ -77,20 +74,12 @@ class CoefficientModel:
         self.check_domain(t)
         return self._row_fn(t)[m - 1]
 
-    def phi_ext(self, m: int, t: int) -> Scalar:
-        """Extended accessor: phi_0 = -1 and phi_m = 0 for m > p, for all t."""
-        if m == 0:
-            return -self.one
-        if m > self.p:
-            return self.zero
-        return self.phi(m, t)
-
     @classmethod
     def constant(cls, values: Sequence[Scalar]) -> "CoefficientModel":
         row = tuple(values)
         if not row:
             raise ValueError("need at least one coefficient")
-        backend = _uniform_backend(row)
+        backend = scalar.uniform_backend(row)
         return cls(len(row), lambda t: row, backend)
 
     @classmethod
@@ -109,7 +98,7 @@ class CoefficientModel:
             if len(row) != p:
                 raise ValueError(f"row t={t} has {len(row)} values, expected {p}")
             table[t] = row
-        backend = _uniform_backend(v for row in table.values() for v in row)
+        backend = scalar.uniform_backend(v for row in table.values() for v in row)
         return cls(p, lambda t: table[t], backend, t_min=t_min, t_max=t_max)
 
     @classmethod
@@ -124,7 +113,7 @@ class CoefficientModel:
             if len(row) != p:
                 raise ValueError(f"periodic row {idx} has {len(row)} values, expected {p}")
             cycle.append(tuple(row))
-        backend = _uniform_backend(v for row in cycle for v in row)
+        backend = scalar.uniform_backend(v for row in cycle for v in row)
         cycle_t = tuple(cycle)
         return cls(p, lambda t: cycle_t[t % period], backend)
 
@@ -155,50 +144,20 @@ class CoefficientModel:
         )
 
 
-def _uniform_backend(values) -> str:
-    backend: str | None = None
-    for v in values:
-        b = scalar.backend_of(v)
-        if backend is None:
-            backend = b
-        elif backend != b:
-            raise scalar.BackendMismatchError(
-                f"coefficient values mix backends: {backend} vs {b}"
-            )
-    if backend is None:
-        raise ValueError("need at least one coefficient value")
-    return backend
-
-
-@dataclass(frozen=True)
-class PrincipalMatrixSpec:
-    """Selector for the order-(t-s) banded matrix of branch m.
+def build_phi_matrix(
+    model: CoefficientModel, m: int, t: int, s: int
+) -> BandedHessenbergMatrix:
+    """The order-(t-s) banded matrix of branch m.
 
     Row i carries phi_{i-j+1}(s+i) in interior columns, the truncated column
     phi_{i-1+m}(s+i) at j = 1 (rows 1..p-m+1 only), and -1 on the
     superdiagonal.
     """
-
-    model: CoefficientModel
-    m: int
-    t: int
-    s: int
-
-    def __post_init__(self):
-        if not 1 <= self.m <= self.model.p:
-            raise DomainError(f"branch {self.m} outside 1..{self.model.p}")
-        if self.t <= self.s:
-            raise DomainError(f"requires t > s, got t={self.t}, s={self.s}")
-
-    @property
-    def k(self) -> int:
-        return self.t - self.s
-
-
-def build_phi_matrix(spec: PrincipalMatrixSpec) -> BandedHessenbergMatrix:
-    """Materialize the banded matrix selected by ``spec``."""
-    model, m, s = spec.model, spec.m, spec.s
     p = model.p
+    if not 1 <= m <= p:
+        raise DomainError(f"branch {m} outside 1..{p}")
+    if t <= s:
+        raise DomainError(f"requires t > s, got t={t}, s={s}")
     zero = model.zero
     minus_one = -model.one
 
@@ -213,4 +172,4 @@ def build_phi_matrix(spec: PrincipalMatrixSpec) -> BandedHessenbergMatrix:
             return model.phi(q, s + i)
         return zero
 
-    return BandedHessenbergMatrix.from_function(spec.k, p, entry, model.backend)
+    return BandedHessenbergMatrix.from_function(t - s, p, entry, model.backend)

@@ -9,64 +9,16 @@ function of its matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import scalar
-from .scalar import Scalar, backend_of
+from .scalar import Scalar, backend_of, uniform_backend
 
 ORACLE_LIMIT_DEFAULT = 9
 
 
 class StructureError(ValueError):
     """Raised for entries that violate the Hessenberg zero pattern."""
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1..k} with its signature.
-
-    The sign is computed by inversion-count parity: -1 for an odd number of
-    pairs i < j with mapping[i] > mapping[j], +1 otherwise.
-    """
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        k = len(self.mapping)
-        if sorted(self.mapping) != list(range(1, k + 1)):
-            raise ValueError(f"not a bijection of 1..{k}: {self.mapping}")
-
-    @property
-    def k(self) -> int:
-        return len(self.mapping)
-
-    @property
-    def sign(self) -> int:
-        inversions = 0
-        m = self.mapping
-        for i in range(len(m)):
-            for j in range(i + 1, len(m)):
-                if m[i] > m[j]:
-                    inversions += 1
-        return -1 if inversions % 2 else 1
-
-
-def _infer_backend(values: Iterable[Scalar], fallback: str | None) -> str:
-    found: str | None = None
-    for v in values:
-        b = backend_of(v)
-        if found is None:
-            found = b
-        elif found != b:
-            raise scalar.BackendMismatchError(
-                f"matrix entries mix backends: {found} vs {b}"
-            )
-    if found is not None:
-        return found
-    if fallback is not None:
-        return fallback
-    return scalar.RATIONAL
 
 
 class _HessenbergBase:
@@ -130,7 +82,7 @@ class HessenbergMatrix(_HessenbergBase):
         rows = [
             [fn(i, j) for j in range(1, min(i + 1, k) + 1)] for i in range(1, k + 1)
         ]
-        _infer_backend((v for row in rows for v in row), backend)
+        uniform_backend(v for row in rows for v in row)
         return cls(k, rows, backend)
 
     @classmethod
@@ -148,7 +100,9 @@ class HessenbergMatrix(_HessenbergBase):
                         f"nonzero entry ({i},{j}) above the superdiagonal"
                     )
             stored.append(list(row[: min(i + 1, k)]))
-        resolved = _infer_backend((v for row in stored for v in row), backend)
+        resolved = uniform_backend(
+            (v for row in stored for v in row), backend or scalar.RATIONAL
+        )
         return cls(k, stored, resolved)
 
     @classmethod
@@ -158,7 +112,7 @@ class HessenbergMatrix(_HessenbergBase):
         entries: Mapping[tuple[int, int], Scalar],
         backend: str | None = None,
     ) -> "HessenbergMatrix":
-        resolved = _infer_backend(entries.values(), backend)
+        resolved = uniform_backend(entries.values(), backend or scalar.RATIONAL)
         z = scalar.zero(resolved)
         rows = [[z] * min(i + 1, k) for i in range(1, k + 1)]
         for (i, j), value in entries.items():
@@ -209,7 +163,7 @@ class BandedHessenbergMatrix(_HessenbergBase):
             lo = max(1, 1 + offset)
             hi = min(k, k + offset)
             stripes[offset] = [fn(i, i - offset) for i in range(lo, hi + 1)]
-        _infer_backend((v for s in stripes.values() for v in s), backend)
+        uniform_backend(v for s in stripes.values() for v in s)
         return cls(k, p, stripes, backend)
 
     def h(self, i: int, j: int) -> Scalar:
@@ -224,39 +178,26 @@ class BandedHessenbergMatrix(_HessenbergBase):
     def row_start(self, i: int) -> int:
         return max(1, i - self.p + 1)
 
-    def to_dense(self) -> HessenbergMatrix:
-        return HessenbergMatrix.from_function(self.k, self.h, self.backend)
 
-
-def leading_principal_chain(matrix: _HessenbergBase, view: str = "h") -> list[Scalar]:
+def leading_principal_chain(matrix: _HessenbergBase) -> list[Scalar]:
     """Determinants of the leading principal submatrices, orders 0..k.
 
-    One pass of the Hessenbergian recurrence; for banded matrices the inner
-    sum truncates to the band, giving O(k*p) scalar operations.  ``view``
-    selects the raw-entry recurrence ("h", with explicit alternating signs)
-    or its rewriting over the sign-flipped c-entries ("c"); both produce the
-    same chain.
+    One pass of the Hessenbergian recurrence over the raw entries, with
+    explicit alternating signs; for banded matrices the inner sum truncates
+    to the band, giving O(k*p) scalar operations.
     """
-    if view not in ("h", "c"):
-        raise ValueError(f"view must be 'h' or 'c', got {view!r}")
     dets: list[Scalar] = [matrix.one]
     for n in range(1, matrix.k + 1):
         acc = matrix.h(n, n) * dets[n - 1]
         prod = matrix.one
         negative = False
         for j in range(n - 1, matrix.row_start(n) - 1, -1):
-            if view == "h":
-                prod = prod * matrix.h(j, j + 1)
-                negative = not negative
-                a = matrix.h(n, j)
-                if a:
-                    term = a * prod * dets[j - 1]
-                    acc = acc - term if negative else acc + term
-            else:
-                prod = prod * matrix.c(j, j + 1)
-                a = matrix.c(n, j)
-                if a:
-                    acc = acc + a * prod * dets[j - 1]
+            prod = prod * matrix.h(j, j + 1)
+            negative = not negative
+            a = matrix.h(n, j)
+            if a:
+                term = a * prod * dets[j - 1]
+                acc = acc - term if negative else acc + term
         dets.append(acc)
     return dets
 

@@ -25,12 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
 from . import scalar
-from .coefficients import (
-    CoefficientModel,
-    DomainError,
-    PrincipalMatrixSpec,
-    build_phi_matrix,
-)
+from .coefficients import CoefficientModel, DomainError, build_phi_matrix
 from .leibnizian import check_enum_limit, det_leibnizian
 from .nested_sum import green_nested_sum
 from .scalar import BackendMismatchError, Scalar, backend_of
@@ -58,7 +53,9 @@ class SolutionProblem:
     ``forcing`` may be a mapping t -> v_t, a callable, or None.  None (or an
     empty mapping) declares the equation homogeneous, with v_t structurally
     zero; a nonempty mapping that lacks a queried t is a hard error, never an
-    implicit zero.
+    implicit zero.  Initial and forcing values must share the model's
+    backend: mapping values are checked here, callable values as they are
+    read; a mismatch raises :class:`BackendMismatchError`.
     """
 
     model: CoefficientModel
@@ -78,12 +75,19 @@ class SolutionProblem:
                 f"anchor s={self.s} puts the initial window below the "
                 f"coefficient domain start {self.model.t_min}"
             )
+        values = self.init
         if isinstance(self.forcing, Mapping):
             bad = [t for t in self.forcing if t <= self.s]
             if bad:
                 raise DomainError(
                     f"forcing keys must exceed the anchor s={self.s}: {sorted(bad)}"
                 )
+            values += tuple(self.forcing.values())
+        backend = scalar.uniform_backend(values, self.model.backend)
+        if backend != self.model.backend:
+            raise BackendMismatchError(
+                f"problem values are {backend}, the model is {self.model.backend}"
+            )
 
     @classmethod
     def symbolic(
@@ -122,7 +126,13 @@ class SolutionProblem:
         if self.is_homogeneous:
             return self.model.zero
         if callable(self.forcing):
-            return self.forcing(t)
+            value = self.forcing(t)
+            backend = backend_of(value)
+            if backend != self.model.backend:
+                raise BackendMismatchError(
+                    f"forcing at t={t} is {backend}, the model is {self.model.backend}"
+                )
+            return value
         try:
             return self.forcing[t]
         except KeyError:
@@ -254,7 +264,7 @@ def green_leibnizian(
     if t <= s:
         raise DomainError(f"requires t > s, got t={t}, s={s}")
     check_enum_limit(t - s, enum_limit)
-    matrix = build_phi_matrix(PrincipalMatrixSpec(model, 1, t, s))
+    matrix = build_phi_matrix(model, 1, t, s)
     return det_leibnizian(matrix, enum_limit=enum_limit)
 
 
@@ -336,23 +346,17 @@ def casorati(model: CoefficientModel, t: int, s: int) -> CasoratiMatrix:
     )
 
 
-@dataclass(frozen=True)
-class CompanionMatrix:
+def companion_matrix(
+    model: CoefficientModel, t: int
+) -> tuple[tuple[Scalar, ...], ...]:
     """p x p one-step transition matrix: first row (phi_1(t)..phi_p(t)),
     ones on the subdiagonal, zeros elsewhere."""
-
-    p: int
-    t: int
-    entries: tuple[tuple[Scalar, ...], ...]
-
-
-def companion_matrix(model: CoefficientModel, t: int) -> CompanionMatrix:
     p = model.p
     zero, one = model.zero, model.one
     rows = [tuple(model.phi_row(t))]
     for i in range(1, p):
         rows.append(tuple(one if j == i - 1 else zero for j in range(p)))
-    return CompanionMatrix(p=p, t=t, entries=tuple(rows))
+    return tuple(rows)
 
 
 def _mat_mul(a, b, zero: Scalar):
@@ -382,9 +386,9 @@ def companion_product(
     H(t, s)."""
     if t <= s:
         raise DomainError(f"requires t > s, got t={t}, s={s}")
-    product = companion_matrix(model, s + 1).entries
+    product = companion_matrix(model, s + 1)
     for u in range(s + 2, t + 1):
-        product = _mat_mul(companion_matrix(model, u).entries, product, model.zero)
+        product = _mat_mul(companion_matrix(model, u), product, model.zero)
     return product
 
 
@@ -392,12 +396,25 @@ def _acc(total: Scalar | None, term: Scalar) -> Scalar:
     return term if total is None else total + term
 
 
+def _green_by(
+    model: CoefficientModel, t: int, s: int, method: str, enum_limit: int | None
+) -> Scalar:
+    """H(t, s) for t > s by one of :data:`GREEN_METHODS`."""
+    if method == "recurrence":
+        return green(model, t, s)
+    if method == "leibnizian":
+        return green_leibnizian(model, t, s, enum_limit)
+    if method == "nested":
+        return green_nested_sum(model, t, s, enum_limit)
+    return companion_product(model, t, s)[0][0]
+
+
 def _green_memo(
     model: CoefficientModel, t: int, s: int, method: str, enum_limit: int | None
 ) -> Callable[[int], Scalar]:
     """H(t, anchor) for anchors above s.  The recurrence method reads one
-    Green row, built on first use; the verification methods expand each
-    anchor on its own and memoize it."""
+    Green row, built on first use; the other methods evaluate each anchor
+    on its own through :func:`_green_by` and memoize it."""
     cache: dict[int, Scalar] = {}
     row: list[Scalar] = []
 
@@ -411,10 +428,7 @@ def _green_memo(
                 row.extend(_green_row(model, t, s))
             return row[t - anchor]
         if anchor not in cache:
-            if method == "leibnizian":
-                cache[anchor] = green_leibnizian(model, t, anchor, enum_limit)
-            else:
-                cache[anchor] = green_nested_sum(model, t, anchor, enum_limit)
+            cache[anchor] = _green_by(model, t, anchor, method, enum_limit)
         return cache[anchor]
 
     return at
@@ -517,7 +531,6 @@ def _bordered_solution(problem: SolutionProblem, t: int, with_init: bool) -> Sca
     if t <= problem.s:
         raise DomainError(f"requires t > s, got t={t}, s={problem.s}")
     model, s = problem.model, problem.s
-    backend = model.backend
     init = problem.init[::-1] if with_init else ()  # init[m-1] = y_{s-m+1}
 
     def first(n: int, row: tuple[Scalar, ...]) -> Scalar:
@@ -526,10 +539,6 @@ def _bordered_solution(problem: SolutionProblem, t: int, with_init: bool) -> Sca
             coeff, y0 = row[m + n - 2], init[m - 1]
             if coeff and y0:
                 acc = acc + coeff * y0
-        if backend_of(acc) != backend:
-            raise BackendMismatchError(
-                f"bordered column mixes backends: {backend} vs {backend_of(acc)}"
-            )
         return acc
 
     return _banded_chain(model, s, t - s, first)[-1]
@@ -631,13 +640,7 @@ def evaluate_green(
         return model.one
     if t < s:
         return model.zero
-    if method == "recurrence":
-        return green(model, t, s)
-    if method == "leibnizian":
-        return green_leibnizian(model, t, s, enum_limit)
-    if method == "nested":
-        return green_nested_sum(model, t, s, enum_limit)
-    return companion_product(model, t, s)[0][0]
+    return _green_by(model, t, s, method, enum_limit)
 
 
 def evaluate_solution(

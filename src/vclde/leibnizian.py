@@ -82,35 +82,6 @@ def zero_run(k: int, i: int, mask: Mask) -> int:
     return mask[i - 1] * (i - best) - 1
 
 
-def zero_run_piecewise(k: int, i: int, mask: Mask) -> int:
-    """Branch-by-branch variant of :func:`zero_run`, kept as its cross-check."""
-    check_mask(k, mask)
-    if not 1 <= i <= k:
-        raise ValueError(f"position {i} out of range 1..{k}")
-    if mask[i - 1] == 0:
-        return -1
-    run = 0
-    while i - 1 - run >= 1 and mask[i - 2 - run] == 0:
-        run += 1
-    return run
-
-
-def factor_column(k: int, i: int, mask: Mask) -> int:
-    """Column of the i-th factor of the product selected by ``mask``.
-
-    i + 1 for a non-standard factor; for a standard factor, i minus the
-    number of consecutive non-standard rows immediately above it.
-    """
-    return i - zero_run(k, i, mask)
-
-
-def column_for_index(k: int, i: int, m: int) -> int:
-    """Column of the i-th factor of the m-th product: factor_column after
-    mask_from_index.  For fixed m the map i -> column is a permutation of
-    {1..k}."""
-    return factor_column(k, i, mask_from_index(k, m))
-
-
 def _columns_from_bits(bits) -> tuple[int, ...]:
     # A standard factor lands one column to the right of the previous
     # standard row (row 0 acts as a standard anchor); a non-standard factor
@@ -128,9 +99,8 @@ def _columns_from_bits(bits) -> tuple[int, ...]:
 
 def sep_columns(k: int, m: int) -> tuple[int, ...]:
     """All k factor columns of the m-th product in one pass: the columns of
-    the mask :func:`mask_from_index` gives for m.
-
-    Agrees with :func:`column_for_index` at every position.
+    the mask :func:`mask_from_index` gives for m.  Entry i equals
+    i - zero_run(k, i, mask).
     """
     return _columns_from_bits(mask_from_index(k, m))
 
@@ -248,24 +218,6 @@ def det_leibnizian(matrix, enum_limit: int | None = None) -> Scalar:
         if a:
             stack.append((i, last, a if prod is None else prod * a))
     return total if total is not None else matrix.zero
-
-
-def initial_strings(length: int) -> set[tuple[tuple[int, int], ...]]:
-    """All factor strings of the given length that start at row 1 and extend
-    to a non-trivial product, as ((row, column), ...) tuples.
-
-    Unlike full products, a prefix may end in a non-standard factor, so
-    there are 2^length of them.
-    """
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    if length == 0:
-        return {()}
-    out = set()
-    for bits in itertools.product((0, 1), repeat=length):
-        cols = _columns_from_bits(bits)
-        out.add(tuple((i, col) for i, col in enumerate(cols, start=1)))
-    return out
 
 
 @dataclass(frozen=True)

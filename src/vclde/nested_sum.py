@@ -9,7 +9,7 @@ caller errors.
 
 from __future__ import annotations
 
-from .coefficients import CoefficientModel, DomainError, PrincipalMatrixSpec, build_phi_matrix
+from .coefficients import CoefficientModel, DomainError, build_phi_matrix
 from .leibnizian import check_enum_limit
 from .scalar import Scalar
 
@@ -63,11 +63,12 @@ def green_nested_sum(
 ) -> Scalar:
     """Green's function H(t, s) through the nested-sum route.
 
-    Substitutes h(i, j) = phi_{i-j+1}(s+i) under the extension conventions
-    and evaluates :func:`det_nested_sum` on the resulting banded matrix.
+    Substitutes h(i, j) = phi_{i-j+1}(s+i), with -1 on the superdiagonal
+    and zero outside the band, and evaluates :func:`det_nested_sum` on the
+    resulting banded matrix.
     """
     if t <= s:
         raise DomainError(f"requires t > s, got t={t}, s={s}")
     check_enum_limit(t - s, enum_limit)
-    matrix = build_phi_matrix(PrincipalMatrixSpec(model, 1, t, s))
+    matrix = build_phi_matrix(model, 1, t, s)
     return det_nested_sum(matrix, enum_limit)

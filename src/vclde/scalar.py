@@ -3,9 +3,9 @@
 Three backends behind one small ring interface: exact rationals
 (:class:`fractions.Fraction`, with plain ``int`` accepted as an integer
 rational), IEEE-754 binary64 (Python ``float``), and symbolic term sums
-(:class:`TermSum`).  Backends never coerce into each other; combining values
-from different backends through :func:`add`/:func:`mul` raises
-:class:`BackendMismatchError`.
+(:class:`TermSum`).  Backends never coerce into each other:
+:func:`uniform_backend` raises :class:`BackendMismatchError` wherever values
+from different backends meet.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -214,23 +214,17 @@ def backend_of(value: Scalar) -> str:
     raise BackendMismatchError(f"not a scalar: {value!r}")
 
 
-def _common_backend(a: Scalar, b: Scalar) -> str:
-    left, right = backend_of(a), backend_of(b)
-    if left != right:
-        raise BackendMismatchError(f"backend mismatch: {left} vs {right}")
-    return left
-
-
-def add(a: Scalar, b: Scalar) -> Scalar:
-    """Ring addition within one backend; mixing backends is an error."""
-    _common_backend(a, b)
-    return a + b
-
-
-def mul(a: Scalar, b: Scalar) -> Scalar:
-    """Ring multiplication within one backend; mixing backends is an error."""
-    _common_backend(a, b)
-    return a * b
+def uniform_backend(values: Iterable[Scalar], default: str | None = None) -> str | None:
+    """The one backend shared by ``values``, or ``default`` when there are
+    none; mixing backends is an error."""
+    found: str | None = None
+    for v in values:
+        b = backend_of(v)
+        if found is None:
+            found = b
+        elif found != b:
+            raise BackendMismatchError(f"backend mismatch: {found} vs {b}")
+    return default if found is None else found
 
 
 def is_zero(value: Scalar, abs_tol: float = DEFAULT_ABS_TOL) -> bool:
@@ -270,7 +264,7 @@ def scalars_close(
     abs_tol: float = DEFAULT_ABS_TOL,
 ) -> bool:
     """Equality check: exact for rational/symbolic, tolerant for binary64."""
-    kind = _common_backend(a, b)
+    kind = uniform_backend((a, b))
     if kind == FLOAT64:
         return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
     return a == b

@@ -16,7 +16,6 @@ from random import Random
 import vclde
 from vclde import (
     CoefficientModel,
-    Permutation,
     SolutionProblem,
     casorati,
     companion_product,
@@ -38,15 +37,16 @@ from vclde import (
     validate_string_properties,
     xi,
     zero_run,
-    zero_run_piecewise,
 )
 from testutil import (
+    Permutation,
     float_model,
     float_problem,
     random_hessenberg,
     random_model,
     random_problem,
     random_rows,
+    zero_run_piecewise,
 )
 
 from test_leibnizian import k4_expected

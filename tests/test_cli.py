@@ -221,6 +221,27 @@ def test_verify_names_vanishing_casoratian_row(tmp_path, capsys):
     assert checks["casoratian-nonzero"]["counterexample"] == {"casoratian": "0", "u": 4}
 
 
+def test_verify_float_casoratian_is_exact(tmp_path, capsys):
+    # phi_2 = 0.1 never vanishes, so the Casoratian 0.1^14 is nonzero however
+    # small it is against a float tolerance
+    coeffs = write_json(tmp_path / "c.json", {"p": 2, "kind": "constant", "phi": [0.1, 0.1]})
+    argv = ["verify", "--coeffs", coeffs, "--arith", "float64", "--t", "14", "--s", "0"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["casoratian-nonzero"] == {"name": "casoratian-nonzero", "passed": True}
+    table = write_json(
+        tmp_path / "t.json",
+        {"p": 2, "kind": "table", "rows": {str(u): [0.5, 0.0 if u == 3 else 2.0]
+                                           for u in range(-1, 9)}},
+    )
+    code, out, _ = run_cli(capsys, ["verify", "--coeffs", table, "--arith", "float64",
+                                    "--t", "7", "--s", "1"])
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["casoratian-nonzero"]["counterexample"] == {"casoratian": 0.0, "u": 3}
+
+
 def test_fundamental_identity_and_step(fib_coeffs, capsys):
     code, out, _ = run_cli(capsys, ["fundamental", "--coeffs", fib_coeffs, "--t", "2", "--s", "2"])
     assert code == 0

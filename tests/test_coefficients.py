@@ -8,7 +8,6 @@ from vclde import (
     BackendMismatchError,
     CoefficientModel,
     DomainError,
-    PrincipalMatrixSpec,
     TermSum,
     build_phi_matrix,
     phi_sym,
@@ -53,28 +52,22 @@ def test_periodic_model():
 
 
 def test_extended_accessor():
-    model = CoefficientModel.constant((0.5, 0.25))
-    assert model.phi_ext(0, 7) == -1.0
-    assert model.phi_ext(3, 7) == 0.0
-    assert model.phi_ext(2, 7) == 0.25
     symbolic = CoefficientModel.symbolic(1)
-    assert symbolic.phi_ext(0, 7) == TermSum.constant(-1)
-    assert symbolic.phi_ext(2, 7) == TermSum()
     assert symbolic.phi(1, 7) == phi_sym(1, 7)
 
 
 def test_principal_matrix_spec_validation():
     model = CoefficientModel.symbolic(2)
     with pytest.raises(DomainError):
-        PrincipalMatrixSpec(model, 3, 5, 2)
+        build_phi_matrix(model, 3, 5, 2)
     with pytest.raises(DomainError):
-        PrincipalMatrixSpec(model, 1, 2, 2)
-    assert PrincipalMatrixSpec(model, 1, 5, 2).k == 3
+        build_phi_matrix(model, 1, 2, 2)
+    assert build_phi_matrix(model, 1, 5, 2).k == 3
 
 
 def test_phi_matrix_first_branch_shape():
     model = CoefficientModel.symbolic(2)
-    matrix = build_phi_matrix(PrincipalMatrixSpec(model, 1, 3, 0))
+    matrix = build_phi_matrix(model, 1, 3, 0)
     minus_one = TermSum.constant(-1)
     rows = [
         [phi_sym(1, 1), minus_one, TermSum()],
@@ -88,7 +81,7 @@ def test_phi_matrix_first_branch_shape():
 
 def test_phi_matrix_highest_branch_first_column():
     model = CoefficientModel.symbolic(3)
-    matrix = build_phi_matrix(PrincipalMatrixSpec(model, 3, 4, 0))
+    matrix = build_phi_matrix(model, 3, 4, 0)
     assert matrix.h(1, 1) == phi_sym(3, 1)
     for i in (2, 3, 4):
         assert matrix.h(i, 1) == TermSum()
@@ -96,14 +89,14 @@ def test_phi_matrix_highest_branch_first_column():
 
 def test_phi_matrix_middle_branch_first_column():
     model = CoefficientModel.symbolic(3)
-    matrix = build_phi_matrix(PrincipalMatrixSpec(model, 2, 4, 0))
+    matrix = build_phi_matrix(model, 2, 4, 0)
     col = [matrix.h(i, 1) for i in range(1, 5)]
     assert col == [phi_sym(2, 1), phi_sym(3, 2), TermSum(), TermSum()]
 
 
 def test_phi_matrix_bandwidth():
     model = CoefficientModel.symbolic(3)
-    matrix = build_phi_matrix(PrincipalMatrixSpec(model, 1, 8, 0))
+    matrix = build_phi_matrix(model, 1, 8, 0)
     assert matrix.p == 3
     assert matrix.h(6, 2) == TermSum()  # below the band
     assert matrix.h(6, 4) == phi_sym(3, 6)

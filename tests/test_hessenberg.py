@@ -8,7 +8,6 @@ import pytest
 from vclde import (
     BandedHessenbergMatrix,
     HessenbergMatrix,
-    Permutation,
     StructureError,
     TermSum,
     det_leibniz_oracle,
@@ -16,9 +15,9 @@ from vclde import (
     h_sym,
     hessenberg_from_json,
     hessenberg_to_json,
-    leading_principal_chain,
 )
-from testutil import random_hessenberg, rational
+from vclde.hessenberg import leading_principal_chain
+from testutil import Permutation, random_hessenberg, rational, to_dense
 
 
 def laplace_det(rows):
@@ -102,22 +101,13 @@ def test_leading_principal_chain():
     assert leading_principal_chain(matrix)[-1] == det_recurrence(matrix)
 
 
-def test_chain_c_view_matches_h_view():
-    rng = Random(11)
-    for k in (1, 3, 6):
-        matrix = random_hessenberg(rng, k)
-        assert leading_principal_chain(matrix, view="c") == leading_principal_chain(matrix)
-    symbolic = HessenbergMatrix.from_function(4, h_sym, "symbolic")
-    assert leading_principal_chain(symbolic, view="c") == leading_principal_chain(symbolic)
-
-
 def test_banded_matches_dense_embedding():
     rng = Random(13)
     for k, p in ((5, 2), (7, 3), (6, 1), (3, 4)):
         banded = BandedHessenbergMatrix.from_function(
             k, p, lambda i, j: rational(rng), "rational"
         )
-        dense = banded.to_dense()
+        dense = to_dense(banded)
         assert det_recurrence(banded) == det_recurrence(dense)
         assert det_recurrence(banded) == det_leibniz_oracle(dense)
         for i in range(1, k + 1):

@@ -10,7 +10,6 @@ from vclde import (
     CoefficientModel,
     DomainError,
     MissingForcingError,
-    PrincipalMatrixSpec,
     SolutionProblem,
     TermSum,
     build_phi_matrix,
@@ -106,7 +105,7 @@ def test_principal_chain_matches_matrix_determinants():
         model = random_model(rng, p, 0, 12)
         chain = principal_chain(model, 1, 8, 1)
         for n in range(1, 8):
-            block = build_phi_matrix(PrincipalMatrixSpec(model, 1, 1 + n, 1))
+            block = build_phi_matrix(model, 1, 1 + n, 1)
             assert chain[n] == det_recurrence(block)
 
 
@@ -136,8 +135,8 @@ def test_xi_via_green_identities():
     first_order = CoefficientModel.constant((Fraction(5, 3),))
     assert xi_via_green(first_order, 1, 6, 2) == green(first_order, 6, 2)
     symbolic = CoefficientModel.symbolic(2)
-    spec = PrincipalMatrixSpec(symbolic, 2, 5, 2)
-    assert xi_via_green(symbolic, 2, 5, 2) == det_recurrence(build_phi_matrix(spec))
+    matrix = build_phi_matrix(symbolic, 2, 5, 2)
+    assert xi_via_green(symbolic, 2, 5, 2) == det_recurrence(matrix)
     rng = Random(20240817)
     for p in (1, 2, 3, 4):
         model = random_model(rng, p, -1, 14)
@@ -173,7 +172,7 @@ def test_companion_single_factor():
     model = CoefficientModel.symbolic(2)
     product = companion_product(model, 3, 2)
     gamma = companion_matrix(model, 3)
-    assert product == gamma.entries
+    assert product == gamma
     assert product[0][0] == phi_sym(1, 3) == green(model, 3, 2)
     assert product[1][0] == TermSum.constant(1)
 
@@ -337,14 +336,22 @@ def test_kittappa_reductions():
 
 
 def test_bordered_routes_reject_mixed_backends():
+    # rejected where the problem is built, so no route ever sees the values
     model = CoefficientModel.constant((Fraction(1, 2), Fraction(1, 3)))
-    float_forcing = SolutionProblem(model, 0, (Fraction(1), Fraction(2)), {1: 0.5, 2: 0.5})
-    float_init = SolutionProblem(model, 0, (0.5, 1.0), {1: Fraction(1), 2: Fraction(1)})
-    for problem in (float_forcing, float_init):
-        with pytest.raises(BackendMismatchError):
-            general_solution_kittappa(problem, 2)
     with pytest.raises(BackendMismatchError):
-        particular_solution_det(float_forcing, 2)
+        SolutionProblem(model, 0, (Fraction(1), Fraction(2)), {1: 0.5, 2: 0.5})
+    with pytest.raises(BackendMismatchError):
+        SolutionProblem(model, 0, (0.5, 1.0), {1: Fraction(1), 2: Fraction(1)})
+    with pytest.raises(BackendMismatchError):
+        SolutionProblem(model, 0, (0.5, 1.0))
+
+
+def test_callable_forcing_rejects_mixed_backends():
+    model = CoefficientModel.constant((Fraction(1, 2), Fraction(1, 3)))
+    problem = SolutionProblem(model, 0, (Fraction(1), Fraction(2)), lambda t: 0.5)
+    for route in (general_solution, recursion_oracle, general_solution_kittappa):
+        with pytest.raises(BackendMismatchError):
+            route(problem, 3)
 
 
 def test_solution_single_step():

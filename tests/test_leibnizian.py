@@ -7,26 +7,28 @@ import pytest
 from vclde import (
     EnumLimitError,
     HessenbergMatrix,
-    Permutation,
     SepTerm,
     TermSum,
-    column_for_index,
     det_leibniz_oracle,
     det_leibnizian,
     det_recurrence,
     enumerate_seps,
-    factor_column,
     h_sym,
-    initial_strings,
     mask_from_index,
     mask_from_sep,
     sep_columns,
     sep_from_mask,
     validate_string_properties,
     zero_run,
+)
+from testutil import (
+    Permutation,
+    column_for_index,
+    factor_column,
+    initial_strings,
+    random_hessenberg,
     zero_run_piecewise,
 )
-from testutil import random_hessenberg
 
 # Known-good k=4 expansion: signs and h-columns of all eight products.
 K4_EXPANSION = [

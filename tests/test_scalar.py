@@ -8,12 +8,10 @@ from hypothesis import given, strategies as st
 from vclde import (
     BackendMismatchError,
     TermSum,
-    add,
     backend_of,
     format_rational,
     h_sym,
     is_zero,
-    mul,
     one,
     parse_rational,
     phi_sym,
@@ -26,6 +24,7 @@ from vclde import (
     y_sym,
     zero,
 )
+from testutil import add, mul
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=9)
 

@@ -13,7 +13,6 @@ from vclde import (
     CoefficientModel,
     EnumLimitError,
     HessenbergMatrix,
-    PrincipalMatrixSpec,
     build_phi_matrix,
     casorati,
     det_leibniz_oracle,
@@ -49,7 +48,7 @@ class CountingMatrix:
 
 
 def principal_matrix(model, t, s):
-    return build_phi_matrix(PrincipalMatrixSpec(model, 1, t, s))
+    return build_phi_matrix(model, 1, t, s)
 
 
 def test_expansions_visit_only_nonzero_prefixes():

@@ -1,9 +1,14 @@
-"""Shared random-input builders for the test suite (seeded, deterministic)."""
+"""Shared random-input builders for the test suite (seeded, deterministic),
+and the reference helpers that only the tests use."""
 
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
 from vclde import CoefficientModel, HessenbergMatrix, SolutionProblem
+from vclde.leibnizian import _columns_from_bits, check_mask, mask_from_index, zero_run
+from vclde.scalar import uniform_backend
 
 
 def rational(rng: Random, num_max: int = 9, den_max: int = 9) -> Fraction:
@@ -142,3 +147,91 @@ def det_leibnizian_per_mask(matrix):
         if prod is not None:
             total = prod if total is None else total + prod
     return total if total is not None else matrix.zero
+
+
+def add(a, b):
+    """Ring addition within one backend; mixing backends is an error."""
+    uniform_backend((a, b))
+    return a + b
+
+
+def mul(a, b):
+    """Ring multiplication within one backend; mixing backends is an error."""
+    uniform_backend((a, b))
+    return a * b
+
+
+@dataclass(frozen=True)
+class Permutation:
+    """A bijection of {1..k} with its signature.
+
+    The sign is computed by inversion-count parity: -1 for an odd number of
+    pairs i < j with mapping[i] > mapping[j], +1 otherwise.
+    """
+
+    mapping: tuple
+
+    def __post_init__(self):
+        k = len(self.mapping)
+        if sorted(self.mapping) != list(range(1, k + 1)):
+            raise ValueError(f"not a bijection of 1..{k}: {self.mapping}")
+
+    @property
+    def sign(self) -> int:
+        m = self.mapping
+        inversions = sum(
+            1 for i in range(len(m)) for j in range(i + 1, len(m)) if m[i] > m[j]
+        )
+        return -1 if inversions % 2 else 1
+
+
+def to_dense(banded) -> HessenbergMatrix:
+    """The dense copy of a banded Hessenberg matrix."""
+    return HessenbergMatrix.from_function(banded.k, banded.h, banded.backend)
+
+
+def zero_run_piecewise(k: int, i: int, mask) -> int:
+    """Branch-by-branch variant of ``zero_run``, kept as its cross-check."""
+    check_mask(k, mask)
+    if not 1 <= i <= k:
+        raise ValueError(f"position {i} out of range 1..{k}")
+    if mask[i - 1] == 0:
+        return -1
+    run = 0
+    while i - 1 - run >= 1 and mask[i - 2 - run] == 0:
+        run += 1
+    return run
+
+
+def factor_column(k: int, i: int, mask) -> int:
+    """Column of the i-th factor of the product selected by ``mask``.
+
+    i + 1 for a non-standard factor; for a standard factor, i minus the
+    number of consecutive non-standard rows immediately above it.
+    """
+    return i - zero_run(k, i, mask)
+
+
+def column_for_index(k: int, i: int, m: int) -> int:
+    """Column of the i-th factor of the m-th product: factor_column after
+    mask_from_index.  For fixed m the map i -> column is a permutation of
+    {1..k}."""
+    return factor_column(k, i, mask_from_index(k, m))
+
+
+def initial_strings(length: int) -> set:
+    """All factor strings of the given length that start at row 1 and extend
+    to a non-trivial product, as ((row, column), ...) tuples.
+
+    Unlike full products, a prefix may end in a non-standard factor, so
+    there are 2^length of them.
+    """
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    if length == 0:
+        return {()}
+    out = set()
+    for bits in itertools.product((0, 1), repeat=length):
+        cols = _columns_from_bits(bits)
+        out.add(tuple((i, col) for i, col in enumerate(cols, start=1)))
+    return out
