@@ -68,6 +68,16 @@ class CoefficientModel:
         self.check_domain(t)
         return self._row_fn(t)
 
+    def _row_source(self, lo: int, hi: int) -> Callable[[int], tuple[Scalar, ...]]:
+        """Row function for a caller that reads rows lo..hi in order: the
+        unchecked one when the whole range lies in the domain, else
+        :meth:`phi_row`, which raises at the first row outside it."""
+        if (self.t_min is None or lo >= self.t_min) and (
+            self.t_max is None or hi <= self.t_max
+        ):
+            return self._row_fn
+        return self.phi_row
+
     def phi(self, m: int, t: int) -> Scalar:
         if not 1 <= m <= self.p:
             raise DomainError(f"coefficient position {m} outside 1..{self.p}")

@@ -20,9 +20,13 @@ state between calls, so independent queries may run concurrently.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from fractions import Fraction
+from functools import reduce
+from operator import add, mul
+from typing import Callable, Mapping, Sequence, Union
 
 from . import scalar
 from .coefficients import CoefficientModel, DomainError, build_phi_matrix
@@ -145,7 +149,7 @@ def _banded_chain(
     k: int,
     first: Callable[[int, tuple[Scalar, ...]], Scalar | None],
     keep_all: bool = False,
-) -> deque:
+) -> Sequence[Scalar]:
     """Leading principal minors d_1..d_k of an order-k banded Hessenbergian.
 
     Row n of the matrix holds -1 on the superdiagonal, phi_r(s+n) in column
@@ -158,18 +162,18 @@ def _banded_chain(
 
     one coefficient row and O(p) scalar operations per step.  Only the last
     p minors are kept unless ``keep_all`` is set, so a value needs O(p)
-    memory.
+    memory.  Rational chains run on integers (:func:`_integer_chain`).
     """
+    row_of = model._row_source(s + 1, s + k)
+    if model.backend == scalar.RATIONAL:
+        return _integer_chain(model.p, row_of, s, k, first, keep_all)
     zero = model.zero
-    row_of = model.phi_row
     dets: deque = deque(maxlen=None if keep_all else model.p)
     for n in range(1, k + 1):
         row = row_of(s + n)
-        acc: Scalar | None = None
-        # row[r-1] pairs with d_{n-r}; d_0 enters only through column 1
-        for coeff, det in zip(row, reversed(dets)):
-            term = coeff * det
-            acc = term if acc is None else acc + term
+        # row[r-1] pairs with d_{n-r}, summed left to right; d_0 enters
+        # only through column 1
+        acc = reduce(add, map(mul, row, reversed(dets))) if dets else None
         if first is not None:
             head = first(n, row)
             if head is None:
@@ -180,9 +184,61 @@ def _banded_chain(
     return dets
 
 
+def _integer_chain(
+    p: int,
+    row_of: Callable[[int], tuple[Scalar, ...]],
+    s: int,
+    k: int,
+    first: Callable[[int, tuple[Scalar, ...]], Scalar | None],
+    keep_all: bool,
+) -> list[Fraction]:
+    """The banded chain in exact rationals without Fraction arithmetic.
+
+    The window holds the integer numerators N of the last p minors over one
+    common denominator D.  Step n clears the denominators of row n and of
+    its column-1 entry with their lcm L:
+
+        N_n = sum_r (phi_r(s+n) L) N_{n-r} + (first L) D,   D <- D L,
+
+    and the older numerators are multiplied by L.  Each returned minor is
+    normalized once, as Fraction(N, D), so no gcd runs inside the loop; the
+    integers grow by O(log L) bits per step.
+    """
+    window: list[int] = []  # window[-r] = N_{n-r}
+    scale = 1
+    minors: list[Fraction] = []
+    for n in range(1, k + 1):
+        row = row_of(s + n)
+        head = None
+        if first is not None:
+            head = first(n, row)
+            if head is None:
+                first = None
+        lcm = math.lcm(*[c.denominator for c in row])
+        if head:
+            lcm = math.lcm(lcm, head.denominator)
+        acc = sum(
+            c.numerator * (lcm // c.denominator) * x
+            for c, x in zip(row, reversed(window))
+        )
+        if head:
+            acc += head.numerator * (lcm // head.denominator) * scale
+        if len(window) == p:
+            del window[0]
+        if lcm != 1:
+            window = [x * lcm for x in window]
+            scale *= lcm
+        window.append(acc)
+        if keep_all:
+            minors.append(Fraction(acc, scale))
+    if keep_all:
+        return minors
+    return [Fraction(x, scale) for x in window]
+
+
 def _branch_chain(
     model: CoefficientModel, m: int, t: int, s: int, keep_all: bool = False
-) -> deque:
+) -> Sequence[Scalar]:
     """Chain of the branch-m matrix, whose column 1 is phi_{n-1+m}(s+n)
     while n-1+m <= p and zero below."""
     p = model.p

@@ -361,7 +361,13 @@ def scalar_from_json(obj, arith: str) -> Scalar:
     if arith == FLOAT64:
         if isinstance(obj, bool) or not isinstance(obj, (int, float)):
             raise ValueError(f"float64 mode requires JSON numbers, got {obj!r}")
-        return float(obj)
+        try:
+            value = float(obj)
+        except OverflowError:
+            raise ValueError("integer too large for float64") from None
+        if not math.isfinite(value):
+            raise ValueError(f"float64 values must be finite, got {obj!r}")
+        return value
     raise ValueError(f"no file scalars in arithmetic mode {arith!r}")
 
 

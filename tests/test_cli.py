@@ -360,6 +360,32 @@ def test_float_mode_files(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "literal",
+    ["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "1" + "0" * 400],
+    ids=["nan", "inf", "-inf", "1e999", "-1e999", "int400"],
+)
+def test_float_mode_rejects_non_finite_input(tmp_path, capsys, literal):
+    # json.load accepts NaN and Infinity literals and reads 1e999 as inf; a
+    # 400-digit integer overflows float().  Each is invalid input (exit 2),
+    # never a NaN in the output or a traceback.
+    coeffs = tmp_path / "bad-coeffs.json"
+    coeffs.write_text('{"p": 2, "kind": "constant", "phi": [%s, 0.5]}' % literal)
+    good = write_json(tmp_path / "c.json", {"p": 2, "kind": "constant", "phi": [0.5, 0.5]})
+    bad_init = tmp_path / "bad-init.json"
+    bad_init.write_text('{"s": 0, "init": [%s, 1.0], "forcing": {"1": 0.5}}' % literal)
+    bad_forcing = tmp_path / "bad-forcing.json"
+    bad_forcing.write_text('{"s": 0, "init": [0.5, 1.0], "forcing": {"1": %s}}' % literal)
+    for argv in (
+        ["green", "--coeffs", str(coeffs), "--t", "5", "--s", "0"],
+        ["solve", "--coeffs", good, "--problem", str(bad_init), "--t", "1"],
+        ["solve", "--coeffs", good, "--problem", str(bad_forcing), "--t", "1"],
+    ):
+        code, out, err = run_cli(capsys, argv + ["--arith", "float64"])
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err)["error"] == "invalid-input"
+
+
 def test_periodic_coefficients_file(tmp_path, capsys):
     coeffs = write_json(
         tmp_path / "cp.json",

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from vclde import (
+    BackendMismatchError,
     BandedHessenbergMatrix,
     HessenbergMatrix,
     StructureError,
@@ -131,6 +132,17 @@ def test_superdiagonal_queries_are_exact_zero():
         matrix.h(0, 1)
     three = random_hessenberg(Random(1), 3)
     assert three.h(1, 3) == 0
+
+
+def test_from_function_entries_must_match_backend():
+    with pytest.raises(BackendMismatchError):
+        HessenbergMatrix.from_function(2, lambda i, j: 0.5, "rational")
+    with pytest.raises(BackendMismatchError):
+        BandedHessenbergMatrix.from_function(3, 2, lambda i, j: Fraction(1, 2), "float64")
+    with pytest.raises(BackendMismatchError):
+        HessenbergMatrix.from_function(1, lambda i, j: 1, "symbolic")
+    assert HessenbergMatrix.from_function(2, lambda i, j: 1, "rational").backend == "rational"
+    assert HessenbergMatrix.from_function(0, lambda i, j: 0.5, "float64").backend == "float64"
 
 
 def test_from_rows_rejects_bad_pattern():
