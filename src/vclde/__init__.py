@@ -1,155 +1,52 @@
 """Green's functions and solutions of linear difference equations with
 variable coefficients, computed through banded Hessenbergian determinants
-and cross-verified against independent expansions."""
+and cross-verified against independent expansions.
 
-from .scalar import (
-    BACKENDS,
-    FLOAT64,
-    RATIONAL,
-    SYMBOLIC,
-    BackendMismatchError,
-    Scalar,
-    TermSum,
-    backend_of,
-    format_rational,
-    h_sym,
-    is_zero,
-    one,
-    parse_rational,
-    phi_sym,
-    scalar_from_json,
-    scalar_to_json,
-    scalars_close,
-    term_sum_from_json,
-    term_sum_to_json,
-    v_sym,
-    y_sym,
-    zero,
-)
-from .hessenberg import (
-    BandedHessenbergMatrix,
-    HessenbergMatrix,
-    StructureError,
-    det_leibniz_oracle,
-    det_recurrence,
-    hessenberg_from_json,
-    hessenberg_to_json,
-)
-from .leibnizian import (
-    DEFAULT_ENUM_LIMIT,
-    EnumLimitError,
-    SepTerm,
-    StringPropertyReport,
-    det_leibnizian,
-    enumerate_seps,
-    mask_from_index,
-    mask_from_sep,
-    sep_columns,
-    sep_from_mask,
-    validate_string_properties,
-    zero_run,
-)
-from .nested_sum import SuperdiagonalError, det_nested_sum, green_nested_sum
-from .coefficients import CoefficientModel, DomainError, build_phi_matrix
-from .lde import (
-    CasoratiMatrix,
-    GREEN_METHODS,
-    MissingForcingError,
-    SOLVE_METHODS,
-    SolutionProblem,
-    casorati,
-    companion_matrix,
-    companion_product,
-    evaluate_green,
-    evaluate_solution,
-    general_solution,
-    general_solution_kittappa,
-    general_solution_leibnizian,
-    general_solution_nested,
-    green,
-    green_leibnizian,
-    homogeneous_solution,
-    homogeneous_solution_green,
-    particular_solution,
-    particular_solution_det,
-    principal_chain,
-    recursion_oracle,
-    xi,
-    xi_via_green,
-)
+Importing the package loads nothing else: each public name below is looked
+up in its submodule on first access (PEP 562), so a program loads only the
+modules it uses.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKENDS",
-    "BackendMismatchError",
-    "BandedHessenbergMatrix",
-    "CasoratiMatrix",
-    "CoefficientModel",
-    "DEFAULT_ENUM_LIMIT",
-    "DomainError",
-    "EnumLimitError",
-    "FLOAT64",
-    "GREEN_METHODS",
-    "HessenbergMatrix",
-    "MissingForcingError",
-    "RATIONAL",
-    "SOLVE_METHODS",
-    "SYMBOLIC",
-    "Scalar",
-    "SepTerm",
-    "SolutionProblem",
-    "StringPropertyReport",
-    "StructureError",
-    "SuperdiagonalError",
-    "TermSum",
-    "backend_of",
-    "build_phi_matrix",
-    "casorati",
-    "companion_matrix",
-    "companion_product",
-    "det_leibniz_oracle",
-    "det_leibnizian",
-    "det_nested_sum",
-    "det_recurrence",
-    "enumerate_seps",
-    "evaluate_green",
-    "evaluate_solution",
-    "format_rational",
-    "general_solution",
-    "general_solution_kittappa",
-    "general_solution_leibnizian",
-    "general_solution_nested",
-    "green",
-    "green_leibnizian",
-    "green_nested_sum",
-    "h_sym",
-    "hessenberg_from_json",
-    "hessenberg_to_json",
-    "homogeneous_solution",
-    "homogeneous_solution_green",
-    "is_zero",
-    "mask_from_index",
-    "mask_from_sep",
-    "one",
-    "parse_rational",
-    "particular_solution",
-    "particular_solution_det",
-    "phi_sym",
-    "principal_chain",
-    "recursion_oracle",
-    "scalar_from_json",
-    "scalar_to_json",
-    "scalars_close",
-    "sep_columns",
-    "sep_from_mask",
-    "term_sum_from_json",
-    "term_sum_to_json",
-    "v_sym",
-    "validate_string_properties",
-    "xi",
-    "xi_via_green",
-    "y_sym",
-    "zero",
-    "zero_run",
-]
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "scalar": """BACKENDS FLOAT64 RATIONAL SYMBOLIC BackendMismatchError Scalar
+            TermSum backend_of format_rational h_sym is_zero one parse_rational
+            phi_sym scalar_from_json scalar_to_json scalars_close
+            term_sum_from_json term_sum_to_json v_sym y_sym zero""",
+        "hessenberg": """BandedHessenbergMatrix HessenbergMatrix StructureError
+            det_leibniz_oracle det_recurrence hessenberg_from_json
+            hessenberg_to_json""",
+        "leibnizian": """SepTerm det_leibnizian enumerate_seps mask_from_index
+            sep_columns""",
+        "nested_sum": "SuperdiagonalError det_nested_sum green_nested_sum",
+        "coefficients": """CoefficientModel DEFAULT_ENUM_LIMIT DomainError
+            EnumLimitError build_phi_matrix""",
+        "lde": """CasoratiMatrix GREEN_METHODS MissingForcingError SOLVE_METHODS
+            SolutionProblem casorati companion_matrix companion_product
+            evaluate_green evaluate_solution general_solution
+            general_solution_kittappa general_solution_leibnizian
+            general_solution_nested green green_leibnizian homogeneous_solution
+            homogeneous_solution_green particular_solution particular_solution_det
+            principal_chain recursion_oracle xi xi_via_green""",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    if name in _EXPORTS.values():
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

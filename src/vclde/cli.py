@@ -7,24 +7,24 @@ stderr with a distinct exit code per failure class:
 
     0  success            3  enumeration limit breached
     1  verification fail   4  missing forcing value
-    2  parse/domain error
+    2  parse/domain error  5  non-finite float64 result
 
 The environment variable VCLDE_ENUM_LIMIT overrides the enumeration guard
-used by the leibnizian and nested routes.
+used by the leibnizian and nested routes.  Only ``expand`` and ``verify``, and
+the leibnizian and nested methods, import the verification modules.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Mapping
 
 from . import scalar
-from .coefficients import CoefficientModel, DomainError
-from .hessenberg import HessenbergMatrix, StructureError, det_leibniz_oracle
-from .leibnizian import EnumLimitError, det_leibnizian, enumerate_seps
+from .coefficients import CoefficientModel, DomainError, EnumLimitError
 from .lde import (
     GREEN_METHODS,
     SOLVE_METHODS,
@@ -35,7 +35,6 @@ from .lde import (
     evaluate_green,
     evaluate_solution,
 )
-from .nested_sum import SuperdiagonalError
 from .scalar import render_scalar, scalar_from_json, scalar_to_json
 
 EXIT_OK = 0
@@ -43,10 +42,27 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
 EXIT_MISSING_DATA = 4
+EXIT_NON_FINITE = 5
 
 EXPAND_ORDER_CAP = 12
 
 ARITH_CHOICES = (scalar.RATIONAL, scalar.FLOAT64, scalar.SYMBOLIC)
+
+
+class NonFiniteError(ArithmeticError):
+    """A float64 result bound for stdout is NaN or infinite."""
+
+    def __init__(self, t: int):
+        super().__init__(f"float64 result at t={t} is not finite")
+        self.t = t
+
+
+def _out(value, t: int):
+    """JSON form of a result value at time t; refuses NaN and infinities,
+    which JSON cannot carry."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise NonFiniteError(t)
+    return scalar_to_json(value)
 
 
 def _enum_limit() -> int | None:
@@ -151,7 +167,7 @@ def cmd_green(args) -> int:
     model = _load_model(args)
     value = evaluate_green(model, args.t, args.s, args.method, enum_limit=_enum_limit())
     payload = {
-        "H": scalar_to_json(value),
+        "H": _out(value, args.t),
         "arith": args.arith,
         "method": args.method,
         "s": args.s,
@@ -183,7 +199,7 @@ def cmd_solve(args) -> int:
         "arith": args.arith,
         "s": problem.s,
         "t": args.t,
-        "y": scalar_to_json(value),
+        "y": _out(value, args.t),
     }
     _emit(payload, render_scalar(value), args.pretty)
     return EXIT_OK
@@ -197,8 +213,10 @@ def cmd_fundamental(args) -> int:
     cas = matrix.casoratian()
     payload = {
         "arith": args.arith,
-        "casoratian": scalar_to_json(cas),
-        "matrix": [[scalar_to_json(v) for v in row] for row in matrix.entries],
+        "casoratian": _out(cas, args.t),
+        "matrix": [
+            [_out(v, args.t - i) for v in row] for i, row in enumerate(matrix.entries)
+        ],
         "p": model.p,
         "s": args.s,
         "t": args.t,
@@ -210,6 +228,9 @@ def cmd_fundamental(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    from .hessenberg import HessenbergMatrix, det_leibniz_oracle
+    from .leibnizian import det_leibnizian, enumerate_seps
+
     k = args.order
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
@@ -280,7 +301,7 @@ def cmd_verify(args) -> int:
         entry["counterexample"] = {
             "t": t,
             "s": s,
-            "values": {name: scalar_to_json(v) for name, v in values.items()},
+            "values": {name: _out(v, t) for name, v in values.items()},
         }
     checks.append(entry)
 
@@ -293,8 +314,8 @@ def cmd_verify(args) -> int:
                 mismatch = {
                     "row": i + 1,
                     "col": j + 1,
-                    "fundamental": scalar_to_json(xi_matrix.entries[i][j]),
-                    "companion": scalar_to_json(product[i][j]),
+                    "fundamental": _out(xi_matrix.entries[i][j], t - i),
+                    "companion": _out(product[i][j], t - i),
                 }
                 break
         if mismatch:
@@ -310,7 +331,7 @@ def cmd_verify(args) -> int:
     entry = {"name": "casoratian-nonzero", "passed": vanishing is None}
     if vanishing is not None:
         entry["counterexample"] = {
-            "casoratian": scalar_to_json(xi_matrix.casoratian()),
+            "casoratian": _out(xi_matrix.casoratian(), t),
             "u": vanishing,
         }
     checks.append(entry)
@@ -327,7 +348,7 @@ def cmd_verify(args) -> int:
         if bad:
             entry["counterexample"] = {
                 "t": t,
-                "values": {name: scalar_to_json(v) for name, v in solutions.items()},
+                "values": {name: _out(v, t) for name, v in solutions.items()},
             }
         checks.append(entry)
 
@@ -419,15 +440,10 @@ def main(argv=None) -> int:
     except MissingForcingError as exc:
         _error("missing-forcing", str(exc), t=exc.t)
         return EXIT_MISSING_DATA
-    except (
-        DomainError,
-        StructureError,
-        SuperdiagonalError,
-        scalar.BackendMismatchError,
-        ValueError,
-        KeyError,
-        OSError,
-    ) as exc:
+    except NonFiniteError as exc:
+        _error("non-finite", str(exc), t=exc.t)
+        return EXIT_NON_FINITE
+    except (scalar.BackendMismatchError, ValueError, KeyError, OSError) as exc:
         _error("invalid-input", str(exc))
         return EXIT_INPUT
 

@@ -10,12 +10,25 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 from . import scalar
-from .hessenberg import BandedHessenbergMatrix
 from .scalar import Scalar
+
+DEFAULT_ENUM_LIMIT = 24
 
 
 class DomainError(ValueError):
     """Raised for arguments outside a declared integer domain."""
+
+
+class EnumLimitError(ValueError):
+    """Raised when an enumeration would exceed the configured term budget."""
+
+
+def check_enum_limit(k: int, enum_limit: int | None) -> None:
+    """Refuse an expansion of order k above ``enum_limit`` (default
+    :data:`DEFAULT_ENUM_LIMIT`); the expansions are exponential in k."""
+    limit = DEFAULT_ENUM_LIMIT if enum_limit is None else enum_limit
+    if k > limit:
+        raise EnumLimitError(f"order {k} exceeds the enumeration limit {limit}")
 
 
 class CoefficientModel:
@@ -136,13 +149,16 @@ class CoefficientModel:
         t_min: int | None = None,
         t_max: int | None = None,
     ) -> "CoefficientModel":
-        return cls(
-            p,
-            lambda t: tuple(fn(m, t) for m in range(1, p + 1)),
-            backend,
-            t_min=t_min,
-            t_max=t_max,
-        )
+        """Model with phi_m(t) = fn(m, t).  Each row is checked against
+        ``backend`` as it is read: a value of another backend raises
+        :class:`~vclde.scalar.BackendMismatchError`."""
+
+        def row_fn(t: int) -> tuple[Scalar, ...]:
+            row = tuple(fn(m, t) for m in range(1, p + 1))
+            scalar.check_backend(row, backend)
+            return row
+
+        return cls(p, row_fn, backend, t_min=t_min, t_max=t_max)
 
     @classmethod
     def symbolic(cls, p: int) -> "CoefficientModel":
@@ -154,15 +170,16 @@ class CoefficientModel:
         )
 
 
-def build_phi_matrix(
-    model: CoefficientModel, m: int, t: int, s: int
-) -> BandedHessenbergMatrix:
-    """The order-(t-s) banded matrix of branch m.
+def build_phi_matrix(model: CoefficientModel, m: int, t: int, s: int):
+    """The order-(t-s) :class:`~vclde.hessenberg.BandedHessenbergMatrix` of
+    branch m, for the verification routes that expand it entry by entry.
 
     Row i carries phi_{i-j+1}(s+i) in interior columns, the truncated column
     phi_{i-1+m}(s+i) at j = 1 (rows 1..p-m+1 only), and -1 on the
     superdiagonal.
     """
+    from .hessenberg import BandedHessenbergMatrix
+
     p = model.p
     if not 1 <= m <= p:
         raise DomainError(f"branch {m} outside 1..{p}")

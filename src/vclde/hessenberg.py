@@ -12,19 +12,13 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 from . import scalar
-from .scalar import BackendMismatchError, Scalar, backend_of, uniform_backend
+from .scalar import Scalar, backend_of, check_backend, uniform_backend
 
 ORACLE_LIMIT_DEFAULT = 9
 
 
 class StructureError(ValueError):
     """Raised for entries that violate the Hessenberg zero pattern."""
-
-
-def _check_backend(values, backend: str) -> None:
-    found = uniform_backend(values, backend)
-    if found != backend:
-        raise BackendMismatchError(f"backend mismatch: {backend} vs {found}")
 
 
 class _HessenbergBase:
@@ -88,7 +82,7 @@ class HessenbergMatrix(_HessenbergBase):
         rows = [
             [fn(i, j) for j in range(1, min(i + 1, k) + 1)] for i in range(1, k + 1)
         ]
-        _check_backend((v for row in rows for v in row), backend)
+        check_backend((v for row in rows for v in row), backend)
         return cls(k, rows, backend)
 
     @classmethod
@@ -169,7 +163,7 @@ class BandedHessenbergMatrix(_HessenbergBase):
             lo = max(1, 1 + offset)
             hi = min(k, k + offset)
             stripes[offset] = [fn(i, i - offset) for i in range(lo, hi + 1)]
-        _check_backend((v for s in stripes.values() for v in s), backend)
+        check_backend((v for s in stripes.values() for v in s), backend)
         return cls(k, p, stripes, backend)
 
     def h(self, i: int, j: int) -> Scalar:

@@ -14,7 +14,8 @@ adjoint recurrence backward from H(t, t) = 1 and yields every H(t, s+j) of
 the Green's-function solution in one O((t-s)*p) pass.
 
 The Leibnizian, nested-sum, companion-product and forward-recursion routes
-are independent verification oracles.  All operations are pure and keep no
+are independent verification oracles; the modules of the two expansions are
+imported only when their routes run.  All operations are pure and keep no
 state between calls, so independent queries may run concurrently.
 """
 
@@ -22,17 +23,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
 from typing import Callable, Mapping, Sequence, Union
 
 from . import scalar
-from .coefficients import CoefficientModel, DomainError, build_phi_matrix
-from .leibnizian import check_enum_limit, det_leibnizian
-from .nested_sum import green_nested_sum
-from .scalar import BackendMismatchError, Scalar, backend_of
+from .coefficients import CoefficientModel, DomainError, build_phi_matrix, check_enum_limit
+from .scalar import Scalar
 
 GREEN_METHODS = ("recurrence", "leibnizian", "nested", "companion")
 SOLVE_METHODS = ("green", "kittappa", "leibnizian", "nested", "recursion")
@@ -49,49 +47,46 @@ class MissingForcingError(LookupError):
 Forcing = Union[Mapping[int, Scalar], Callable[[int], Scalar], None]
 
 
-@dataclass(frozen=True)
-class SolutionProblem:
-    """One initial-value problem: model, anchor s, the p initial values
-    y_{s-p+1}..y_s in that order, and the forcing sequence.
+class SolutionProblem(scalar.Frozen):
+    """One initial-value problem, immutable: model, anchor s, the p initial
+    values y_{s-p+1}..y_s in that order, and the forcing sequence.
 
     ``forcing`` may be a mapping t -> v_t, a callable, or None.  None (or an
     empty mapping) declares the equation homogeneous, with v_t structurally
     zero; a nonempty mapping that lacks a queried t is a hard error, never an
     implicit zero.  Initial and forcing values must share the model's
     backend: mapping values are checked here, callable values as they are
-    read; a mismatch raises :class:`BackendMismatchError`.
+    read; a mismatch raises :class:`~vclde.scalar.BackendMismatchError`.
     """
 
-    model: CoefficientModel
-    s: int
-    init: tuple[Scalar, ...]
-    forcing: Forcing = None
+    __slots__ = ("model", "s", "init", "forcing")
 
-    def __post_init__(self):
-        p = self.model.p
-        object.__setattr__(self, "init", tuple(self.init))
-        if len(self.init) != p:
+    def __init__(
+        self,
+        model: CoefficientModel,
+        s: int,
+        init: Sequence[Scalar],
+        forcing: Forcing = None,
+    ):
+        p = model.p
+        init = tuple(init)
+        if len(init) != p:
+            raise DomainError(f"need exactly {p} initial values, got {len(init)}")
+        if model.t_min is not None and s - p + 1 < model.t_min:
             raise DomainError(
-                f"need exactly {p} initial values, got {len(self.init)}"
+                f"anchor s={s} puts the initial window below the "
+                f"coefficient domain start {model.t_min}"
             )
-        if self.model.t_min is not None and self.s - p + 1 < self.model.t_min:
-            raise DomainError(
-                f"anchor s={self.s} puts the initial window below the "
-                f"coefficient domain start {self.model.t_min}"
-            )
-        values = self.init
-        if isinstance(self.forcing, Mapping):
-            bad = [t for t in self.forcing if t <= self.s]
+        values = init
+        if isinstance(forcing, Mapping):
+            bad = [t for t in forcing if t <= s]
             if bad:
                 raise DomainError(
-                    f"forcing keys must exceed the anchor s={self.s}: {sorted(bad)}"
+                    f"forcing keys must exceed the anchor s={s}: {sorted(bad)}"
                 )
-            values += tuple(self.forcing.values())
-        backend = scalar.uniform_backend(values, self.model.backend)
-        if backend != self.model.backend:
-            raise BackendMismatchError(
-                f"problem values are {backend}, the model is {self.model.backend}"
-            )
+            values += tuple(forcing.values())
+        scalar.check_backend(values, model.backend)
+        self._set(model=model, s=s, init=init, forcing=forcing)
 
     @classmethod
     def symbolic(
@@ -131,11 +126,7 @@ class SolutionProblem:
             return self.model.zero
         if callable(self.forcing):
             value = self.forcing(t)
-            backend = backend_of(value)
-            if backend != self.model.backend:
-                raise BackendMismatchError(
-                    f"forcing at t={t} is {backend}, the model is {self.model.backend}"
-                )
+            scalar.check_backend((value,), self.model.backend)
             return value
         try:
             return self.forcing[t]
@@ -317,6 +308,8 @@ def green_leibnizian(
 ) -> Scalar:
     """H(t, s) summed over the 2^(t-s-1) non-trivial signed products of the
     principal matrix (verification route, exponential in t - s)."""
+    from .leibnizian import det_leibnizian
+
     if t <= s:
         raise DomainError(f"requires t > s, got t={t}, s={s}")
     check_enum_limit(t - s, enum_limit)
@@ -344,22 +337,28 @@ def xi_via_green(model: CoefficientModel, m: int, t: int, s: int) -> Scalar:
     return total if total is not None else model.zero
 
 
-@dataclass(frozen=True)
-class CasoratiMatrix:
+class CasoratiMatrix(scalar.Frozen):
     """p x p matrix with entry (i, j) equal to the branch-j fundamental
-    solution at time t - i + 1; the identity matrix at t = s.
+    solution at time t - i + 1; the identity matrix at t = s.  Immutable.
 
     ``abel`` is its determinant by Abel's formula and ``vanishing_row`` the
     first u in s+1..t with phi_p(u) = 0 (None if there is none); both are
     filled in by :func:`casorati`.
     """
 
-    p: int
-    t: int
-    s: int
-    entries: tuple[tuple[Scalar, ...], ...]
-    abel: Scalar
-    vanishing_row: int | None
+    __slots__ = ("p", "t", "s", "entries", "abel", "vanishing_row")
+
+    def __init__(
+        self,
+        p: int,
+        t: int,
+        s: int,
+        entries: tuple[tuple[Scalar, ...], ...],
+        abel: Scalar,
+        vanishing_row: int | None,
+    ):
+        self._set(p=p, t=t, s=s, entries=entries, abel=abel,
+                  vanishing_row=vanishing_row)
 
     def casoratian(self) -> Scalar:
         """The Casoratian det C(t, s): each one-step companion matrix has
@@ -461,6 +460,8 @@ def _green_by(
     if method == "leibnizian":
         return green_leibnizian(model, t, s, enum_limit)
     if method == "nested":
+        from .nested_sum import green_nested_sum
+
         return green_nested_sum(model, t, s, enum_limit)
     return companion_product(model, t, s)[0][0]
 

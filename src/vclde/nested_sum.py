@@ -9,8 +9,7 @@ caller errors.
 
 from __future__ import annotations
 
-from .coefficients import CoefficientModel, DomainError, build_phi_matrix
-from .leibnizian import check_enum_limit
+from .coefficients import CoefficientModel, DomainError, build_phi_matrix, check_enum_limit
 from .scalar import Scalar
 
 

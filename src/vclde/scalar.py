@@ -8,7 +8,8 @@ rational), IEEE-754 binary64 (Python ``float``), and symbolic term sums
 from different backends meet.
 
 All values are immutable after construction and safe to share between
-threads.
+threads.  :class:`Frozen` is the base of the package's other immutable value
+classes.
 """
 
 from __future__ import annotations
@@ -29,6 +30,40 @@ DEFAULT_REL_TOL = 1e-9
 
 class BackendMismatchError(TypeError):
     """Raised when an operation would mix scalar backends."""
+
+
+class Frozen:
+    """Base of the immutable value classes.  A subclass lists its fields in
+    ``__slots__`` and sets each once, in ``__init__``, through
+    :meth:`_set`; later assignment or deletion raises AttributeError.
+    Equality, hashing and repr go by the field values."""
+
+    __slots__ = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        names = type(self).__slots__
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields()))
+        return f"{type(self).__name__}({body})"
 
 
 # An atom is one of ("h", i, j), ("phi", m, t), ("y", t), ("v", t).
@@ -225,6 +260,13 @@ def uniform_backend(values: Iterable[Scalar], default: str | None = None) -> str
         elif found != b:
             raise BackendMismatchError(f"backend mismatch: {found} vs {b}")
     return default if found is None else found
+
+
+def check_backend(values: Iterable[Scalar], backend: str) -> None:
+    """Raise :class:`BackendMismatchError` unless every value is of ``backend``."""
+    found = uniform_backend(values, backend)
+    if found != backend:
+        raise BackendMismatchError(f"backend mismatch: {backend} vs {found}")
 
 
 def is_zero(value: Scalar, abs_tol: float = DEFAULT_ABS_TOL) -> bool:

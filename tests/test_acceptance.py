@@ -30,22 +30,22 @@ from vclde import (
     general_solution_nested,
     green,
     mask_from_index,
-    mask_from_sep,
     recursion_oracle,
-    sep_from_mask,
     term_sum_from_json,
-    validate_string_properties,
     xi,
-    zero_run,
 )
 from testutil import (
     Permutation,
     float_model,
     float_problem,
+    mask_from_sep,
     random_hessenberg,
     random_model,
     random_problem,
     random_rows,
+    sep_from_mask,
+    validate_string_properties,
+    zero_run,
     zero_run_piecewise,
 )
 

@@ -386,6 +386,57 @@ def test_float_mode_rejects_non_finite_input(tmp_path, capsys, literal):
         assert json.loads(err)["error"] == "invalid-input"
 
 
+def assert_non_finite_exit_5(capsys, argv, t):
+    code, out, err = run_cli(capsys, argv + ["--arith", "float64"])
+    assert (code, out) == (5, ""), argv
+    body = json.loads(err)
+    assert body["error"] == "non-finite"
+    assert body["t"] == t
+
+
+@pytest.fixture
+def overflowing_coeffs(tmp_path):
+    # |H(t, 0)| grows like 2^t, past the largest binary64 near t = 1024
+    return write_json(tmp_path / "big.json", {"p": 2, "kind": "constant", "phi": [1.5, 1.0]})
+
+
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["json", "pretty"])
+def test_green_non_finite_result_exit_5(overflowing_coeffs, capsys, pretty):
+    argv = ["green", "--coeffs", overflowing_coeffs, "--t", "5000", "--s", "0"]
+    assert_non_finite_exit_5(capsys, argv + pretty, 5000)
+
+
+def test_solve_non_finite_result_exit_5(overflowing_coeffs, tmp_path, capsys):
+    problem = write_json(tmp_path / "p.json", {"s": 0, "init": [0.0, 1.0]})
+    for method in ("green", "kittappa", "recursion"):
+        argv = ["solve", "--coeffs", overflowing_coeffs, "--problem", problem,
+                "--t", "5000", "--method", method]
+        assert_non_finite_exit_5(capsys, argv, 5000)
+
+
+def test_fundamental_non_finite_result_exit_5(overflowing_coeffs, capsys):
+    argv = ["fundamental", "--coeffs", overflowing_coeffs, "--t", "5000", "--s", "0"]
+    assert_non_finite_exit_5(capsys, argv, 5000)
+
+
+def test_fundamental_non_finite_casoratian_exit_5(tmp_path, capsys):
+    # at t = 2 every entry is finite, but the Casoratian (1e200)^2 is not
+    coeffs = write_json(tmp_path / "c.json", {"p": 2, "kind": "constant", "phi": [0, 1e200]})
+    argv = ["fundamental", "--coeffs", coeffs, "--s", "0"]
+    code, out, _ = run_cli(capsys, argv + ["--t", "1", "--arith", "float64"])
+    assert code == 0 and json.loads(out)["casoratian"] == -1e200
+    assert_non_finite_exit_5(capsys, argv + ["--t", "2"], 2)
+
+
+def test_verify_non_finite_counterexample_exit_5(tmp_path, capsys):
+    # inf - inf turns every route's H(3, 0) into NaN, which no route matches
+    coeffs = write_json(
+        tmp_path / "c.json", {"p": 2, "kind": "constant", "phi": [1e300, -1e300]}
+    )
+    argv = ["verify", "--coeffs", coeffs, "--t", "3", "--s", "0"]
+    assert_non_finite_exit_5(capsys, argv, 3)
+
+
 def test_periodic_coefficients_file(tmp_path, capsys):
     coeffs = write_json(
         tmp_path / "cp.json",

@@ -10,6 +10,7 @@ from vclde import (
     DomainError,
     TermSum,
     build_phi_matrix,
+    green,
     phi_sym,
 )
 
@@ -41,6 +42,24 @@ def test_table_model_rejects_gaps_and_ragged_rows():
         CoefficientModel.from_table({1: (Fraction(1),), 2: (Fraction(1), Fraction(2))})
     with pytest.raises(BackendMismatchError):
         CoefficientModel.from_table({1: (Fraction(1),), 2: (0.5,)})
+
+
+@pytest.mark.parametrize(
+    "backend, value",
+    [("rational", 0.5), ("float64", Fraction(1, 2)), ("rational", phi_sym(1, 1))],
+)
+def test_from_function_rows_reject_other_backends(backend, value):
+    model = CoefficientModel.from_function(2, lambda m, t: value, backend)
+    with pytest.raises(BackendMismatchError):
+        model.phi_row(3)
+    with pytest.raises(BackendMismatchError):
+        green(model, 5, 0)  # the chain reads rows unchecked by the domain
+
+
+def test_from_function_rows_of_its_backend_pass():
+    model = CoefficientModel.from_function(2, lambda m, t: Fraction(m, t), "rational")
+    # H(3, 1) = phi_1(3) phi_1(2) + phi_2(3)
+    assert green(model, 3, 1) == Fraction(1, 3) * Fraction(1, 2) + Fraction(2, 3)
 
 
 def test_periodic_model():

@@ -15,18 +15,18 @@ from vclde import (
     enumerate_seps,
     h_sym,
     mask_from_index,
-    mask_from_sep,
     sep_columns,
-    sep_from_mask,
-    validate_string_properties,
-    zero_run,
 )
 from testutil import (
     Permutation,
     column_for_index,
     factor_column,
     initial_strings,
+    mask_from_sep,
     random_hessenberg,
+    sep_from_mask,
+    validate_string_properties,
+    zero_run,
     zero_run_piecewise,
 )
 

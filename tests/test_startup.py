@@ -1,0 +1,150 @@
+"""Start-up cost and the public surface: the package imports nothing eagerly,
+each CLI command loads only the modules it runs, and the value classes stay
+immutable without dataclasses."""
+
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import vclde
+from vclde import BackendMismatchError, CoefficientModel, DomainError, SolutionProblem
+
+VERIFICATION_ONLY = {
+    "vclde.leibnizian", "vclde.nested_sum", "vclde.hessenberg", "dataclasses"
+}
+
+# Runs in a fresh interpreter: records the modules loaded since start after
+# `import vclde`, after `import vclde.cli` and after each command; prints one
+# JSON document.
+CHILD = """
+import contextlib, io, json, sys
+start = set(sys.modules)
+import vclde
+seen = {"package": sorted(set(sys.modules) - start),
+        "eager": sorted(set(vars(vclde)) & set(vclde.__all__))}
+import vclde.cli
+seen["import"] = sorted(set(sys.modules) - start)
+for label, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = vclde.cli.main(argv)
+    seen[label] = [code, sorted(set(sys.modules) - start)]
+print(json.dumps(seen))
+"""
+
+
+def run_child(commands):
+    src = str(Path(vclde.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture
+def fib_files(tmp_path):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text('{"p": 2, "kind": "constant", "phi": ["1", "1"]}')
+    problem = tmp_path / "p.json"
+    problem.write_text('{"s": 0, "init": ["0", "1"], "forcing": {"1": "1", "2": "1/2"}}')
+    return str(coeffs), str(problem)
+
+
+def test_production_commands_skip_verification_modules(fib_files):
+    coeffs, problem = fib_files
+    seen = run_child([
+        ["green", ["green", "--coeffs", coeffs, "--t", "9", "--s", "0"]],
+        ["green-companion", ["green", "--coeffs", coeffs, "--t", "9", "--s", "0",
+                             "--method", "companion"]],
+        ["solve", ["solve", "--coeffs", coeffs, "--problem", problem, "--t", "2",
+                   "--method", "kittappa"]],
+        ["solve-green", ["solve", "--coeffs", coeffs, "--problem", problem, "--t", "2"]],
+        ["solve-recursion", ["solve", "--coeffs", coeffs, "--problem", problem,
+                             "--t", "2", "--method", "recursion"]],
+        ["fundamental", ["fundamental", "--coeffs", coeffs, "--t", "9", "--s", "0"]],
+    ])
+    assert seen.pop("package") == ["vclde"]
+    assert seen.pop("eager") == []
+    assert not VERIFICATION_ONLY & set(seen.pop("import"))
+    for label, (code, modules) in seen.items():
+        assert code == 0, label
+        assert not VERIFICATION_ONLY & set(modules), label
+
+
+def test_verify_and_expand_load_what_they_run(fib_files):
+    coeffs, problem = fib_files
+    seen = run_child([
+        ["expand", ["expand", "--order", "4"]],
+        ["verify", ["verify", "--coeffs", coeffs, "--problem", problem, "--t", "2",
+                    "--s", "0"]],
+        ["verify-corrupt", ["verify", "--coeffs", coeffs, "--t", "6", "--s", "0",
+                            "--corrupt"]],
+    ])
+    assert not VERIFICATION_ONLY & set(seen["import"])
+    expand_code, expand_modules = seen["expand"]
+    assert expand_code == 0
+    assert {"vclde.leibnizian", "vclde.hessenberg"} <= set(expand_modules)
+    assert seen["verify"][0] == 0
+    assert {"vclde.leibnizian", "vclde.nested_sum"} <= set(seen["verify"][1])
+    assert seen["verify-corrupt"][0] == 1
+    assert "dataclasses" not in set(seen["verify-corrupt"][1])
+
+
+def test_every_public_name_resolves_lazily():
+    assert len(vclde.__all__) == len(set(vclde.__all__))
+    for name in vclde.__all__:
+        assert vclde.__getattr__(name) is getattr(vclde, name)
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from vclde import *", namespace)
+    assert set(vclde.__all__) <= set(namespace)
+    assert namespace["green"] is vclde.lde.green
+
+
+def test_unknown_names_raise():
+    with pytest.raises(AttributeError):
+        vclde.no_such_name
+    with pytest.raises(AttributeError):
+        vclde.validate_string_properties  # moved to the tests
+    with pytest.raises(ImportError):
+        exec("from vclde import no_such_name", {})
+
+
+def test_value_classes_are_immutable_and_validated():
+    model = CoefficientModel.constant((Fraction(1), Fraction(1)))
+    problem = SolutionProblem(model, 0, [Fraction(0), Fraction(1)])
+    assert problem.init == (Fraction(0), Fraction(1))
+    matrix = vclde.casorati(model, 5, 0)
+    term = next(vclde.enumerate_seps(3))
+    for obj, field in ((problem, "s"), (matrix, "abel"), (term, "sign")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+    with pytest.raises(DomainError):
+        SolutionProblem(model, 0, [Fraction(1)])
+    with pytest.raises(BackendMismatchError):
+        SolutionProblem(model, 0, [0.0, 1.0])
+    with pytest.raises(DomainError):
+        SolutionProblem(model, 0, [Fraction(0), Fraction(1)], {0: Fraction(1)})
+    with pytest.raises(ValueError):
+        vclde.SepTerm(3, (2, 1, 3), 1)
+    # equality and hashing go by value, as they did for the dataclasses
+    assert term == vclde.SepTerm(term.k, term.columns, term.sign)
+    assert hash(term) == hash(vclde.SepTerm(term.k, term.columns, term.sign))
+    assert vclde.casorati(model, 5, 0) == matrix
+    assert repr(term) == f"SepTerm(k=3, columns={term.columns!r}, sign={term.sign})"

@@ -7,7 +7,7 @@ from fractions import Fraction
 from random import Random
 
 from vclde import CoefficientModel, HessenbergMatrix, SolutionProblem
-from vclde.leibnizian import _columns_from_bits, check_mask, mask_from_index, zero_run
+from vclde.leibnizian import SepTerm, _columns_from_bits, enumerate_seps, mask_from_index
 from vclde.scalar import uniform_backend
 
 
@@ -235,3 +235,118 @@ def initial_strings(length: int) -> set:
         cols = _columns_from_bits(bits)
         out.add(tuple((i, col) for i, col in enumerate(cols, start=1)))
     return out
+
+
+def check_mask(k: int, mask) -> None:
+    """Validate a standard/non-standard mask of length k."""
+    if k < 1:
+        raise ValueError("mask order must be >= 1")
+    if len(mask) != k:
+        raise ValueError(f"mask has length {len(mask)}, expected {k}")
+    if any(bit not in (0, 1) for bit in mask):
+        raise ValueError(f"mask entries must be 0 or 1: {mask}")
+    if mask[-1] != 1:
+        raise ValueError(f"mask must end in 1: {mask}")
+
+
+def zero_run(k: int, i: int, mask) -> int:
+    """Number of consecutive 0s immediately preceding position i, or -1.
+
+    Computed in the closed form r_i * (i - max_{j<i} j*r_j) - 1, with the
+    maximum over an empty set taken as 0: -1 whenever the i-th bit is 0,
+    otherwise the length of the zero run separating it from the previous 1
+    (i - 1 when no previous 1 exists).
+    """
+    check_mask(k, mask)
+    if not 1 <= i <= k:
+        raise ValueError(f"position {i} out of range 1..{k}")
+    best = 0
+    for j in range(1, i):
+        if mask[j - 1]:
+            best = j
+    return mask[i - 1] * (i - best) - 1
+
+
+def sep_from_mask(k: int, mask) -> SepTerm:
+    """The unique non-trivial product classified by ``mask``.
+
+    The i-th factor is the superdiagonal entry when the bit is 0, and the
+    entry ``run`` columns left of the diagonal when the bit is 1 with
+    ``run`` preceding zeros; the sign is (-1)^(number of zeros).
+    """
+    check_mask(k, mask)
+    zeros = mask.count(0)
+    return SepTerm(k, _columns_from_bits(mask), -1 if zeros % 2 else 1)
+
+
+def mask_from_sep(term: SepTerm) -> tuple:
+    """Standard/non-standard classification of a product; inverse of
+    :func:`sep_from_mask`."""
+    return tuple(0 if col == i + 1 else 1 for i, col in enumerate(term.columns, start=1))
+
+
+@dataclass(frozen=True)
+class PropertyCheck:
+    passed: bool
+    counterexample: dict | None = None
+
+
+@dataclass(frozen=True)
+class StringPropertyReport:
+    """Outcome of the exhaustive string-structure scan for one order."""
+
+    k: int
+    successor_cover: PropertyCheck
+    standard_successor: PropertyCheck
+    run_column: PropertyCheck
+
+    @property
+    def all_passed(self) -> bool:
+        return (
+            self.successor_cover.passed
+            and self.standard_successor.passed
+            and self.run_column.passed
+        )
+
+
+def validate_string_properties(k: int) -> StringPropertyReport:
+    """Exhaustively check the string structure of all products of order k.
+
+    P1 (successor_cover): every non-trivial entry in rows 2..k occurs as some
+    product's i-th factor.  P2 (standard_successor): a factor following a
+    standard factor sits at column i or i + 1.  P3 (run_column): a standard
+    factor preceded by a run of j non-standard factors sits at column i - j.
+    """
+    if k < 1:
+        raise ValueError("order must be >= 1")
+    if k > 12:
+        raise ValueError("string-property scan is capped at order 12")
+    needed = {
+        (i, j) for i in range(2, k + 1) for j in range(1, min(i + 1, k) + 1)
+    }
+    seen: set[tuple[int, int]] = set()
+    p2_bad: dict | None = None
+    p3_bad: dict | None = None
+    for m, term in enumerate(enumerate_seps(k)):
+        cols = term.columns
+        for i in range(2, k + 1):
+            seen.add((i, cols[i - 1]))
+        if p2_bad is None:
+            for i in range(2, k + 1):
+                if cols[i - 2] <= i - 1 and cols[i - 1] not in (i, i + 1):
+                    p2_bad = {"m": m, "i": i, "columns": cols}
+                    break
+        if p3_bad is None:
+            last_standard = 0
+            for i in range(1, k + 1):
+                if cols[i - 1] <= i:
+                    run = i - last_standard - 1
+                    if cols[i - 1] != i - run:
+                        p3_bad = {"m": m, "i": i, "columns": cols}
+                        break
+                    last_standard = i
+    missing = needed - seen
+    p1 = PropertyCheck(not missing, {"missing": sorted(missing)} if missing else None)
+    p2 = PropertyCheck(p2_bad is None, p2_bad)
+    p3 = PropertyCheck(p3_bad is None, p3_bad)
+    return StringPropertyReport(k, p1, p2, p3)
