@@ -57,11 +57,16 @@ class NonFiniteError(ArithmeticError):
         self.t = t
 
 
-def _out(value, t: int):
-    """JSON form of a result value at time t; refuses NaN and infinities,
-    which JSON cannot carry."""
-    if isinstance(value, float) and not math.isfinite(value):
+def _finite(values, t: int) -> None:
+    """Refuse NaN and infinities among the results at time t: JSON cannot
+    carry them, and a check that compares them verifies nothing."""
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
         raise NonFiniteError(t)
+
+
+def _out(value, t: int):
+    """JSON form of a result value at time t."""
+    _finite((value,), t)
     return scalar_to_json(value)
 
 
@@ -294,6 +299,7 @@ def cmd_verify(args) -> int:
         "nested": evaluate_green(model, t, s, "nested", enum_limit=limit),
         "companion": evaluate_green(model, t, s, "companion"),
     }
+    _finite(values.values(), t)
     reference = values["recurrence"]
     bad = {name: v for name, v in values.items() if not close(reference, v)}
     entry = {"name": "green-four-way", "passed": not bad}
@@ -307,6 +313,9 @@ def cmd_verify(args) -> int:
 
     xi_matrix = casorati(model, t, s)
     product = companion_product(model, t, s)
+    for matrix in (xi_matrix.entries, product):
+        for i, row in enumerate(matrix):
+            _finite(row, t - i)
     mismatch = None
     for i in range(model.p):
         for j in range(model.p):
@@ -342,6 +351,7 @@ def cmd_verify(args) -> int:
             method: evaluate_solution(problem, t, method, enum_limit=limit)
             for method in SOLVE_METHODS
         }
+        _finite(solutions.values(), t)
         reference = solutions["recursion"]
         bad = {name: v for name, v in solutions.items() if not close(reference, v)}
         entry = {"name": "solution-five-way", "passed": not bad}

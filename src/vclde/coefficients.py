@@ -2,11 +2,15 @@
 
 A :class:`CoefficientModel` evaluates the order-p coefficient family
 phi_m(t) over a declared integer domain.  Evaluation must be pure: models
-are table-backed or closed-form, never stateful.
+are table-backed or closed-form, never stateful.  A model with a period
+lets the banded chain skip whole periods with a power of the monodromy
+matrix (:func:`skip_periods`).
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add, mul
 from typing import Callable, Mapping, Sequence
 
 from . import scalar
@@ -35,10 +39,12 @@ class CoefficientModel:
     """Coefficients phi_m(t) for 1 <= m <= p over a declared t-domain.
 
     ``phi`` rejects positions outside 1..p and arguments outside the domain;
-    the error is never silently turned into a zero.
+    the error is never silently turned into a zero.  ``period`` is P when
+    row t+P equals row t for every t: 1 for :meth:`constant`, the number of
+    rows for :meth:`periodic`, and None for every other model.
     """
 
-    __slots__ = ("p", "backend", "t_min", "t_max", "_row_fn")
+    __slots__ = ("p", "backend", "t_min", "t_max", "_row_fn", "period")
 
     def __init__(
         self,
@@ -57,6 +63,7 @@ class CoefficientModel:
         self.t_min = t_min
         self.t_max = t_max
         self._row_fn = row_fn
+        self.period: int | None = None
 
     @property
     def zero(self) -> Scalar:
@@ -103,7 +110,9 @@ class CoefficientModel:
         if not row:
             raise ValueError("need at least one coefficient")
         backend = scalar.uniform_backend(row)
-        return cls(len(row), lambda t: row, backend)
+        model = cls(len(row), lambda t: row, backend)
+        model.period = 1
+        return model
 
     @classmethod
     def from_table(cls, rows: Mapping[int, Sequence[Scalar]]) -> "CoefficientModel":
@@ -138,7 +147,9 @@ class CoefficientModel:
             cycle.append(tuple(row))
         backend = scalar.uniform_backend(v for row in cycle for v in row)
         cycle_t = tuple(cycle)
-        return cls(p, lambda t: cycle_t[t % period], backend)
+        model = cls(p, lambda t: cycle_t[t % period], backend)
+        model.period = period
+        return model
 
     @classmethod
     def from_function(
@@ -168,6 +179,36 @@ class CoefficientModel:
             lambda t: tuple(scalar.phi_sym(m, t) for m in range(1, p + 1)),
             scalar.SYMBOLIC,
         )
+
+
+def whole_periods(p: int, period: int, rest: int) -> int:
+    """How many whole periods of ``rest`` homogeneous chain steps to skip:
+    q = rest // period when stepping (rest*p operations) costs more than
+    building the monodromy (period*p^2) and squaring it (2p^3 per bit of
+    q), else 0."""
+    q = rest // period
+    return q if rest * p > period * p * p + 2 * p**3 * q.bit_length() else 0
+
+
+def skip_periods(window, q: int, steps, zero: Scalar, one: Scalar) -> list:
+    """The chain window (oldest first) after q whole periods of homogeneous
+    steps.  Step (c, f) maps the state x = (newest, ..., oldest), zeros
+    past the window, to (c . x, f x_1, ..., f x_{p-1}); the monodromy M is
+    the product of the period's steps, and M^q x comes from repeated
+    squaring in O(p^3 log q) operations (Floquet theory)."""
+    p = len(steps[0][0])
+    x = [[v] for v in reversed(window)] + [[zero]] * (p - len(window))
+    m = [[one if i == j else zero for j in range(p)] for i in range(p)]
+    for c, f in steps:
+        head = [reduce(add, map(mul, c, col)) for col in zip(*m)]
+        m = [head, *([f * v for v in row] for row in m[:-1])]
+    while q:
+        if q & 1:
+            x = scalar.mat_mul(m, x, zero)
+        q >>= 1
+        if q:
+            m = scalar.mat_mul(m, m, zero)
+    return [v for v, in reversed(x)]
 
 
 def build_phi_matrix(model: CoefficientModel, m: int, t: int, s: int):

@@ -9,7 +9,8 @@ its last row, O((t-s)*p) time; its first column is a function of the row
 index, so the same kernel serves each fundamental-solution branch (Green's
 function, xi, Casorati matrix) and the bordered Kittappa determinants of the
 particular and general solutions.  It keeps only the last p minors, so a
-single value needs O(p) memory.  The Green row (``_green_row``) runs the
+single value needs O(p) memory, and on a model with a period it skips whole
+periods with a power of the monodromy matrix.  The Green row (``_green_row``) runs the
 adjoint recurrence backward from H(t, t) = 1 and yields every H(t, s+j) of
 the Green's-function solution in one O((t-s)*p) pass.
 
@@ -29,7 +30,8 @@ from operator import add, mul
 from typing import Callable, Mapping, Sequence, Union
 
 from . import scalar
-from .coefficients import CoefficientModel, DomainError, build_phi_matrix, check_enum_limit
+from .coefficients import (CoefficientModel, DomainError, build_phi_matrix,
+                           check_enum_limit, skip_periods, whole_periods)
 from .scalar import Scalar
 
 GREEN_METHODS = ("recurrence", "leibnizian", "nested", "companion")
@@ -153,14 +155,19 @@ def _banded_chain(
 
     one coefficient row and O(p) scalar operations per step.  Only the last
     p minors are kept unless ``keep_all`` is set, so a value needs O(p)
-    memory.  Rational chains run on integers (:func:`_integer_chain`).
+    memory; then, once column 1 is zero, a model with a period skips whole
+    periods (:func:`~vclde.coefficients.skip_periods`).  Rational chains run
+    on integers (:func:`_integer_chain`).
     """
     row_of = model._row_source(s + 1, s + k)
+    period = None if keep_all else model.period
     if model.backend == scalar.RATIONAL:
-        return _integer_chain(model.p, row_of, s, k, first, keep_all)
-    zero = model.zero
+        return _integer_chain(model.p, row_of, s, k, first, keep_all, period)
+    zero, one = model.zero, model.one
     dets: deque = deque(maxlen=None if keep_all else model.p)
-    for n in range(1, k + 1):
+    n = 0
+    while n < k:
+        n += 1
         row = row_of(s + n)
         # row[r-1] pairs with d_{n-r}, summed left to right; d_0 enters
         # only through column 1
@@ -172,6 +179,13 @@ def _banded_chain(
             else:
                 acc = head if acc is None else acc + head
         dets.append(acc if acc is not None else zero)
+        if first is None and period:
+            q = whole_periods(model.p, period, k - n)
+            if q:
+                steps = [(row_of(s + n + j), one) for j in range(1, period + 1)]
+                dets = deque(skip_periods(dets, q, steps, zero, one), maxlen=model.p)
+                n += q * period
+            period = None
     return dets
 
 
@@ -182,6 +196,7 @@ def _integer_chain(
     k: int,
     first: Callable[[int, tuple[Scalar, ...]], Scalar | None],
     keep_all: bool,
+    period: int | None,
 ) -> list[Fraction]:
     """The banded chain in exact rationals without Fraction arithmetic.
 
@@ -193,12 +208,15 @@ def _integer_chain(
 
     and the older numerators are multiplied by L.  Each returned minor is
     normalized once, as Fraction(N, D), so no gcd runs inside the loop; the
-    integers grow by O(log L) bits per step.
+    integers grow by O(log L) bits per step.  A period skip runs on the
+    same integer steps, so D gains the product of the period's L per period.
     """
     window: list[int] = []  # window[-r] = N_{n-r}
     scale = 1
     minors: list[Fraction] = []
-    for n in range(1, k + 1):
+    n = 0
+    while n < k:
+        n += 1
         row = row_of(s + n)
         head = None
         if first is not None:
@@ -222,6 +240,17 @@ def _integer_chain(
         window.append(acc)
         if keep_all:
             minors.append(Fraction(acc, scale))
+        if first is None and period:
+            q = whole_periods(p, period, k - n)
+            if q:
+                rows = [row_of(u) for u in range(s + n + 1, s + n + period + 1)]
+                lcms = [math.lcm(*[c.denominator for c in row]) for row in rows]
+                steps = [([c.numerator * (lcm // c.denominator) for c in row], lcm)
+                         for row, lcm in zip(rows, lcms)]
+                window = skip_periods(window, q, steps, 0, 1)
+                scale *= math.prod(lcms) ** q
+                n += q * period
+            period = None
     if keep_all:
         return minors
     return [Fraction(x, scale) for x in window]
@@ -387,12 +416,20 @@ def casorati(model: CoefficientModel, t: int, s: int) -> CasoratiMatrix:
     entries = tuple(
         tuple(columns[j][i] for j in range(p)) for i in range(p)
     )
+    # with a period P worth skipping, the product is (one period's)^q times
+    # the rest, and a first vanishing row lies in the first period
+    period = model.period
+    q = whole_periods(p, period, t - s) if period else 0
     det, vanishing_row = model.one, None
-    for u in range(s + 1, t + 1):
+    for u in range(s + 1, (s + period if q else t) + 1):
         factor = model.phi(p, u)
         if not factor and vanishing_row is None:
             vanishing_row = u
         det = det * factor
+    if q:
+        det = det**q
+        for u in range(s + q * period + 1, t + 1):
+            det = det * model.phi(p, u)
     if p % 2 == 0 and (t - s) % 2:
         det = -det
     return CasoratiMatrix(
@@ -414,25 +451,6 @@ def companion_matrix(
     return tuple(rows)
 
 
-def _mat_mul(a, b, zero: Scalar):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc: Scalar | None = None
-            for l in range(n):
-                x = a[i][l]
-                y = b[l][j]
-                if not x or not y:
-                    continue
-                term = x * y
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else zero)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def companion_product(
     model: CoefficientModel, t: int, s: int
 ) -> tuple[tuple[Scalar, ...], ...]:
@@ -443,7 +461,7 @@ def companion_product(
         raise DomainError(f"requires t > s, got t={t}, s={s}")
     product = companion_matrix(model, s + 1)
     for u in range(s + 2, t + 1):
-        product = _mat_mul(companion_matrix(model, u), product, model.zero)
+        product = scalar.mat_mul(companion_matrix(model, u), product, model.zero)
     return product
 
 

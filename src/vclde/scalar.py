@@ -421,3 +421,20 @@ def render_scalar(value: Scalar) -> str:
     if kind == FLOAT64:
         return repr(value)
     return str(value)
+
+
+def mat_mul(a, b, zero: Scalar):
+    """Matrix product a b, skipping exact zeros, in any arithmetic."""
+    out = []
+    for a_row in a:
+        row = []
+        for col in zip(*b):
+            acc: Scalar | None = None
+            for x, y in zip(a_row, col):
+                if not x or not y:
+                    continue
+                term = x * y
+                acc = term if acc is None else acc + term
+            row.append(acc if acc is not None else zero)
+        out.append(tuple(row))
+    return tuple(out)

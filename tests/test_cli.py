@@ -437,6 +437,23 @@ def test_verify_non_finite_counterexample_exit_5(tmp_path, capsys):
     assert_non_finite_exit_5(capsys, argv, 3)
 
 
+def test_verify_does_not_pass_on_infinities(tmp_path, capsys):
+    # every route overflows to the same +inf, so each check would "agree"
+    coeffs = write_json(
+        tmp_path / "c.json", {"p": 2, "kind": "constant", "phi": [1e300, 1e300]}
+    )
+    problem = write_json(tmp_path / "p.json", {"s": 0, "init": [1.0, 1.0], "forcing": {}})
+    argv = ["--coeffs", coeffs, "--t", "3", "--s", "0"]
+    assert_non_finite_exit_5(capsys, ["green", *argv], 3)
+    assert_non_finite_exit_5(capsys, ["verify", *argv, "--problem", problem], 3)
+    assert_non_finite_exit_5(capsys, ["verify", *argv], 3)
+    # finite Green values, but the solutions overflow
+    small = write_json(tmp_path / "s.json", {"p": 2, "kind": "constant", "phi": [1.0, 1.0]})
+    huge = write_json(tmp_path / "h.json", {"s": 0, "init": [1e308, 1e308], "forcing": {}})
+    argv = ["verify", "--coeffs", small, "--problem", huge, "--t", "3", "--s", "0"]
+    assert_non_finite_exit_5(capsys, argv, 3)
+
+
 def test_periodic_coefficients_file(tmp_path, capsys):
     coeffs = write_json(
         tmp_path / "cp.json",

@@ -1,11 +1,16 @@
 """The two linear kernels behind every production value: the banded chain
 (Green's function, fundamental solutions, Kittappa determinants) and the
 adjoint Green row (Green's-function solutions).  Their cost bounds, and
-property checks against independently derived references."""
+property checks against independently derived references, exact in
+rational arithmetic and within ``scalars_close`` in float64; and the
+chain's period skip on periodic and constant models."""
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import count
+from operator import eq
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,8 +33,10 @@ from vclde import (
     recursion_oracle,
     xi,
 )
+from vclde.cli import _corrupted, main
 from vclde.hessenberg import leading_principal_chain
 from vclde.lde import _green_row
+from vclde.scalar import scalars_close
 from testutil import dense_bordered_matrix, to_dense
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -41,32 +48,48 @@ values = st.one_of(
     st.integers(-3, 3),
     st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
 )
+float_values = st.one_of(st.just(0.0), st.floats(-3, 3))
+
+
+def coefficients(arith, p):
+    """Coefficient entries: rational ``values``, or non-negative floats of
+    at most 1/p, so float rows sum to at most 1 and chains stay bounded."""
+    return values if arith == "rational" else st.one_of(st.just(0.0), st.floats(0, 1 / p))
+
+
+def close(a, b):
+    """``scalars_close``, entrywise on sequences."""
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(close, a, b))
+    return scalars_close(a, b)
 
 
 @st.composite
-def tables(draw, max_p=5):
-    """Rational table model over [t_min, t_max], t_min possibly negative;
-    some rows are all zero."""
+def tables(draw, max_p=5, arith="rational"):
+    """Table model over [t_min, t_max], t_min possibly negative; some rows
+    are all zero."""
     p = draw(st.integers(1, max_p))
     t_min = draw(st.integers(-8, 2))
     t_max = t_min + draw(st.integers(p + 1, 12))
+    zero, entry = (0 if arith == "rational" else 0.0), coefficients(arith, p)
     rows = {
-        t: (0,) * p if draw(st.integers(0, 7)) == 0 else tuple(draw(values) for _ in range(p))
+        t: (zero,) * p if draw(st.integers(0, 7)) == 0 else tuple(draw(entry) for _ in range(p))
         for t in range(t_min, t_max + 1)
     }
     return CoefficientModel.from_table(rows)
 
 
 @st.composite
-def table_problems(draw):
+def table_problems(draw, arith="rational"):
     """A forced problem on a table model; the anchor and horizon often sit on
     the domain edges (s - p + 1 = t_min, t = t_max)."""
-    model = draw(tables())
+    model = draw(tables(arith=arith))
     p = model.p
     s = draw(st.integers(model.t_min + p - 1, model.t_max - 1))
     t = draw(st.integers(s + 1, model.t_max))
-    init = tuple(draw(values) for _ in range(p))
-    forcing = {u: draw(values) for u in range(s + 1, model.t_max + 1)}
+    given = values if arith == "rational" else float_values
+    init = tuple(draw(given) for _ in range(p))
+    forcing = {u: draw(given) for u in range(s + 1, model.t_max + 1)}
     return SolutionProblem(model, s, init, forcing), t
 
 
@@ -115,11 +138,21 @@ def test_single_values_need_constant_memory():
 @PROPERTY_SETTINGS
 @given(tables(), st.data())
 def test_green_row_equals_forward_chain_rational(model, data):
+    check_green_row(model, data, eq)
+
+
+@PROPERTY_SETTINGS
+@given(tables(arith="float64"), st.data())
+def test_green_row_equals_forward_chain_float64(model, data):
+    check_green_row(model, data, close)
+
+
+def check_green_row(model, data, same):
     # rows s+2..t are read; s = t_min - 2 and t = t_max touch both edges
     s = data.draw(st.integers(model.t_min - 2, model.t_max - 1))
     t = data.draw(st.integers(s + 1, model.t_max))
     row = _green_row(model, t, s)
-    assert row == [green(model, t, u) for u in range(t, s, -1)]
+    assert same(row, [green(model, t, u) for u in range(t, s, -1)])
 
 
 @PROPERTY_SETTINGS
@@ -133,13 +166,23 @@ def test_green_row_equals_forward_chain_symbolic(p, s, gap):
 @PROPERTY_SETTINGS
 @given(table_problems())
 def test_bordered_chain_equals_dense_determinant(case):
+    check_bordered_chain(case, eq)
+
+
+@PROPERTY_SETTINGS
+@given(table_problems(arith="float64"))
+def test_bordered_chain_equals_dense_determinant_float64(case):
+    check_bordered_chain(case, close)
+
+
+def check_bordered_chain(case, same):
     problem, t = case
-    assert general_solution_kittappa(problem, t) == det_recurrence(
+    assert same(general_solution_kittappa(problem, t), det_recurrence(
         dense_bordered_matrix(problem, t, with_init=True)
-    )
-    assert particular_solution_det(problem, t) == det_recurrence(
+    ))
+    assert same(particular_solution_det(problem, t), det_recurrence(
         dense_bordered_matrix(problem, t, with_init=False)
-    )
+    ))
 
 
 @PROPERTY_SETTINGS
@@ -158,25 +201,47 @@ def test_bordered_chain_equals_dense_determinant_symbolic(p, s, gap):
 @PROPERTY_SETTINGS
 @given(table_problems())
 def test_linear_routes_equal_recursion(case):
+    check_linear_routes(case, eq)
+
+
+@PROPERTY_SETTINGS
+@given(table_problems(arith="float64"))
+def test_linear_routes_equal_recursion_float64(case):
+    check_linear_routes(case, close)
+
+
+def check_linear_routes(case, same):
     problem, t = case
     reference = recursion_oracle(problem, t)
-    assert general_solution(problem, t) == reference
-    assert general_solution_kittappa(problem, t) == reference
-    assert particular_solution(problem, t) == particular_solution_det(problem, t)
+    assert same(general_solution(problem, t), reference)
+    assert same(general_solution_kittappa(problem, t), reference)
+    assert same(particular_solution(problem, t), particular_solution_det(problem, t))
     homogeneous = SolutionProblem(problem.model, problem.s, problem.init)
-    assert homogeneous_solution_green(homogeneous, t) == recursion_oracle(homogeneous, t)
+    assert same(homogeneous_solution_green(homogeneous, t), recursion_oracle(homogeneous, t))
 
 
 def unit_problem(model, s, m):
     """Homogeneous problem whose solution is the branch-m fundamental
     solution: y = 1 at s-m+1, 0 elsewhere on the window."""
-    init = tuple(int(u == s - m + 1) for u in range(s - model.p + 1, s + 1))
+    init = tuple(
+        model.one if u == s - m + 1 else model.zero for u in range(s - model.p + 1, s + 1)
+    )
     return SolutionProblem(model, s, init)
 
 
 @PROPERTY_SETTINGS
 @given(tables(), st.data())
 def test_integer_chain_equals_dense_determinant_and_recursion(model, data):
+    check_chain(model, data, eq)
+
+
+@PROPERTY_SETTINGS
+@given(tables(arith="float64"), st.data())
+def test_float_chain_equals_dense_determinant_and_recursion(model, data):
+    check_chain(model, data, close)
+
+
+def check_chain(model, data, same):
     # s = t_min - 1 reads rows from t_min on, t = t_max the last one
     p = model.p
     s = data.draw(st.integers(model.t_min - 1, model.t_max - 1))
@@ -184,14 +249,14 @@ def test_integer_chain_equals_dense_determinant_and_recursion(model, data):
     with_window = s - p + 1 >= model.t_min
     for m in range(1, p + 1):
         dense = leading_principal_chain(to_dense(build_phi_matrix(model, m, t, s)))
-        assert principal_chain(model, m, t, s) == dense
-        assert xi(model, m, t, s) == dense[-1] == det_recurrence(
-            build_phi_matrix(model, m, t, s)
-        )
+        assert same(principal_chain(model, m, t, s), dense)
+        value = xi(model, m, t, s)
+        assert same(value, dense[-1])
+        assert same(dense[-1], det_recurrence(build_phi_matrix(model, m, t, s)))
         if with_window:
             problem = unit_problem(model, s, m)
-            assert [recursion_oracle(problem, s + n) for n in range(1, t - s + 1)] == dense[1:]
-    assert green(model, t, s) == xi(model, 1, t, s)
+            assert same([recursion_oracle(problem, s + n) for n in range(1, t - s + 1)], dense[1:])
+    assert same(green(model, t, s), xi(model, 1, t, s))
     entries = casorati(model, t, s).entries
     for i in range(p):
         for j in range(p):
@@ -199,19 +264,30 @@ def test_integer_chain_equals_dense_determinant_and_recursion(model, data):
             if u > s:
                 expected = det_recurrence(to_dense(build_phi_matrix(model, j + 1, u, s)))
             else:
-                expected = int(u == s - j)
-            assert entries[i][j] == expected
+                expected = model.one if u == s - j else model.zero
+            assert same(entries[i][j], expected)
             if with_window:
-                assert entries[i][j] == recursion_oracle(unit_problem(model, s, j + 1), u)
+                assert same(entries[i][j], recursion_oracle(unit_problem(model, s, j + 1), u))
 
 
 @PROPERTY_SETTINGS
 @given(table_problems())
 def test_bordered_integer_chain_equals_recursion(case):
+    check_bordered_recursion(case, eq)
+
+
+@PROPERTY_SETTINGS
+@given(table_problems(arith="float64"))
+def test_bordered_float_chain_equals_recursion(case):
+    check_bordered_recursion(case, close)
+
+
+def check_bordered_recursion(case, same):
     problem, t = case
-    zero_init = SolutionProblem(problem.model, problem.s, (0,) * problem.p, problem.forcing)
-    assert particular_solution_det(problem, t) == recursion_oracle(zero_init, t)
-    assert general_solution_kittappa(problem, t) == recursion_oracle(problem, t)
+    model = problem.model
+    zero_init = SolutionProblem(model, problem.s, (model.zero,) * problem.p, problem.forcing)
+    assert same(particular_solution_det(problem, t), recursion_oracle(zero_init, t))
+    assert same(general_solution_kittappa(problem, t), recursion_oracle(problem, t))
 
 
 def test_rational_chain_normalizes_once_per_value(monkeypatch):
@@ -248,3 +324,147 @@ def test_chain_reports_the_first_failing_step():
     full = SolutionProblem(model, 0, (1, 1), {u: 1 for u in range(1, 6)})
     with pytest.raises(DomainError):
         general_solution_kittappa(full, 6)
+
+
+# ---------------------------------------------------------------- period skip
+
+
+def first_skip(p, period):
+    """Fewest homogeneous steps R after which the chain skips whole periods,
+    by its operation count: R*p > P*p^2 + 2p^3 * bits(R // P)."""
+    return next(
+        rest for rest in count(1)
+        if rest * p > period * p * p + 2 * p**3 * (rest // period).bit_length()
+    )
+
+
+@st.composite
+def periodic_models(draw, arith="rational"):
+    """A periodic model (P <= 6) or a constant one, p <= 5, and a horizon
+    gap t - s that is either short or long enough for every branch to skip
+    periods.  Half the models draw all-zero rows and phi_p = 0 often; the
+    other half keep phi_p nonzero, so their Casoratian is too.  Rational
+    entries have denominators up to 4, so the references stay fast at a few
+    hundred steps; float rows are non-negative and sum to 1 (or less, when
+    their weights do), so values neither blow up nor fade below the
+    tolerance."""
+    p = draw(st.integers(1, 5))
+    period = draw(st.integers(1, 6))
+    zeros = draw(st.booleans())
+    if arith == "rational":
+        zero, entry = 0, st.one_of(st.just(0), st.fractions(-2, 2, max_denominator=4))
+        nonzero = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))
+    else:
+        zero, entry, nonzero = 0.0, st.one_of(st.just(0.0), st.floats(0, 1)), st.floats(0.01, 1)
+    rows = []
+    for _ in range(period):
+        row = [draw(entry) for _ in range(p - 1)] + [draw(nonzero)]
+        if zeros and draw(st.integers(0, 2)) == 0:
+            row[-1] = zero
+        if zeros and draw(st.integers(0, 4)) == 0:
+            row = [zero] * p
+        if arith != "rational":
+            row = [w / max(sum(row), 1.0) for w in row]
+        rows.append(row)
+    if period == 1 and draw(st.booleans()):
+        model = CoefficientModel.constant(rows[0])
+    else:
+        model = CoefficientModel.periodic(rows)
+    long = first_skip(p, period) + p + 1
+    gap = draw(st.one_of(st.integers(1, 3 * p), st.integers(long, long + 2 * period * p)))
+    return model, gap
+
+
+def check_period_skip(model, s, gap, same):
+    p, t = model.p, s + gap
+    chains = [principal_chain(model, m, t, s) for m in range(1, p + 1)]
+    assert same(green(model, t, s), chains[0][-1])
+    for m in range(1, p + 1):
+        assert same(xi(model, m, t, s), chains[m - 1][-1])
+    unit = unit_problem(model, s, 1)
+    assert same(green(model, t, s), recursion_oracle(unit, t))
+    matrix = casorati(model, t, s)
+    for i in range(p):
+        for j in range(p):
+            n = gap - i
+            expected = chains[j][n] if n > 0 else (model.one if n == -j else model.zero)
+            assert same(matrix.entries[i][j], expected)
+    product, vanishing = model.one, None
+    for u in range(s + 1, t + 1):
+        factor = model.phi(p, u)
+        if not factor and vanishing is None:
+            vanishing = u
+        product = product * ((-1) ** (p + 1) * factor)
+    assert same(matrix.abel, product)
+    assert matrix.vanishing_row == vanishing
+
+
+@settings(max_examples=60, deadline=None)
+@given(periodic_models(), st.integers(-7, 3))
+def test_period_skip_is_exact(case, s):
+    model, gap = case
+    check_period_skip(model, s, gap, eq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(periodic_models(arith="float64"), st.integers(-7, 3))
+def test_period_skip_float64_within_tolerance(case, s):
+    model, gap = case
+    check_period_skip(model, s, gap, close)
+
+
+def test_period_skip_is_taken(monkeypatch):
+    # Each chain step clears its row's denominators with one math.lcm call;
+    # the skip reads one period of rows, whatever t - s is (10^5 calls at
+    # t - s = 10^5 without it).
+    rows = [(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)), (Fraction(1, 3),) * 3]
+    model = CoefficientModel.periodic(rows)
+    same_rows = CoefficientModel(3, lambda t: rows[t % 2], "rational")
+    assert (model.period, same_rows.period) == (2, None)
+    calls = []
+    lcm = math.lcm
+
+    def counting_lcm(*args):
+        calls.append(len(args))
+        return lcm(*args)
+
+    monkeypatch.setattr(math, "lcm", counting_lcm)
+    values = {}
+    for t in (10**4, 10**5):
+        calls.clear()
+        values[t] = green(model, t, 0)
+        assert len(calls) <= 2 * (model.period + model.p + 1), (t, len(calls))
+    monkeypatch.setattr(math, "lcm", lcm)
+    assert values[10**4] == green(same_rows, 10**4, 0)
+    assert values[10**5].denominator.bit_length() > 10**5
+
+
+def test_bare_constructor_models_never_skip(tmp_path, capsys):
+    # Periodic rows except one far past the start: only a declared period
+    # may be skipped, and the bare constructor declares none.
+    cycle = [(Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 4), Fraction(2, 3))]
+    bump = 150
+
+    def row_fn(t):
+        a, b = cycle[t % 2]
+        return (a + 1, b) if t == bump else (a, b)
+
+    model = CoefficientModel(2, row_fn, "rational")
+    assert model.period is None
+    assert green(model, 400, 0) == recursion_oracle(unit_problem(model, 0, 1), 400)
+    constant = CoefficientModel.constant((Fraction(1, 2),))
+    assert constant.period == 1
+    assert _corrupted(constant, 0).period is None
+    assert counting_model(2)[0].period is None
+    # verify --corrupt on a constant p = 1 model at a horizon where the
+    # unmodified model skips periods still fails
+    t = 14
+    assert t - 2 >= first_skip(1, 1)  # column 1 dies at step 2
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text(json.dumps({"p": 1, "kind": "constant", "phi": ["1/2"]}))
+    argv = ["verify", "--coeffs", str(coeffs), "--t", str(t), "--s", "0"]
+    assert main(argv) == 0
+    assert main(argv + ["--corrupt"]) == 1
+    failed = [c for c in json.loads(capsys.readouterr().out.splitlines()[-1])["checks"]
+              if not c["passed"]]
+    assert [c["name"] for c in failed] == ["green-four-way"]
