@@ -2,9 +2,7 @@
 
 A :class:`CoefficientModel` evaluates the order-p coefficient family
 phi_m(t) over a declared integer domain.  Evaluation must be pure: models
-are table-backed or closed-form, never stateful.  A model with a period
-lets the banded chain skip whole periods with a power of the monodromy
-matrix (:func:`skip_periods`).
+are table-backed or closed-form, never stateful.
 """
 
 from __future__ import annotations
@@ -39,12 +37,10 @@ class CoefficientModel:
     """Coefficients phi_m(t) for 1 <= m <= p over a declared t-domain.
 
     ``phi`` rejects positions outside 1..p and arguments outside the domain;
-    the error is never silently turned into a zero.  ``period`` is P when
-    row t+P equals row t for every t: 1 for :meth:`constant`, the number of
-    rows for :meth:`periodic`, and None for every other model.
+    the error is never silently turned into a zero.
     """
 
-    __slots__ = ("p", "backend", "t_min", "t_max", "_row_fn", "period")
+    __slots__ = ("p", "backend", "t_min", "t_max", "_row_fn", "_period")
 
     def __init__(
         self,
@@ -63,7 +59,13 @@ class CoefficientModel:
         self.t_min = t_min
         self.t_max = t_max
         self._row_fn = row_fn
-        self.period: int | None = None
+        self._period: int | None = None
+
+    @property
+    def period(self) -> int | None:
+        """P when row t+P equals row t: 1 for :meth:`constant`, the number of
+        rows for :meth:`periodic`; None for other models and symbolic rows."""
+        return self._period
 
     @property
     def zero(self) -> Scalar:
@@ -111,7 +113,7 @@ class CoefficientModel:
             raise ValueError("need at least one coefficient")
         backend = scalar.uniform_backend(row)
         model = cls(len(row), lambda t: row, backend)
-        model.period = 1
+        model._period = None if backend == scalar.SYMBOLIC else 1
         return model
 
     @classmethod
@@ -148,7 +150,7 @@ class CoefficientModel:
         backend = scalar.uniform_backend(v for row in cycle for v in row)
         cycle_t = tuple(cycle)
         model = cls(p, lambda t: cycle_t[t % period], backend)
-        model.period = period
+        model._period = None if backend == scalar.SYMBOLIC else period
         return model
 
     @classmethod
@@ -181,34 +183,37 @@ class CoefficientModel:
         )
 
 
-def whole_periods(p: int, period: int, rest: int) -> int:
-    """How many whole periods of ``rest`` homogeneous chain steps to skip:
-    q = rest // period when stepping (rest*p operations) costs more than
-    building the monodromy (period*p^2) and squaring it (2p^3 per bit of
-    q), else 0."""
+def skip_periods(window, p: int, row_of, u: int, rest: int, period: int,
+                 step, zero: Scalar, one: Scalar):
+    """Skip the q = rest // period whole periods among ``rest`` homogeneous
+    order-p chain steps from row u on, when stepping (rest*p operations)
+    costs more than building the monodromy (period*p^2) and squaring it
+    (2p^3 per bit of q).
+
+    ``step(row)`` gives (c, f), which maps the state x = (newest, ...,
+    oldest), zeros past the window, to (c . x, f x_1, ..., f x_{p-1}).  The
+    monodromy M is the product of one period's steps; M^q x comes from
+    repeated squaring (Floquet theory).  Returns the window (oldest first),
+    the number of steps skipped and the product of their factors f.
+    """
     q = rest // period
-    return q if rest * p > period * p * p + 2 * p**3 * q.bit_length() else 0
-
-
-def skip_periods(window, q: int, steps, zero: Scalar, one: Scalar) -> list:
-    """The chain window (oldest first) after q whole periods of homogeneous
-    steps.  Step (c, f) maps the state x = (newest, ..., oldest), zeros
-    past the window, to (c . x, f x_1, ..., f x_{p-1}); the monodromy M is
-    the product of the period's steps, and M^q x comes from repeated
-    squaring in O(p^3 log q) operations (Floquet theory)."""
-    p = len(steps[0][0])
+    if rest * p <= period * p * p + 2 * p**3 * q.bit_length():
+        return window, 0, one
     x = [[v] for v in reversed(window)] + [[zero]] * (p - len(window))
     m = [[one if i == j else zero for j in range(p)] for i in range(p)]
-    for c, f in steps:
+    factor = one
+    for c, f in map(step, map(row_of, range(u, u + period))):
         head = [reduce(add, map(mul, c, col)) for col in zip(*m)]
         m = [head, *([f * v for v in row] for row in m[:-1])]
+        factor = factor * f
+    factor, skipped = factor**q, q * period
     while q:
         if q & 1:
             x = scalar.mat_mul(m, x, zero)
         q >>= 1
         if q:
             m = scalar.mat_mul(m, m, zero)
-    return [v for v, in reversed(x)]
+    return [v for v, in reversed(x)], skipped, factor
 
 
 def build_phi_matrix(model: CoefficientModel, m: int, t: int, s: int):

@@ -9,10 +9,10 @@ its last row, O((t-s)*p) time; its first column is a function of the row
 index, so the same kernel serves each fundamental-solution branch (Green's
 function, xi, Casorati matrix) and the bordered Kittappa determinants of the
 particular and general solutions.  It keeps only the last p minors, so a
-single value needs O(p) memory, and on a model with a period it skips whole
-periods with a power of the monodromy matrix.  The Green row (``_green_row``) runs the
-adjoint recurrence backward from H(t, t) = 1 and yields every H(t, s+j) of
-the Green's-function solution in one O((t-s)*p) pass.
+single value needs O(p) memory; a model with a period skips whole periods
+of it.  The Green row (``_green_row``) runs the adjoint recurrence backward
+from H(t, t) = 1 and yields every H(t, s+j) of the Green's-function solution
+in one O((t-s)*p) pass.
 
 The Leibnizian, nested-sum, companion-product and forward-recursion routes
 are independent verification oracles; the modules of the two expansions are
@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 from . import scalar
 from .coefficients import (CoefficientModel, DomainError, build_phi_matrix,
-                           check_enum_limit, skip_periods, whole_periods)
+                           check_enum_limit, skip_periods)
 from .scalar import Scalar
 
 GREEN_METHODS = ("recurrence", "leibnizian", "nested", "companion")
@@ -180,11 +180,11 @@ def _banded_chain(
                 acc = head if acc is None else acc + head
         dets.append(acc if acc is not None else zero)
         if first is None and period:
-            q = whole_periods(model.p, period, k - n)
-            if q:
-                steps = [(row_of(s + n + j), one) for j in range(1, period + 1)]
-                dets = deque(skip_periods(dets, q, steps, zero, one), maxlen=model.p)
-                n += q * period
+            window, skipped, _ = skip_periods(
+                dets, model.p, row_of, s + n + 1, k - n, period,
+                lambda row: (row, one), zero, one)
+            dets = deque(window, maxlen=model.p)
+            n += skipped
             period = None
     return dets
 
@@ -241,19 +241,20 @@ def _integer_chain(
         if keep_all:
             minors.append(Fraction(acc, scale))
         if first is None and period:
-            q = whole_periods(p, period, k - n)
-            if q:
-                rows = [row_of(u) for u in range(s + n + 1, s + n + period + 1)]
-                lcms = [math.lcm(*[c.denominator for c in row]) for row in rows]
-                steps = [([c.numerator * (lcm // c.denominator) for c in row], lcm)
-                         for row, lcm in zip(rows, lcms)]
-                window = skip_periods(window, q, steps, 0, 1)
-                scale *= math.prod(lcms) ** q
-                n += q * period
+            window, skipped, factor = skip_periods(
+                window, p, row_of, s + n + 1, k - n, period, _integer_step, 0, 1)
+            scale *= factor
+            n += skipped
             period = None
     if keep_all:
         return minors
     return [Fraction(x, scale) for x in window]
+
+
+def _integer_step(row: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Row scaled to integers by the lcm L of its denominators, and L."""
+    lcm = math.lcm(*[c.denominator for c in row])
+    return [c.numerator * (lcm // c.denominator) for c in row], lcm
 
 
 def _branch_chain(
@@ -416,20 +417,12 @@ def casorati(model: CoefficientModel, t: int, s: int) -> CasoratiMatrix:
     entries = tuple(
         tuple(columns[j][i] for j in range(p)) for i in range(p)
     )
-    # with a period P worth skipping, the product is (one period's)^q times
-    # the rest, and a first vanishing row lies in the first period
-    period = model.period
-    q = whole_periods(p, period, t - s) if period else 0
     det, vanishing_row = model.one, None
-    for u in range(s + 1, (s + period if q else t) + 1):
+    for u in range(s + 1, t + 1):
         factor = model.phi(p, u)
         if not factor and vanishing_row is None:
             vanishing_row = u
         det = det * factor
-    if q:
-        det = det**q
-        for u in range(s + q * period + 1, t + 1):
-            det = det * model.phi(p, u)
     if p % 2 == 0 and (t - s) % 2:
         det = -det
     return CasoratiMatrix(

@@ -29,6 +29,7 @@ from vclde import (
     homogeneous_solution_green,
     particular_solution,
     particular_solution_det,
+    phi_sym,
     principal_chain,
     recursion_oracle,
     xi,
@@ -454,6 +455,8 @@ def test_bare_constructor_models_never_skip(tmp_path, capsys):
     assert green(model, 400, 0) == recursion_oracle(unit_problem(model, 0, 1), 400)
     constant = CoefficientModel.constant((Fraction(1, 2),))
     assert constant.period == 1
+    with pytest.raises(AttributeError):
+        model.period = 2  # no caller may declare a period
     assert _corrupted(constant, 0).period is None
     assert counting_model(2)[0].period is None
     # verify --corrupt on a constant p = 1 model at a horizon where the
@@ -468,3 +471,23 @@ def test_bare_constructor_models_never_skip(tmp_path, capsys):
     failed = [c for c in json.loads(capsys.readouterr().out.splitlines()[-1])["checks"]
               if not c["passed"]]
     assert [c["name"] for c in failed] == ["green-four-way"]
+
+
+def test_symbolic_models_never_skip():
+    # Symbolic constant and periodic models have no period: past the skip
+    # threshold their chains and Abel product run step by step.
+    a, b = phi_sym(1, 0), phi_sym(2, 0)
+    for model, t in ((CoefficientModel.constant((a,)), 10 + first_skip(1, 1)),
+                     (CoefficientModel.periodic([(a, b), (b, a)]), 4 + first_skip(2, 2))):
+        assert model.period is None
+        p = model.p
+        chains = [principal_chain(model, m, t, 0) for m in range(1, p + 1)]
+        assert green(model, t, 0) == chains[0][-1]
+        matrix = casorati(model, t, 0)
+        for i in range(p):
+            for j in range(p):
+                assert matrix.entries[i][j] == chains[j][t - i]
+        product = model.one
+        for u in range(1, t + 1):
+            product = product * model.phi(p, u)
+        assert matrix.abel == (-product if p % 2 == 0 and t % 2 else product)
