@@ -91,9 +91,9 @@ class CoefficientModel:
         return self._row_fn(t)
 
     def _row_source(self, lo: int, hi: int) -> Callable[[int], tuple[Scalar, ...]]:
-        """Row function for a caller that reads rows lo..hi in order: the
-        unchecked one when the whole range lies in the domain, else
-        :meth:`phi_row`, which raises at the first row outside it."""
+        """Row function for a caller that reads rows lo..hi, upward or
+        downward: the unchecked one when the whole range lies in the domain,
+        else :meth:`phi_row`, which raises at the first row read outside it."""
         if (self.t_min is None or lo >= self.t_min) and (
             self.t_max is None or hi <= self.t_max
         ):

@@ -3,16 +3,15 @@ variable-coefficient linear difference equations of order p:
 
     y_t = phi_1(t) y_{t-1} + ... + phi_p(t) y_{t-p} + v_t.
 
-Every production value comes from one of two linear kernels.  The banded
-chain (``_banded_chain``) expands an order-(t-s) banded Hessenbergian along
-its last row, O((t-s)*p) time; its first column is a function of the row
-index, so the same kernel serves each fundamental-solution branch (Green's
-function, xi, Casorati matrix) and the bordered Kittappa determinants of the
-particular and general solutions.  It keeps only the last p minors, so a
-single value needs O(p) memory; a model with a period skips whole periods
-of it.  The Green row (``_green_row``) runs the adjoint recurrence backward
-from H(t, t) = 1 and yields every H(t, s+j) of the Green's-function solution
-in one O((t-s)*p) pass.
+Every production value comes from one linear kernel, the banded chain
+(``_banded_chain``): it expands an order-k banded Hessenbergian along its
+last row in O(k*p) time and O(p) memory.  Its first column is a function of
+the row index, so it serves each fundamental-solution branch (Green's
+function, xi, Casorati matrix) and the bordered Kittappa determinants, whose
+column 1 is b_j = v_{s+j} + sum_m phi_{m+j-1}(s+j) y_{s-m+1}.  Over the
+adjoint rows it gives H(t, t-n), n = 0, 1, ..., and weighted by b_{t-s-n}
+the Green's-function solution y_t = sum_j H(t, s+j) b_j.  A model with a
+period skips whole periods of an unweighted chain.
 
 The Leibnizian, nested-sum, companion-product and forward-recursion routes
 are independent verification oracles; the modules of the two expansions are
@@ -24,10 +23,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Mapping
 from fractions import Fraction
-from functools import reduce
-from operator import add, mul
-from typing import Callable, Mapping, Sequence, Union
+from functools import partial
+from itertools import chain, repeat, tee
+from operator import itemgetter, mul
+from typing import Callable, Sequence, Union
 
 from . import scalar
 from .coefficients import (CoefficientModel, DomainError, build_phi_matrix,
@@ -105,9 +106,8 @@ class SolutionProblem(scalar.Frozen):
 
     @property
     def is_homogeneous(self) -> bool:
-        if self.forcing is None:
-            return True
-        return isinstance(self.forcing, Mapping) and len(self.forcing) == 0
+        forcing = self.forcing
+        return forcing is None or (isinstance(forcing, Mapping) and not forcing)
 
     def initial_value(self, m: int) -> Scalar:
         """y_{s-m+1} for 1 <= m <= p."""
@@ -124,69 +124,82 @@ class SolutionProblem(scalar.Frozen):
     def forcing_value(self, t: int) -> Scalar:
         if t <= self.s:
             raise DomainError(f"forcing is defined only for t > s, got t={t}")
-        if self.is_homogeneous:
-            return self.model.zero
-        if callable(self.forcing):
-            value = self.forcing(t)
+        forcing = self.forcing
+        if callable(forcing):
+            value = forcing(t)
             scalar.check_backend((value,), self.model.backend)
             return value
+        if not forcing:
+            return self.model.zero
         try:
-            return self.forcing[t]
+            return forcing[t]
         except KeyError:
             raise MissingForcingError(t) from None
 
 
 def _banded_chain(
     model: CoefficientModel,
+    row_of: Callable[[int], tuple[Scalar, ...]],
     s: int,
     k: int,
     first: Callable[[int, tuple[Scalar, ...]], Scalar | None],
+    period: int | None = None,
     keep_all: bool = False,
-) -> Sequence[Scalar]:
-    """Leading principal minors d_1..d_k of an order-k banded Hessenbergian.
+    weight: Callable[[int], Scalar | None] | None = None,
+) -> tuple[Sequence[Scalar], Scalar]:
+    """Leading principal minors d_1..d_k of an order-k banded Hessenbergian,
+    and the sum of weight(n) d_n over n = 0..k (d_0 = 1; zero without
+    ``weight``, and a None weight adds nothing).
 
-    Row n of the matrix holds -1 on the superdiagonal, phi_r(s+n) in column
+    Row n of the matrix holds -1 on the superdiagonal, row[r-1] in column
     n-r+1 for 1 <= r <= min(n-1, p), and ``first(n, row)`` in column 1, where
-    ``row`` is (phi_1(s+n), ..., phi_p(s+n)).  A None from ``first`` means
-    column 1 is zero in that row and every later one, so it is not called
-    again.  Expanding along the last row gives
+    ``row = row_of(s + n)``.  A None from ``first`` means column 1 is zero in
+    that row and every later one, so it is not called again.  Expanding
+    along the last row gives
 
-        d_0 = 1,   d_n = sum_r phi_r(s+n) d_{n-r} + first(n, row),
+        d_0 = 1,   d_n = sum_r row[r-1] d_{n-r} + first(n, row),
 
-    one coefficient row and O(p) scalar operations per step.  Only the last
-    p minors are kept unless ``keep_all`` is set, so a value needs O(p)
-    memory; then, once column 1 is zero, a model with a period skips whole
-    periods (:func:`~vclde.coefficients.skip_periods`).  Rational chains run
-    on integers (:func:`_integer_chain`).
+    one row and O(p) scalar operations per step.  Only the last p minors are
+    kept unless ``keep_all`` is set, so a value needs O(p) memory.  Given a
+    ``period`` of the rows (never with ``keep_all`` or ``weight``), the chain
+    skips whole periods once column 1 is zero
+    (:func:`~vclde.coefficients.skip_periods`).  Rational chains run on
+    integers (:func:`_integer_chain`).
     """
-    row_of = model._row_source(s + 1, s + k)
-    period = None if keep_all else model.period
     if model.backend == scalar.RATIONAL:
-        return _integer_chain(model.p, row_of, s, k, first, keep_all, period)
+        return _integer_chain(model.p, row_of, s, k, first, period, keep_all, weight)
     zero, one = model.zero, model.one
-    dets: deque = deque(maxlen=None if keep_all else model.p)
+    dets: deque = deque(maxlen=None if keep_all else model.p)  # newest first
+    total = (weight and weight(0)) or zero
     n = 0
     while n < k:
         n += 1
         row = row_of(s + n)
         # row[r-1] pairs with d_{n-r}, summed left to right; d_0 enters
         # only through column 1
-        acc = reduce(add, map(mul, row, reversed(dets))) if dets else None
+        terms = map(mul, row, dets)
+        acc = next(terms, None)
+        for term in terms:
+            acc = acc + term
         if first is not None:
             head = first(n, row)
             if head is None:
                 first = None
             else:
                 acc = head if acc is None else acc + head
-        dets.append(acc if acc is not None else zero)
+        value = acc if acc is not None else zero
+        dets.appendleft(value)
+        w = weight and weight(n)
+        if w and value:
+            total = total + w * value
         if first is None and period:
             window, skipped, _ = skip_periods(
-                dets, model.p, row_of, s + n + 1, k - n, period,
+                list(reversed(dets)), model.p, row_of, s + n + 1, k - n, period,
                 lambda row: (row, one), zero, one)
-            dets = deque(window, maxlen=model.p)
+            dets = deque(reversed(window), maxlen=model.p)
             n += skipped
             period = None
-    return dets
+    return list(reversed(dets)), total
 
 
 def _integer_chain(
@@ -195,25 +208,30 @@ def _integer_chain(
     s: int,
     k: int,
     first: Callable[[int, tuple[Scalar, ...]], Scalar | None],
-    keep_all: bool,
     period: int | None,
-) -> list[Fraction]:
+    keep_all: bool,
+    weight: Callable[[int], Scalar | None] | None,
+) -> tuple[list[Fraction], Fraction]:
     """The banded chain in exact rationals without Fraction arithmetic.
 
     The window holds the integer numerators N of the last p minors over one
     common denominator D.  Step n clears the denominators of row n and of
     its column-1 entry with their lcm L:
 
-        N_n = sum_r (phi_r(s+n) L) N_{n-r} + (first L) D,   D <- D L,
+        N_n = sum_r (row[r-1] L) N_{n-r} + (first L) D,   D <- D L,
 
-    and the older numerators are multiplied by L.  Each returned minor is
-    normalized once, as Fraction(N, D), so no gcd runs inside the loop; the
-    integers grow by O(log L) bits per step.  A period skip runs on the
-    same integer steps, so D gains the product of the period's L per period.
+    and the older numerators are multiplied by L.  The weighted sum is one
+    integer over D W, W the lcm of the weight denominators so far.  Each
+    returned value is normalized once, as a Fraction, so no Fraction
+    arithmetic runs in the loop; the integers grow by O(log L) bits per
+    step.  A period skip runs on the same integer steps, so D gains the
+    product of the period's L per period.
     """
     window: list[int] = []  # window[-r] = N_{n-r}
     scale = 1
     minors: list[Fraction] = []
+    w = weight and weight(0)
+    total, wscale = (w.numerator, w.denominator) if w else (0, 1)  # over scale * wscale
     n = 0
     while n < k:
         n += 1
@@ -237,18 +255,25 @@ def _integer_chain(
         if lcm != 1:
             window = [x * lcm for x in window]
             scale *= lcm
+            total *= lcm
         window.append(acc)
         if keep_all:
             minors.append(Fraction(acc, scale))
+        w = weight and weight(n)
+        if w and acc:
+            if wscale % w.denominator:
+                grow = w.denominator // math.gcd(wscale, w.denominator)
+                total, wscale = total * grow, wscale * grow
+            total += w.numerator * (wscale // w.denominator) * acc
         if first is None and period:
             window, skipped, factor = skip_periods(
                 window, p, row_of, s + n + 1, k - n, period, _integer_step, 0, 1)
             scale *= factor
             n += skipped
             period = None
-    if keep_all:
-        return minors
-    return [Fraction(x, scale) for x in window]
+    if not keep_all:
+        minors = [Fraction(x, scale) for x in window]
+    return minors, Fraction(total, scale * wscale)
 
 
 def _integer_step(row: tuple[Fraction, ...]) -> tuple[list[int], int]:
@@ -257,22 +282,43 @@ def _integer_step(row: tuple[Fraction, ...]) -> tuple[list[int], int]:
     return [c.numerator * (lcm // c.denominator) for c in row], lcm
 
 
+def _branch_column(m: int, n: int, row: tuple[Scalar, ...]) -> Scalar | None:
+    """Column 1 of the branch-m matrix: phi_{n-1+m} of row n while
+    n-1+m <= p, then zero."""
+    q = n - 1 + m
+    return row[q - 1] if q <= len(row) else None
+
+
 def _branch_chain(
     model: CoefficientModel, m: int, t: int, s: int, keep_all: bool = False
 ) -> Sequence[Scalar]:
-    """Chain of the branch-m matrix, whose column 1 is phi_{n-1+m}(s+n)
-    while n-1+m <= p and zero below."""
+    """Chain of the branch-m matrix over rows s+1..t."""
     p = model.p
     if not 1 <= m <= p:
         raise DomainError(f"branch {m} outside 1..{p}")
     if t <= s:
         raise DomainError(f"chain requires t > s, got t={t}, s={s}")
+    return _banded_chain(model, model._row_source(s + 1, t), s, t - s,
+                         partial(_branch_column, m),
+                         None if keep_all else model.period, keep_all)[0]
 
-    def first(n: int, row: tuple[Scalar, ...]) -> Scalar | None:
-        q = n - 1 + m
-        return row[q - 1] if q <= p else None
 
-    return _banded_chain(model, s, t - s, first, keep_all)
+def _adjoint_rows(
+    model: CoefficientModel, t: int, s: int
+) -> Callable[[int], tuple[Scalar, ...]]:
+    """Row source of the adjoint chain g_n = H(t, t-n), for which
+
+        g_0 = 1,   g_n = sum_{m=1..min(n, p)} phi_m(t-n+m) g_{n-m}:
+
+    the branch-1 chain over the diagonal rows (phi_1(t-n+1), ...,
+    phi_p(t-n+p)), with zeros for the unused entries past row t.  Step n
+    reads row t-n+1 (rows t down to s+2), and p lagged copies of that stream
+    hold at most p rows.  The argument is ignored: the chain reads in order,
+    and past a period skip the next rows equal those skipped to."""
+    rows = map(model._row_source(s + 2, t), range(t, s + 1, -1))
+    diagonals = zip(*(chain(repeat(model.zero, m), map(itemgetter(m), copy))
+                      for m, copy in enumerate(tee(rows, model.p))))
+    return lambda n: next(diagonals)
 
 
 def principal_chain(model: CoefficientModel, m: int, t: int, s: int) -> list[Scalar]:
@@ -313,26 +359,6 @@ def green(model: CoefficientModel, t: int, s: int) -> Scalar:
     return model.one if t == s else model.zero
 
 
-def _green_row(model: CoefficientModel, t: int, s: int) -> list[Scalar]:
-    """[H(t, t), H(t, t-1), ..., H(t, s+1)] from the adjoint recurrence
-
-        H(t, t) = 1,   H(t, u) = sum_{m=1..min(p, t-u)} phi_m(u+m) H(t, u+m),
-
-    run backward from u = t-1.  Each of the rows t, t-1, ..., s+2 is read
-    once and no row past t is read, so the whole row costs O((t-s)*p).
-    """
-    values = [model.one]
-    rows: deque = deque(maxlen=model.p)  # rows[m-1] = phi_row(u+m)
-    for u in range(t - 1, s, -1):
-        rows.appendleft(model.phi_row(u + 1))
-        acc: Scalar | None = None
-        for m, row in enumerate(rows, start=1):
-            term = row[m - 1] * values[-m]
-            acc = term if acc is None else acc + term
-        values.append(acc)
-    return values
-
-
 def green_leibnizian(
     model: CoefficientModel, t: int, s: int, enum_limit: int | None = None
 ) -> Scalar:
@@ -354,17 +380,9 @@ def xi_via_green(model: CoefficientModel, m: int, t: int, s: int) -> Scalar:
         raise DomainError(f"branch {m} outside 1..{model.p}")
     if t <= s:
         raise DomainError(f"requires t > s, got t={t}, s={s}")
-    total: Scalar | None = None
-    for j in range(1, model.p - m + 2):
-        coeff = model.phi(m + j - 1, s + j)
-        if not coeff:
-            continue
-        g = green(model, t, s + j) if t >= s + j else model.zero
-        if not g:
-            continue
-        term = coeff * g
-        total = term if total is None else total + term
-    return total if total is not None else model.zero
+    return _lazy_dot(model.zero, t - s,
+                      lambda j: _branch_column(m, j, model.phi_row(s + j)),
+                      lambda j: green(model, t, s + j))
 
 
 class CasoratiMatrix(scalar.Frozen):
@@ -477,65 +495,71 @@ def _green_by(
     return companion_product(model, t, s)[0][0]
 
 
-def _green_memo(
-    model: CoefficientModel, t: int, s: int, method: str, enum_limit: int | None
-) -> Callable[[int], Scalar]:
-    """H(t, anchor) for anchors above s.  The recurrence method reads one
-    Green row, built on first use; the other methods evaluate each anchor
-    on its own through :func:`_green_by` and memoize it."""
-    cache: dict[int, Scalar] = {}
-    row: list[Scalar] = []
+def _column(
+    problem: SolutionProblem, with_init: bool
+) -> Callable[..., Scalar | None]:
+    """Column 1 of the bordered (Kittappa) determinant, the coefficient of
+    H(t, s+j) in the solution y_t = sum_j H(t, s+j) b_j, as column(j, row):
 
-    def at(anchor: int) -> Scalar:
-        if t == anchor:
-            return model.one
-        if t < anchor:
-            return model.zero
-        if method == "recurrence":
-            if not row:
-                row.extend(_green_row(model, t, s))
-            return row[t - anchor]
-        if anchor not in cache:
-            cache[anchor] = _green_by(model, t, anchor, method, enum_limit)
-        return cache[anchor]
+        b_j = v_{s+j} + sum_m phi_{m+j-1}(s+j) y_{s-m+1},   m+j-1 <= p,
 
-    return at
+    the initial terms only ``with_init``; ``row`` is model row s+j, read if
+    not given.  A homogeneous problem gives None past its initial terms."""
+    model, s = problem.model, problem.s
+    init = problem.init[::-1] if with_init and any(problem.init) else ()
+    forcing = None if problem.is_homogeneous else problem.forcing_value
+    zero = model.zero
+
+    def column(j: int, row: tuple[Scalar, ...] | None = None) -> Scalar | None:
+        if j > len(init):
+            return None if forcing is None else forcing(s + j)
+        acc = zero if forcing is None else forcing(s + j)
+        if row is None:
+            row = model.phi_row(s + j)
+        for m in range(1, len(init) - j + 2):  # init[m-1] = y_{s-m+1}
+            coeff, y0 = row[m + j - 2], init[m - 1]
+            if coeff and y0:
+                acc = acc + coeff * y0
+        return acc
+
+    return column
 
 
-def _initial_part(
-    problem: SolutionProblem, t: int, green_at: Callable[[int], Scalar]
-) -> Scalar | None:
-    model, s, p = problem.model, problem.s, problem.p
-    total: Scalar | None = None
-    for m in range(1, p + 1):
-        y0 = problem.initial_value(m)
-        if not y0:
-            continue
-        # H(t, s+j) = 0 for s+j > t, so rows past t are never read
-        for j in range(1, min(p - m + 1, t - s) + 1):
-            coeff = model.phi(m + j - 1, s + j)
-            if not coeff:
-                continue
-            g = green_at(s + j)
-            if not g:
-                continue
-            total = _acc(total, coeff * g * y0)
+def _lazy_dot(zero: Scalar, k: int, coeff: Callable, value: Callable) -> Scalar:
+    """sum_j value(j) coeff(j) over j = 1..k, evaluating value(j) only where
+    coeff(j) is nonzero; a None coeff(j) ends the sum.  With coeff = b_j and
+    value = H(t, s+j) it is the Green's-function solution."""
+    total = zero
+    for j in range(1, k + 1):
+        c = coeff(j)
+        if c is None:
+            break
+        if c:
+            v = value(j)
+            if v:
+                total = total + v * c
     return total
 
 
-def _forcing_part(
-    problem: SolutionProblem, t: int, green_at: Callable[[int], Scalar]
-) -> Scalar | None:
-    total: Scalar | None = None
-    for j in range(1, t - problem.s + 1):
-        v = problem.forcing_value(problem.s + j)
-        if not v:
-            continue
-        g = green_at(problem.s + j)
-        if not g:
-            continue
-        total = _acc(total, g * v)
-    return total
+def _green_solution(problem: SolutionProblem, t: int, with_init: bool) -> Scalar:
+    """sum_j H(t, s+j) b_j on the adjoint chain g_n = H(t, t-n), O((t-s)*p)
+    time and O(p) memory.  A forced problem weights g_n by b_{t-s-n}; as
+    that pass reads the forcing backward, a mapping is first checked for
+    s+1..t in order, to name the smallest missing t.  A homogeneous problem
+    needs only the last p minors, so its unweighted chain may skip periods."""
+    model, s, forcing = problem.model, problem.s, problem.forcing
+    column = _column(problem, with_init)
+    rows, first, k = _adjoint_rows(model, t, s), partial(_branch_column, 1), t - s - 1
+    if problem.is_homogeneous:
+        last = [*reversed(_banded_chain(model, rows, 0, k, first, model.period)[0]),
+                model.one]  # last[j-1] = H(t, s+j)
+        return _lazy_dot(model.zero, t - s, column, lambda j: last[j - 1])
+    if isinstance(forcing, Mapping):
+        for u in range(s + 1, t + 1):
+            if u not in forcing:
+                model.check_domain(u)  # a row outside the domain fails before its forcing
+                raise MissingForcingError(u)
+    return _banded_chain(model, rows, 0, k, first, weight=lambda n: column(k + 1 - n))[1]
 
 
 def _require_homogeneous(problem: SolutionProblem) -> None:
@@ -558,28 +582,15 @@ def homogeneous_solution(problem: SolutionProblem, t: int) -> Scalar:
     if t <= problem.s:
         return problem.prescribed(t)
     model, s = problem.model, problem.s
-    total: Scalar | None = None
-    for m in range(1, problem.p + 1):
-        y0 = problem.initial_value(m)
-        if not y0:
-            continue
-        value = xi(model, m, t, s)
-        if not value:
-            continue
-        total = _acc(total, value * y0)
-    return total if total is not None else model.zero
+    return _lazy_dot(model.zero, problem.p, problem.initial_value,
+                     lambda m: xi(model, m, t, s))
 
 
 def homogeneous_solution_green(problem: SolutionProblem, t: int) -> Scalar:
     """Same solution written against the Green's function only: the double
     sum of phi_{m+j-1}(s+j) H(t, s+j) y_{s-m+1}."""
     _require_homogeneous(problem)
-    _check_window(problem, t)
-    if t <= problem.s:
-        return problem.prescribed(t)
-    green_at = _green_memo(problem.model, t, problem.s, "recurrence", None)
-    total = _initial_part(problem, t, green_at)
-    return total if total is not None else problem.model.zero
+    return general_solution(problem, t)
 
 
 def particular_solution(problem: SolutionProblem, t: int) -> Scalar:
@@ -588,28 +599,18 @@ def particular_solution(problem: SolutionProblem, t: int) -> Scalar:
         raise DomainError(f"requires t >= s, got t={t}, s={problem.s}")
     if t == problem.s:
         return problem.model.zero
-    green_at = _green_memo(problem.model, t, problem.s, "recurrence", None)
-    total = _forcing_part(problem, t, green_at)
-    return total if total is not None else problem.model.zero
+    return _green_solution(problem, t, with_init=False)
 
 
 def _bordered_solution(problem: SolutionProblem, t: int, with_init: bool) -> Scalar:
-    """Bordered Hessenbergian of order t-s on the banded chain: column 1 is
-    v_{s+n}, plus sum_m phi_{m+n-1}(s+n) y_{s-m+1} when ``with_init``."""
+    """Bordered Hessenbergian of order t-s on the banded chain, column 1 from
+    :func:`_column`; a homogeneous problem skips periods past its initial
+    terms."""
     if t <= problem.s:
         raise DomainError(f"requires t > s, got t={t}, s={problem.s}")
     model, s = problem.model, problem.s
-    init = problem.init[::-1] if with_init else ()  # init[m-1] = y_{s-m+1}
-
-    def first(n: int, row: tuple[Scalar, ...]) -> Scalar:
-        acc = problem.forcing_value(s + n)
-        for m in range(1, len(init) - n + 2):  # phi_{m+n-1} exists while m+n-1 <= p
-            coeff, y0 = row[m + n - 2], init[m - 1]
-            if coeff and y0:
-                acc = acc + coeff * y0
-        return acc
-
-    return _banded_chain(model, s, t - s, first)[-1]
+    return _banded_chain(model, model._row_source(s + 1, t), s, t - s,
+                         _column(problem, with_init), model.period)[0][-1]
 
 
 def particular_solution_det(problem: SolutionProblem, t: int) -> Scalar:
@@ -619,12 +620,12 @@ def particular_solution_det(problem: SolutionProblem, t: int) -> Scalar:
 
 
 def general_solution(problem: SolutionProblem, t: int) -> Scalar:
-    """Green's-function representation of the full solution: the
-    initial-value part plus the forcing part."""
+    """Green's-function representation of the full solution:
+    sum_j H(t, s+j) b_j, b_j the initial-value and forcing terms at s+j."""
     _check_window(problem, t)
     if t <= problem.s:
         return problem.prescribed(t)
-    return _general_solution_by(problem, t, "recurrence", None)
+    return _green_solution(problem, t, with_init=True)
 
 
 def general_solution_kittappa(problem: SolutionProblem, t: int) -> Scalar:
@@ -638,12 +639,10 @@ def _general_solution_by(
 ) -> Scalar:
     if t <= problem.s:
         raise DomainError(f"requires t > s, got t={t}, s={problem.s}")
-    green_at = _green_memo(problem.model, t, problem.s, method, enum_limit)
-    total = _initial_part(problem, t, green_at)
-    forced = _forcing_part(problem, t, green_at)
-    if forced is not None:
-        total = _acc(total, forced)
-    return total if total is not None else problem.model.zero
+    model, s = problem.model, problem.s
+    return _lazy_dot(model.zero, t - s, _column(problem, with_init=True),
+                      lambda j: _green_by(model, t, s + j, method, enum_limit)
+                      if s + j < t else model.one)
 
 
 def general_solution_leibnizian(

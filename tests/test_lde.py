@@ -142,6 +142,8 @@ def test_xi_via_green_identities():
         model = random_model(rng, p, -1, 14)
         for m in range(1, p + 1):
             assert xi_via_green(model, m, 9, 1) == xi(model, m, 9, 1)
+            # H(t, s+j) = 0 for s+j > t, so no row past t = t_max is read
+            assert xi_via_green(model, m, 14, 13) == xi(model, m, 14, 13)
 
 
 def test_casorati_identity_at_anchor():

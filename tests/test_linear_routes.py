@@ -1,9 +1,9 @@
-"""The two linear kernels behind every production value: the banded chain
-(Green's function, fundamental solutions, Kittappa determinants) and the
-adjoint Green row (Green's-function solutions).  Their cost bounds, and
-property checks against independently derived references, exact in
-rational arithmetic and within ``scalars_close`` in float64; and the
-chain's period skip on periodic and constant models."""
+"""The one linear kernel behind every production value: the banded chain,
+run forward (Green's function, fundamental solutions, Kittappa
+determinants) and over the adjoint rows (Green's-function solutions).  Its
+cost bounds, and property checks against independently derived references,
+exact in rational arithmetic and within ``scalars_close`` in float64; and
+the chain's period skip on periodic and constant models."""
 
 import json
 import math
@@ -26,6 +26,7 @@ from vclde import (
     general_solution,
     general_solution_kittappa,
     green,
+    homogeneous_solution,
     homogeneous_solution_green,
     particular_solution,
     particular_solution_det,
@@ -36,7 +37,6 @@ from vclde import (
 )
 from vclde.cli import _corrupted, main
 from vclde.hessenberg import leading_principal_chain
-from vclde.lde import _green_row
 from vclde.scalar import scalars_close
 from testutil import dense_bordered_matrix, to_dense
 
@@ -124,12 +124,18 @@ def test_solution_routes_read_linear_rows():
 
 def test_single_values_need_constant_memory():
     model = CoefficientModel.constant((0.25, 0.25, 0.25, 0.25))
-    problem = SolutionProblem(model, 0, (1.0, 0.5, 0.25, 0.125), lambda u: 0.5)
+    init = (1.0, 0.5, 0.25, 0.125)
+    problem = SolutionProblem(model, 0, init, lambda u: 0.5)
+    # a bare-constructor model has no period, so the chain takes every step
+    homogeneous = SolutionProblem(CoefficientModel(4, lambda t: (0.25,) * 4, "float64"), 0, init)
     tracemalloc.start()
     try:
         green(model, 10**5, 0)
         general_solution_kittappa(problem, 2000)
         particular_solution_det(problem, 2000)
+        general_solution(problem, 10**5)
+        particular_solution(problem, 10**5)
+        homogeneous_solution_green(homogeneous, 10**5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -148,12 +154,22 @@ def test_green_row_equals_forward_chain_float64(model, data):
     check_green_row(model, data, close)
 
 
+def impulse_problems(model, s, t):
+    """(u, the zero-init problem forced by a unit impulse at u) for each u in
+    s+1..t: its solution y_t = sum_j H(t, s+j) v_{s+j} is H(t, u)."""
+    init = (model.zero,) * model.p
+    for u in range(s + 1, t + 1):
+        forcing = {w: model.one if w == u else model.zero for w in range(s + 1, t + 1)}
+        yield u, SolutionProblem(model, s, init, forcing)
+
+
 def check_green_row(model, data, same):
-    # rows s+2..t are read; s = t_min - 2 and t = t_max touch both edges
-    s = data.draw(st.integers(model.t_min - 2, model.t_max - 1))
+    # the Green's-function route reads rows t down to s+2 (and s+1 for the
+    # initial terms); t = t_max touches the last row
+    s = data.draw(st.integers(model.t_min + model.p - 1, model.t_max - 1))
     t = data.draw(st.integers(s + 1, model.t_max))
-    row = _green_row(model, t, s)
-    assert same(row, [green(model, t, u) for u in range(t, s, -1)])
+    for u, problem in impulse_problems(model, s, t):
+        assert same(particular_solution(problem, t), green(model, t, u))
 
 
 @PROPERTY_SETTINGS
@@ -161,7 +177,8 @@ def check_green_row(model, data, same):
 def test_green_row_equals_forward_chain_symbolic(p, s, gap):
     model = CoefficientModel.symbolic(p)
     t = s + gap
-    assert _green_row(model, t, s) == [green(model, t, u) for u in range(t, s, -1)]
+    for u, problem in impulse_problems(model, s, t):
+        assert particular_solution(problem, t) == green(model, t, u)
 
 
 @PROPERTY_SETTINGS
@@ -317,14 +334,18 @@ def test_chain_reports_the_first_failing_step():
     # before the first row outside the table (t=5), so it is the error.
     model = CoefficientModel.from_table({t: (Fraction(1, 2), 1) for t in range(-1, 5)})
     gap = SolutionProblem(model, 0, (1, 1), {1: 1, 3: 1, 4: 1, 5: 1, 6: 1})
-    with pytest.raises(MissingForcingError) as info:
-        general_solution_kittappa(gap, 6)
-    assert info.value.t == 2
+    # The Green's-function routes read the forcing backward, so they check
+    # a mapping in order first and name the same t.
+    for route in (general_solution_kittappa, general_solution, particular_solution):
+        with pytest.raises(MissingForcingError) as info:
+            route(gap, 6)
+        assert info.value.t == 2
     with pytest.raises(MissingForcingError):
         particular_solution_det(gap, 6)
     full = SolutionProblem(model, 0, (1, 1), {u: 1 for u in range(1, 6)})
-    with pytest.raises(DomainError):
-        general_solution_kittappa(full, 6)
+    for route in (general_solution_kittappa, general_solution, particular_solution):
+        with pytest.raises(DomainError):
+            route(full, 6)
 
 
 # ---------------------------------------------------------------- period skip
@@ -384,6 +405,9 @@ def check_period_skip(model, s, gap, same):
         assert same(xi(model, m, t, s), chains[m - 1][-1])
     unit = unit_problem(model, s, 1)
     assert same(green(model, t, s), recursion_oracle(unit, t))
+    # homogeneous problems: the bordered chain and the adjoint chain skip too
+    assert same(general_solution_kittappa(unit, t), chains[0][-1])
+    assert same(homogeneous_solution_green(unit, t), chains[0][-1])
     matrix = casorati(model, t, s)
     for i in range(p):
         for j in range(p):
@@ -438,6 +462,31 @@ def test_period_skip_is_taken(monkeypatch):
     monkeypatch.setattr(math, "lcm", lcm)
     assert values[10**4] == green(same_rows, 10**4, 0)
     assert values[10**5].denominator.bit_length() > 10**5
+
+
+def test_homogeneous_solution_routes_skip_periods(monkeypatch):
+    # Past the initial terms column 1 of the bordered chain is zero, and the
+    # Green's-function route needs only the last p minors of the adjoint
+    # chain: on a homogeneous problem both skip periods, so their math.lcm
+    # calls stay bounded whatever t - s is.
+    rows = [(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)), (Fraction(1, 3),) * 3]
+    lcm = math.lcm
+    calls = []
+
+    def counting_lcm(*args):
+        calls.append(len(args))
+        return lcm(*args)
+
+    for model in (CoefficientModel.constant(rows[0]), CoefficientModel.periodic(rows)):
+        problem = SolutionProblem(model, 0, (Fraction(1), Fraction(-1, 2), Fraction(2)))
+        t = first_skip(model.p, model.period) + 10**4
+        for route in (general_solution_kittappa, homogeneous_solution_green, general_solution):
+            calls.clear()
+            monkeypatch.setattr(math, "lcm", counting_lcm)
+            value = route(problem, t)
+            monkeypatch.setattr(math, "lcm", lcm)
+            assert len(calls) <= 2 * (model.period + model.p + 1), (route.__name__, len(calls))
+            assert value == homogeneous_solution(problem, t)
 
 
 def test_bare_constructor_models_never_skip(tmp_path, capsys):
