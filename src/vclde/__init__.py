@@ -19,19 +19,16 @@ _EXPORTS = {
             phi_sym scalar_from_json scalar_to_json scalars_close
             term_sum_from_json term_sum_to_json v_sym y_sym zero""",
         "hessenberg": """BandedHessenbergMatrix HessenbergMatrix StructureError
-            det_leibniz_oracle det_recurrence hessenberg_from_json
-            hessenberg_to_json""",
+            det_leibniz_oracle det_recurrence""",
         "leibnizian": """SepTerm det_leibnizian enumerate_seps mask_from_index
             sep_columns""",
-        "nested_sum": "SuperdiagonalError det_nested_sum green_nested_sum",
+        "nested_sum": "SuperdiagonalError det_nested_sum",
         "coefficients": """CoefficientModel DEFAULT_ENUM_LIMIT DomainError
             EnumLimitError build_phi_matrix""",
         "lde": """CasoratiMatrix GREEN_METHODS MissingForcingError SOLVE_METHODS
-            SolutionProblem casorati companion_matrix companion_product
-            evaluate_green evaluate_solution general_solution
-            general_solution_kittappa general_solution_leibnizian
-            general_solution_nested green green_leibnizian homogeneous_solution
-            homogeneous_solution_green particular_solution particular_solution_det
+            SolutionProblem casorati companion_product evaluate_green
+            evaluate_solution general_solution general_solution_kittappa green
+            homogeneous_solution particular_solution particular_solution_det
             principal_chain recursion_oracle xi xi_via_green""",
     }.items()
     for name in names.split()

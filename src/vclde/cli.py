@@ -10,8 +10,10 @@ stderr with a distinct exit code per failure class:
     2  parse/domain error  5  non-finite float64 result
 
 The environment variable VCLDE_ENUM_LIMIT overrides the enumeration guard
-used by the leibnizian and nested routes.  Only ``expand`` and ``verify``, and
-the leibnizian and nested methods, import the verification modules.
+used by the leibnizian and nested routes and by every symbolic query, whose
+values have as many terms as those expansions.  Only ``expand`` and
+``verify``, and the leibnizian and nested methods, import the verification
+modules.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import sys
 from typing import Mapping
 
 from . import scalar
-from .coefficients import CoefficientModel, DomainError, EnumLimitError
+from .coefficients import (CoefficientModel, DomainError, EnumLimitError,
+                           check_enum_limit)
 from .lde import (
     GREEN_METHODS,
     SOLVE_METHODS,
@@ -80,6 +83,13 @@ def _enum_limit() -> int | None:
         raise ValueError(f"VCLDE_ENUM_LIMIT must be an integer, got {raw!r}")
 
 
+def _guard_symbolic(model: CoefficientModel, t: int, s: int) -> None:
+    """A symbolic H(t, s) has a term for each nonzero product of the
+    order-(t-s) expansion, so a symbolic query is guarded like one."""
+    if model.backend == scalar.SYMBOLIC:
+        check_enum_limit(t - s, _enum_limit())
+
+
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
@@ -112,7 +122,7 @@ def load_coefficients(path: str, arith: str) -> CoefficientModel:
     if kind == "periodic":
         period = doc.get("period")
         raw_rows = doc.get("rows")
-        if not isinstance(period, int) or period < 1:
+        if not isinstance(period, int) or isinstance(period, bool) or period < 1:
             raise ValueError(f"'period' must be a positive integer, got {period!r}")
         if not isinstance(raw_rows, list) or len(raw_rows) != period:
             raise ValueError("periodic coefficients need 'rows' with one row per phase")
@@ -128,17 +138,23 @@ def _parse_row(values, p: int, arith: str, where: str) -> tuple:
     return tuple(scalar_from_json(v, arith) for v in values)
 
 
-def load_problem(path: str, arith: str, model: CoefficientModel) -> SolutionProblem:
-    """Build a solution problem from a problem file.
-
-    An absent or empty forcing object declares the equation homogeneous.
-    """
+def _read_problem(path: str) -> tuple[Mapping, int]:
+    """A problem file's JSON object and its integer anchor s."""
     doc = _read_json(path)
     if not isinstance(doc, Mapping):
         raise ValueError("problem file must be a JSON object")
     s = doc.get("s")
     if not isinstance(s, int) or isinstance(s, bool):
         raise ValueError(f"'s' must be an integer, got {s!r}")
+    return doc, s
+
+
+def load_problem(path: str, arith: str, model: CoefficientModel) -> SolutionProblem:
+    """Build a solution problem from a problem file.
+
+    An absent or empty forcing object declares the equation homogeneous.
+    """
+    doc, s = _read_problem(path)
     init = _parse_row(doc.get("init"), model.p, arith, "init")
     raw_forcing = doc.get("forcing", {})
     if not isinstance(raw_forcing, Mapping):
@@ -170,6 +186,7 @@ def _load_model(args) -> CoefficientModel:
 
 def cmd_green(args) -> int:
     model = _load_model(args)
+    _guard_symbolic(model, args.t, args.s)
     value = evaluate_green(model, args.t, args.s, args.method, enum_limit=_enum_limit())
     payload = {
         "H": _out(value, args.t),
@@ -188,10 +205,7 @@ def cmd_solve(args) -> int:
         if args.s is not None:
             s = args.s
         elif args.problem is not None:
-            doc = _read_json(args.problem)
-            s = doc.get("s")
-            if not isinstance(s, int) or isinstance(s, bool):
-                raise ValueError(f"'s' must be an integer, got {s!r}")
+            s = _read_problem(args.problem)[1]
         else:
             raise ValueError("symbolic solve needs --s (or a problem file with 's')")
         problem = SolutionProblem.symbolic(model, s)
@@ -199,6 +213,7 @@ def cmd_solve(args) -> int:
         if args.problem is None:
             raise ValueError("need --problem")
         problem = load_problem(args.problem, args.arith, model)
+    _guard_symbolic(model, args.t, problem.s)
     value = evaluate_solution(problem, args.t, args.method, enum_limit=_enum_limit())
     payload = {
         "arith": args.arith,
@@ -214,6 +229,7 @@ def cmd_fundamental(args) -> int:
     model = _load_model(args)
     if args.t < args.s:
         raise DomainError(f"requires t >= s, got t={args.t}, s={args.s}")
+    _guard_symbolic(model, args.t, args.s)
     matrix = casorati(model, args.t, args.s)
     cas = matrix.casoratian()
     payload = {
@@ -286,6 +302,7 @@ def cmd_verify(args) -> int:
     if t <= s:
         raise DomainError(f"verification requires t > s, got t={t}, s={s}")
     limit = _enum_limit()
+    _guard_symbolic(model, t, s)
     lei_model = _corrupted(model, s) if args.corrupt else model
 
     def close(a, b) -> bool:

@@ -9,7 +9,7 @@ function of its matrix.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from . import scalar
 from .scalar import Scalar, backend_of, check_backend, uniform_backend
@@ -104,28 +104,6 @@ class HessenbergMatrix(_HessenbergBase):
             (v for row in stored for v in row), backend or scalar.RATIONAL
         )
         return cls(k, stored, resolved)
-
-    @classmethod
-    def from_entries(
-        cls,
-        k: int,
-        entries: Mapping[tuple[int, int], Scalar],
-        backend: str | None = None,
-    ) -> "HessenbergMatrix":
-        resolved = uniform_backend(entries.values(), backend or scalar.RATIONAL)
-        z = scalar.zero(resolved)
-        rows = [[z] * min(i + 1, k) for i in range(1, k + 1)]
-        for (i, j), value in entries.items():
-            if not (1 <= i <= k and 1 <= j <= k):
-                raise StructureError(f"entry ({i},{j}) outside a {k}x{k} matrix")
-            if j - i > 1:
-                if scalar.is_zero(value, abs_tol=0.0):
-                    continue
-                raise StructureError(
-                    f"nonzero entry ({i},{j}) above the superdiagonal"
-                )
-            rows[i - 1][j - 1] = value
-        return cls(k, rows, resolved)
 
     def h(self, i: int, j: int) -> Scalar:
         if not (1 <= i <= self.k and 1 <= j <= self.k):
@@ -265,45 +243,3 @@ def det_leibniz_oracle(
         return scalar.zero(backend_of(rows[0][0]))
     return total
 
-
-def hessenberg_to_json(matrix: _HessenbergBase) -> dict:
-    """{"k": order, "entries": [[i, j, value], ...]} with zero entries omitted."""
-    entries = []
-    for i in range(1, matrix.k + 1):
-        for j in range(1, min(i + 1, matrix.k) + 1):
-            value = matrix.h(i, j)
-            if value:
-                entries.append([i, j, scalar.scalar_to_json(value)])
-    return {"k": matrix.k, "entries": entries}
-
-
-def hessenberg_from_json(obj: Mapping, arith: str = scalar.RATIONAL) -> HessenbergMatrix:
-    """Parse the JSON matrix format; omitted entries are zero.
-
-    Rejects any (i, j) with j - i > 1 carrying a nonzero value, duplicate
-    coordinates, and out-of-range indices.
-    """
-    try:
-        k = obj["k"]
-        raw_entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
-        raise StructureError(f"matrix document needs 'k' and 'entries': {exc}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise StructureError(f"'k' must be a non-negative integer, got {k!r}")
-    entries: dict[tuple[int, int], Scalar] = {}
-    for item in raw_entries:
-        if len(item) != 3:
-            raise StructureError(f"matrix entry must be [i, j, value]: {item!r}")
-        i, j, raw = item
-        if not (isinstance(i, int) and isinstance(j, int)):
-            raise StructureError(f"entry indices must be integers: {item!r}")
-        value = scalar.scalar_from_json(raw, arith)
-        if not (1 <= i <= k and 1 <= j <= k):
-            raise StructureError(f"entry ({i},{j}) outside a {k}x{k} matrix")
-        if j - i > 1 and not scalar.is_zero(value, abs_tol=0.0):
-            raise StructureError(f"nonzero entry ({i},{j}) above the superdiagonal")
-        if (i, j) in entries:
-            raise StructureError(f"duplicate entry ({i},{j})")
-        entries[(i, j)] = value
-    backend = scalar.RATIONAL if arith == scalar.RATIONAL else scalar.FLOAT64
-    return HessenbergMatrix.from_entries(k, entries, backend)

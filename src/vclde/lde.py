@@ -10,13 +10,16 @@ the row index, so it serves each fundamental-solution branch (Green's
 function, xi, Casorati matrix) and the bordered Kittappa determinants, whose
 column 1 is b_j = v_{s+j} + sum_m phi_{m+j-1}(s+j) y_{s-m+1}.  Over the
 adjoint rows it gives H(t, t-n), n = 0, 1, ..., and weighted by b_{t-s-n}
-the Green's-function solution y_t = sum_j H(t, s+j) b_j.  A model with a
-period skips whole periods of an unweighted chain.
+the Green's-function solution y_t = sum_j H(t, s+j) b_j.  The kernel has no
+options: on a model with a period every unweighted chain skips whole
+periods once its column 1 is zero.
 
 The Leibnizian, nested-sum, companion-product and forward-recursion routes
-are independent verification oracles; the modules of the two expansions are
-imported only when their routes run.  All operations are pure and keep no
-state between calls, so independent queries may run concurrently.
+are independent verification oracles, reached by method name through
+:func:`evaluate_green` and :func:`evaluate_solution`; the modules of the two
+expansions are imported only when their routes run.  All operations are
+pure and keep no state between calls, so independent queries may run
+concurrently.
 """
 
 from __future__ import annotations
@@ -143,13 +146,12 @@ def _banded_chain(
     s: int,
     k: int,
     first: Callable[[int, tuple[Scalar, ...]], Scalar | None],
-    period: int | None = None,
-    keep_all: bool = False,
     weight: Callable[[int], Scalar | None] | None = None,
 ) -> tuple[Sequence[Scalar], Scalar]:
-    """Leading principal minors d_1..d_k of an order-k banded Hessenbergian,
-    and the sum of weight(n) d_n over n = 0..k (d_0 = 1; zero without
-    ``weight``, and a None weight adds nothing).
+    """The last p leading principal minors d_{k-p+1}..d_k of an order-k
+    banded Hessenbergian (fewer if k < p), and the sum of weight(n) d_n over
+    n = 0..k (d_0 = 1; zero without ``weight``, and a None weight adds
+    nothing).
 
     Row n of the matrix holds -1 on the superdiagonal, row[r-1] in column
     n-r+1 for 1 <= r <= min(n-1, p), and ``first(n, row)`` in column 1, where
@@ -159,17 +161,18 @@ def _banded_chain(
 
         d_0 = 1,   d_n = sum_r row[r-1] d_{n-r} + first(n, row),
 
-    one row and O(p) scalar operations per step.  Only the last p minors are
-    kept unless ``keep_all`` is set, so a value needs O(p) memory.  Given a
-    ``period`` of the rows (never with ``keep_all`` or ``weight``), the chain
-    skips whole periods once column 1 is zero
-    (:func:`~vclde.coefficients.skip_periods`).  Rational chains run on
-    integers (:func:`_integer_chain`).
+    one row and O(p) scalar operations per step, and O(p) memory.  On a
+    model with a period an unweighted chain skips whole periods once column
+    1 is zero (:func:`~vclde.coefficients.skip_periods`); the rows of every
+    chain here, the adjoint diagonals included, repeat with
+    ``model.period``.  Rational chains run on integers
+    (:func:`_integer_chain`).
     """
     if model.backend == scalar.RATIONAL:
-        return _integer_chain(model.p, row_of, s, k, first, period, keep_all, weight)
+        return _integer_chain(model, row_of, s, k, first, weight)
     zero, one = model.zero, model.one
-    dets: deque = deque(maxlen=None if keep_all else model.p)  # newest first
+    period = model.period if weight is None else None
+    dets: deque = deque(maxlen=model.p)  # newest first
     total = (weight and weight(0)) or zero
     n = 0
     while n < k:
@@ -203,13 +206,11 @@ def _banded_chain(
 
 
 def _integer_chain(
-    p: int,
+    model: CoefficientModel,
     row_of: Callable[[int], tuple[Scalar, ...]],
     s: int,
     k: int,
     first: Callable[[int, tuple[Scalar, ...]], Scalar | None],
-    period: int | None,
-    keep_all: bool,
     weight: Callable[[int], Scalar | None] | None,
 ) -> tuple[list[Fraction], Fraction]:
     """The banded chain in exact rationals without Fraction arithmetic.
@@ -227,9 +228,9 @@ def _integer_chain(
     step.  A period skip runs on the same integer steps, so D gains the
     product of the period's L per period.
     """
+    p, period = model.p, model.period if weight is None else None
     window: list[int] = []  # window[-r] = N_{n-r}
     scale = 1
-    minors: list[Fraction] = []
     w = weight and weight(0)
     total, wscale = (w.numerator, w.denominator) if w else (0, 1)  # over scale * wscale
     n = 0
@@ -257,8 +258,6 @@ def _integer_chain(
             scale *= lcm
             total *= lcm
         window.append(acc)
-        if keep_all:
-            minors.append(Fraction(acc, scale))
         w = weight and weight(n)
         if w and acc:
             if wscale % w.denominator:
@@ -271,9 +270,7 @@ def _integer_chain(
             scale *= factor
             n += skipped
             period = None
-    if not keep_all:
-        minors = [Fraction(x, scale) for x in window]
-    return minors, Fraction(total, scale * wscale)
+    return [Fraction(x, scale) for x in window], Fraction(total, scale * wscale)
 
 
 def _integer_step(row: tuple[Fraction, ...]) -> tuple[list[int], int]:
@@ -289,18 +286,15 @@ def _branch_column(m: int, n: int, row: tuple[Scalar, ...]) -> Scalar | None:
     return row[q - 1] if q <= len(row) else None
 
 
-def _branch_chain(
-    model: CoefficientModel, m: int, t: int, s: int, keep_all: bool = False
-) -> Sequence[Scalar]:
-    """Chain of the branch-m matrix over rows s+1..t."""
+def _branch_chain(model: CoefficientModel, m: int, t: int, s: int) -> Sequence[Scalar]:
+    """Last p minors of the branch-m matrix over rows s+1..t."""
     p = model.p
     if not 1 <= m <= p:
         raise DomainError(f"branch {m} outside 1..{p}")
     if t <= s:
         raise DomainError(f"chain requires t > s, got t={t}, s={s}")
     return _banded_chain(model, model._row_source(s + 1, t), s, t - s,
-                         partial(_branch_column, m),
-                         None if keep_all else model.period, keep_all)[0]
+                         partial(_branch_column, m))[0]
 
 
 def _adjoint_rows(
@@ -325,10 +319,12 @@ def principal_chain(model: CoefficientModel, m: int, t: int, s: int) -> list[Sca
     """Determinants of the leading blocks of the branch-m banded matrix.
 
     Returns [d_0, ..., d_{t-s}] where d_n is the order-n leading principal
-    minor (d_0 = 1), computed by the banded recurrence in O((t-s)*p) scalar
-    operations.
+    minor (d_0 = 1), computed by the Hessenbergian recurrence on the banded
+    matrix in O((t-s)*p) scalar operations.
     """
-    return [model.one, *_branch_chain(model, m, t, s, keep_all=True)]
+    from .hessenberg import leading_principal_chain
+
+    return leading_principal_chain(build_phi_matrix(model, m, t, s))
 
 
 def xi(model: CoefficientModel, m: int, t: int, s: int) -> Scalar:
@@ -357,20 +353,6 @@ def green(model: CoefficientModel, t: int, s: int) -> Scalar:
     if t > s:
         return _branch_chain(model, 1, t, s)[-1]
     return model.one if t == s else model.zero
-
-
-def green_leibnizian(
-    model: CoefficientModel, t: int, s: int, enum_limit: int | None = None
-) -> Scalar:
-    """H(t, s) summed over the 2^(t-s-1) non-trivial signed products of the
-    principal matrix (verification route, exponential in t - s)."""
-    from .leibnizian import det_leibnizian
-
-    if t <= s:
-        raise DomainError(f"requires t > s, got t={t}, s={s}")
-    check_enum_limit(t - s, enum_limit)
-    matrix = build_phi_matrix(model, 1, t, s)
-    return det_leibnizian(matrix, enum_limit=enum_limit)
 
 
 def xi_via_green(model: CoefficientModel, m: int, t: int, s: int) -> Scalar:
@@ -449,50 +431,45 @@ def casorati(model: CoefficientModel, t: int, s: int) -> CasoratiMatrix:
     )
 
 
-def companion_matrix(
-    model: CoefficientModel, t: int
-) -> tuple[tuple[Scalar, ...], ...]:
-    """p x p one-step transition matrix: first row (phi_1(t)..phi_p(t)),
-    ones on the subdiagonal, zeros elsewhere."""
-    p = model.p
-    zero, one = model.zero, model.one
-    rows = [tuple(model.phi_row(t))]
-    for i in range(1, p):
-        rows.append(tuple(one if j == i - 1 else zero for j in range(p)))
-    return tuple(rows)
-
-
 def companion_product(
     model: CoefficientModel, t: int, s: int
 ) -> tuple[tuple[Scalar, ...], ...]:
     """Product of the one-step matrices from time s+1 up to t, newest on the
     left; equals the Casorati matrix entrywise, so its top-left entry is
-    H(t, s)."""
+    H(t, s).  The one-step matrix at u has first row (phi_1(u)..phi_p(u)),
+    ones on the subdiagonal and zeros elsewhere."""
     if t <= s:
         raise DomainError(f"requires t > s, got t={t}, s={s}")
-    product = companion_matrix(model, s + 1)
-    for u in range(s + 2, t + 1):
-        product = scalar.mat_mul(companion_matrix(model, u), product, model.zero)
+    p, zero, one = model.p, model.zero, model.one
+    shift = tuple(tuple(one if j == i - 1 else zero for j in range(p))
+                  for i in range(1, p))
+    product = None
+    for u in range(s + 1, t + 1):
+        step = (tuple(model.phi_row(u)), *shift)
+        product = step if product is None else scalar.mat_mul(step, product, zero)
     return product
-
-
-def _acc(total: Scalar | None, term: Scalar) -> Scalar:
-    return term if total is None else total + term
 
 
 def _green_by(
     model: CoefficientModel, t: int, s: int, method: str, enum_limit: int | None
 ) -> Scalar:
-    """H(t, s) for t > s by one of :data:`GREEN_METHODS`."""
+    """H(t, s) for t > s by one of :data:`GREEN_METHODS`.  The expansions
+    take the principal banded matrix, guarded by ``enum_limit`` before it is
+    built; their modules are imported at call time, so the other routes
+    never load them."""
     if method == "recurrence":
         return green(model, t, s)
+    if method == "companion":
+        return companion_product(model, t, s)[0][0]
+    check_enum_limit(t - s, enum_limit)
+    matrix = build_phi_matrix(model, 1, t, s)
     if method == "leibnizian":
-        return green_leibnizian(model, t, s, enum_limit)
-    if method == "nested":
-        from .nested_sum import green_nested_sum
+        from .leibnizian import det_leibnizian
 
-        return green_nested_sum(model, t, s, enum_limit)
-    return companion_product(model, t, s)[0][0]
+        return det_leibnizian(matrix, enum_limit=enum_limit)
+    from .nested_sum import det_nested_sum
+
+    return det_nested_sum(matrix, enum_limit)
 
 
 def _column(
@@ -551,7 +528,7 @@ def _green_solution(problem: SolutionProblem, t: int, with_init: bool) -> Scalar
     column = _column(problem, with_init)
     rows, first, k = _adjoint_rows(model, t, s), partial(_branch_column, 1), t - s - 1
     if problem.is_homogeneous:
-        last = [*reversed(_banded_chain(model, rows, 0, k, first, model.period)[0]),
+        last = [*reversed(_banded_chain(model, rows, 0, k, first)[0]),
                 model.one]  # last[j-1] = H(t, s+j)
         return _lazy_dot(model.zero, t - s, column, lambda j: last[j - 1])
     if isinstance(forcing, Mapping):
@@ -560,11 +537,6 @@ def _green_solution(problem: SolutionProblem, t: int, with_init: bool) -> Scalar
                 model.check_domain(u)  # a row outside the domain fails before its forcing
                 raise MissingForcingError(u)
     return _banded_chain(model, rows, 0, k, first, weight=lambda n: column(k + 1 - n))[1]
-
-
-def _require_homogeneous(problem: SolutionProblem) -> None:
-    if not problem.is_homogeneous:
-        raise DomainError("operation requires an empty forcing sequence")
 
 
 def _check_window(problem: SolutionProblem, t: int) -> None:
@@ -577,20 +549,14 @@ def _check_window(problem: SolutionProblem, t: int) -> None:
 def homogeneous_solution(problem: SolutionProblem, t: int) -> Scalar:
     """Solution of the homogeneous equation through the fundamental set:
     the initial values weighted by the branch solutions."""
-    _require_homogeneous(problem)
+    if not problem.is_homogeneous:
+        raise DomainError("operation requires an empty forcing sequence")
     _check_window(problem, t)
     if t <= problem.s:
         return problem.prescribed(t)
     model, s = problem.model, problem.s
     return _lazy_dot(model.zero, problem.p, problem.initial_value,
                      lambda m: xi(model, m, t, s))
-
-
-def homogeneous_solution_green(problem: SolutionProblem, t: int) -> Scalar:
-    """Same solution written against the Green's function only: the double
-    sum of phi_{m+j-1}(s+j) H(t, s+j) y_{s-m+1}."""
-    _require_homogeneous(problem)
-    return general_solution(problem, t)
 
 
 def particular_solution(problem: SolutionProblem, t: int) -> Scalar:
@@ -610,7 +576,7 @@ def _bordered_solution(problem: SolutionProblem, t: int, with_init: bool) -> Sca
         raise DomainError(f"requires t > s, got t={t}, s={problem.s}")
     model, s = problem.model, problem.s
     return _banded_chain(model, model._row_source(s + 1, t), s, t - s,
-                         _column(problem, with_init), model.period)[0][-1]
+                         _column(problem, with_init))[0][-1]
 
 
 def particular_solution_det(problem: SolutionProblem, t: int) -> Scalar:
@@ -637,28 +603,12 @@ def general_solution_kittappa(problem: SolutionProblem, t: int) -> Scalar:
 def _general_solution_by(
     problem: SolutionProblem, t: int, method: str, enum_limit: int | None
 ) -> Scalar:
-    if t <= problem.s:
-        raise DomainError(f"requires t > s, got t={t}, s={problem.s}")
+    """sum_j H(t, s+j) b_j for t > s, each H(t, s+j) with s+j < t expanded
+    by one of :data:`GREEN_METHODS`."""
     model, s = problem.model, problem.s
     return _lazy_dot(model.zero, t - s, _column(problem, with_init=True),
                       lambda j: _green_by(model, t, s + j, method, enum_limit)
                       if s + j < t else model.one)
-
-
-def general_solution_leibnizian(
-    problem: SolutionProblem, t: int, enum_limit: int | None = None
-) -> Scalar:
-    """General solution with every Green's value expanded by the
-    signed-product enumeration."""
-    return _general_solution_by(problem, t, "leibnizian", enum_limit)
-
-
-def general_solution_nested(
-    problem: SolutionProblem, t: int, enum_limit: int | None = None
-) -> Scalar:
-    """General solution with every Green's value expanded by the nested-sum
-    route."""
-    return _general_solution_by(problem, t, "nested", enum_limit)
 
 
 def recursion_oracle(problem: SolutionProblem, t: int) -> Scalar:
@@ -681,11 +631,11 @@ def recursion_oracle(problem: SolutionProblem, t: int) -> Scalar:
             prev = window[-m]
             if not coeff or not prev:
                 continue
-            acc = _acc(acc, coeff * prev)
+            acc = coeff * prev if acc is None else acc + coeff * prev
         if not homogeneous:
             v = problem.forcing_value(n)
             if v:
-                acc = _acc(acc, v)
+                acc = v if acc is None else acc + v
         window.append(acc if acc is not None else model.zero)
         window.pop(0)
     return window[-1]
@@ -726,8 +676,6 @@ def evaluate_solution(
         return general_solution(problem, t)
     if method == "kittappa":
         return general_solution_kittappa(problem, t)
-    if method == "leibnizian":
-        return general_solution_leibnizian(problem, t, enum_limit)
-    if method == "nested":
-        return general_solution_nested(problem, t, enum_limit)
-    return recursion_oracle(problem, t)
+    if method == "recursion":
+        return recursion_oracle(problem, t)
+    return _general_solution_by(problem, t, method, enum_limit)

@@ -9,7 +9,7 @@ caller errors.
 
 from __future__ import annotations
 
-from .coefficients import CoefficientModel, DomainError, build_phi_matrix, check_enum_limit
+from .coefficients import check_enum_limit
 from .scalar import Scalar
 
 
@@ -56,18 +56,3 @@ def det_nested_sum(matrix, enum_limit: int | None = None) -> Scalar:
                 stack.append((col - 1, a if prod is None else prod * a))
     return total
 
-
-def green_nested_sum(
-    model: CoefficientModel, t: int, s: int, enum_limit: int | None = None
-) -> Scalar:
-    """Green's function H(t, s) through the nested-sum route.
-
-    Substitutes h(i, j) = phi_{i-j+1}(s+i), with -1 on the superdiagonal
-    and zero outside the band, and evaluates :func:`det_nested_sum` on the
-    resulting banded matrix.
-    """
-    if t <= s:
-        raise DomainError(f"requires t > s, got t={t}, s={s}")
-    check_enum_limit(t - s, enum_limit)
-    matrix = build_phi_matrix(model, 1, t, s)
-    return det_nested_sum(matrix, enum_limit)

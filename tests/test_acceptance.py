@@ -26,8 +26,6 @@ from vclde import (
     evaluate_solution,
     general_solution,
     general_solution_kittappa,
-    general_solution_leibnizian,
-    general_solution_nested,
     green,
     mask_from_index,
     recursion_oracle,
@@ -189,8 +187,8 @@ def test_criterion_7_solution_equivalence():
             reference = recursion_oracle(problem, t)
             assert general_solution(problem, t) == reference
             assert general_solution_kittappa(problem, t) == reference
-            assert general_solution_leibnizian(problem, t) == reference
-            assert general_solution_nested(problem, t) == reference
+            assert evaluate_solution(problem, t, "leibnizian") == reference
+            assert evaluate_solution(problem, t, "nested") == reference
             fproblem = float_problem(problem, float_model(rows))
             fref = recursion_oracle(fproblem, t)
             for method in ("green", "kittappa", "leibnizian", "nested"):

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: payloads, exit codes, determinism."""
 
 import json
+import time
 from fractions import Fraction
 from random import Random
 
@@ -140,9 +141,53 @@ def test_solve_missing_forcing_exit_4(fib_coeffs, tmp_path, capsys):
 def test_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code, _, err = run_cli(capsys, ["green", "--coeffs", str(bad), "--t", "2", "--s", "0"])
-    assert code == 2
-    assert json.loads(err)["error"] == "invalid-input"
+    # a JSON true is no integer, for "p" and for "period" alike
+    bool_p = write_json(tmp_path / "bool-p.json", {"p": True, "kind": "constant", "phi": ["2"]})
+    bool_period = write_json(tmp_path / "bool-period.json",
+                             {"p": 1, "kind": "periodic", "period": True, "rows": [["2"]]})
+    for path in (str(bad), bool_p, bool_period):
+        code, out, err = run_cli(capsys, ["green", "--coeffs", path, "--t", "3", "--s", "0"])
+        assert (code, out) == (2, ""), path
+        assert json.loads(err)["error"] == "invalid-input"
+
+
+def test_problem_file_must_be_an_object_with_integer_s(fib_coeffs, tmp_path, capsys):
+    # symbolic solve reads only the anchor s of a problem file, through the
+    # same check as the numeric loader, so both report the same error
+    for doc in ([], {"s": True, "init": ["0", "1"]}, {"init": ["0", "1"]}):
+        problem = write_json(tmp_path / "p.json", doc)
+        errors = []
+        for source in (["--arith", "symbolic", "--p", "2"], ["--coeffs", fib_coeffs]):
+            code, out, err = run_cli(
+                capsys, ["solve", "--problem", problem, "--t", "3"] + source)
+            assert (code, out) == (2, ""), (doc, source)
+            errors.append(json.loads(err))
+        assert errors[0] == errors[1]
+        assert errors[0]["error"] == "invalid-input"
+
+
+def test_symbolic_horizon_is_guarded(tmp_path, capsys, monkeypatch):
+    # A symbolic H(t, s) has a term for each nonzero product of the
+    # order-(t-s) expansion, about 1.6^(t-s) of them at p = 2: each symbolic
+    # command refuses t - s past the enumeration limit before it computes.
+    problem = write_json(tmp_path / "p.json", {"s": 0, "init": ["0", "1"]})
+    symbolic = ["--arith", "symbolic", "--p", "2"]
+    start = time.perf_counter()
+    for argv in (
+        ["green", "--t", "40", "--s", "0"],
+        ["solve", "--s", "0", "--t", "40"],
+        ["solve", "--problem", problem, "--t", "40"],
+        ["fundamental", "--t", "40", "--s", "0"],
+        ["verify", "--t", "40", "--s", "0"],
+    ):
+        code, out, err = run_cli(capsys, argv + symbolic)
+        assert (code, out) == (3, ""), argv
+        assert json.loads(err)["error"] == "enum-limit"
+    assert time.perf_counter() - start < 10
+    monkeypatch.setenv("VCLDE_ENUM_LIMIT", "3")
+    assert run_cli(capsys, ["green", "--t", "3", "--s", "0"] + symbolic)[0] == 0
+    assert run_cli(capsys, ["green", "--t", "4", "--s", "0"] + symbolic)[0] == 3
+    assert run_cli(capsys, ["fundamental", "--t", "4", "--s", "0"] + symbolic)[0] == 3
 
 
 def test_domain_error_exit_2(fib_coeffs, capsys):

@@ -14,8 +14,6 @@ from vclde import (
     det_leibniz_oracle,
     det_recurrence,
     h_sym,
-    hessenberg_from_json,
-    hessenberg_to_json,
 )
 from vclde.hessenberg import leading_principal_chain
 from testutil import Permutation, random_hessenberg, rational, to_dense
@@ -156,31 +154,3 @@ def test_c_view_flips_superdiagonal():
     assert matrix.c(2, 1) == h_sym(2, 1)
     assert matrix.c(3, 3) == h_sym(3, 3)
 
-
-def test_json_round_trip():
-    rng = Random(3)
-    matrix = random_hessenberg(rng, 5)
-    doc = hessenberg_to_json(matrix)
-    back = hessenberg_from_json(doc)
-    assert det_recurrence(back) == det_recurrence(matrix)
-    for i in range(1, 6):
-        for j in range(1, 6):
-            assert back.h(i, j) == matrix.h(i, j)
-
-
-def test_json_rejects_pattern_violations():
-    with pytest.raises(StructureError):
-        hessenberg_from_json({"k": 3, "entries": [[1, 3, "1"]]})
-    hessenberg_from_json({"k": 3, "entries": [[1, 3, "0"]]})  # explicit zero is fine
-    with pytest.raises(StructureError):
-        hessenberg_from_json({"k": 2, "entries": [[1, 1, "1"], [1, 1, "2"]]})
-    with pytest.raises(StructureError):
-        hessenberg_from_json({"k": 2, "entries": [[3, 1, "1"]]})
-    with pytest.raises(StructureError):
-        hessenberg_from_json({"k": -1, "entries": []})
-
-
-def test_json_float_mode():
-    doc = {"k": 2, "entries": [[1, 1, 0.5], [2, 1, 1.0], [2, 2, 2.0], [1, 2, 1.0]]}
-    matrix = hessenberg_from_json(doc, arith="float64")
-    assert det_recurrence(matrix) == 0.5 * 2.0 - 1.0 * 1.0

@@ -14,19 +14,14 @@ from vclde import (
     TermSum,
     build_phi_matrix,
     casorati,
-    companion_matrix,
     companion_product,
     det_recurrence,
     evaluate_green,
     evaluate_solution,
     general_solution,
     general_solution_kittappa,
-    general_solution_leibnizian,
-    general_solution_nested,
     green,
-    green_leibnizian,
     homogeneous_solution,
-    homogeneous_solution_green,
     particular_solution,
     particular_solution_det,
     phi_sym,
@@ -123,12 +118,12 @@ def test_green_first_order_power():
 
 def test_green_leibnizian_routes():
     model = CoefficientModel.symbolic(2)
-    assert green_leibnizian(model, 3, 2) == phi_sym(1, 3)
-    assert green_leibnizian(model, 5, 2) == expected_green_5_2()
+    assert evaluate_green(model, 3, 2, "leibnizian") == phi_sym(1, 3)
+    assert evaluate_green(model, 5, 2, "leibnizian") == expected_green_5_2()
     rng = Random(20240816)
     for _ in range(8):
         numeric = random_model(rng, 3, 0, 12)
-        assert green_leibnizian(numeric, 9, 2) == green(numeric, 9, 2)
+        assert evaluate_green(numeric, 9, 2, "leibnizian") == green(numeric, 9, 2)
 
 
 def test_xi_via_green_identities():
@@ -173,8 +168,7 @@ def test_casoratian_nonzero_random():
 def test_companion_single_factor():
     model = CoefficientModel.symbolic(2)
     product = companion_product(model, 3, 2)
-    gamma = companion_matrix(model, 3)
-    assert product == gamma
+    assert product == ((phi_sym(1, 3), phi_sym(2, 3)), (TermSum.constant(1), TermSum()))
     assert product[0][0] == phi_sym(1, 3) == green(model, 3, 2)
     assert product[1][0] == TermSum.constant(1)
 
@@ -219,15 +213,13 @@ def test_homogeneous_rejects_forcing():
     problem = SolutionProblem(model, 0, (Fraction(1), Fraction(1)), {1: Fraction(1)})
     with pytest.raises(DomainError):
         homogeneous_solution(problem, 3)
-    with pytest.raises(DomainError):
-        homogeneous_solution_green(problem, 3)
 
 
 def test_homogeneous_green_first_order():
     model = CoefficientModel.constant((Fraction(4, 3),))
     problem = SolutionProblem(model, 2, (Fraction(5),))
     for t in range(3, 8):
-        assert homogeneous_solution_green(problem, t) == green(model, t, 2) * 5
+        assert general_solution(problem, t) == green(model, t, 2) * 5
 
 
 def test_homogeneous_green_symbolic_part():
@@ -241,7 +233,7 @@ def test_homogeneous_green_symbolic_part():
         + phi_sym(1, 5) * phi_sym(2, 4) * y2
         + phi_sym(1, 3) * phi_sym(2, 5) * y2
     )
-    assert homogeneous_solution_green(problem, 5) == expected
+    assert general_solution(problem, 5) == expected
     assert homogeneous_solution(problem, 5) == expected
 
 
@@ -314,8 +306,8 @@ def test_general_solution_golden_nine_terms():
     assert general_solution(problem, 5) == expected
     assert recursion_oracle(problem, 5) == expected
     assert general_solution_kittappa(problem, 5) == expected
-    assert general_solution_leibnizian(problem, 5) == expected
-    assert general_solution_nested(problem, 5) == expected
+    assert evaluate_solution(problem, 5, "leibnizian") == expected
+    assert evaluate_solution(problem, 5, "nested") == expected
 
 
 def test_general_solution_reduces_to_homogeneous():
@@ -383,8 +375,8 @@ def test_five_way_agreement_random_rational():
         reference = recursion_oracle(problem, t)
         assert general_solution(problem, t) == reference
         assert general_solution_kittappa(problem, t) == reference
-        assert general_solution_leibnizian(problem, t) == reference
-        assert general_solution_nested(problem, t) == reference
+        assert evaluate_solution(problem, t, "leibnizian") == reference
+        assert evaluate_solution(problem, t, "nested") == reference
 
 
 def test_five_way_agreement_short_horizon():
@@ -396,8 +388,8 @@ def test_five_way_agreement_short_horizon():
         reference = recursion_oracle(problem, t)
         assert general_solution(problem, t) == reference
         assert general_solution_kittappa(problem, t) == reference
-        assert general_solution_leibnizian(problem, t) == reference
-        assert general_solution_nested(problem, t) == reference
+        assert evaluate_solution(problem, t, "leibnizian") == reference
+        assert evaluate_solution(problem, t, "nested") == reference
 
 
 def test_solution_window_values_are_prescribed():
@@ -408,7 +400,7 @@ def test_solution_window_values_are_prescribed():
     for t in (-2, -1, 0):
         assert general_solution(problem, t) == problem.prescribed(t)
         assert evaluate_solution(problem, t, "recursion") == problem.prescribed(t)
-        assert homogeneous_solution_green(homogeneous, t) == problem.prescribed(t)
+        assert general_solution(homogeneous, t) == problem.prescribed(t)
 
 
 def test_float_paths_close():

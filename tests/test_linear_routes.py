@@ -27,7 +27,6 @@ from vclde import (
     general_solution_kittappa,
     green,
     homogeneous_solution,
-    homogeneous_solution_green,
     particular_solution,
     particular_solution_det,
     phi_sym,
@@ -135,7 +134,7 @@ def test_single_values_need_constant_memory():
         particular_solution_det(problem, 2000)
         general_solution(problem, 10**5)
         particular_solution(problem, 10**5)
-        homogeneous_solution_green(homogeneous, 10**5)
+        general_solution(homogeneous, 10**5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -235,7 +234,7 @@ def check_linear_routes(case, same):
     assert same(general_solution_kittappa(problem, t), reference)
     assert same(particular_solution(problem, t), particular_solution_det(problem, t))
     homogeneous = SolutionProblem(problem.model, problem.s, problem.init)
-    assert same(homogeneous_solution_green(homogeneous, t), recursion_oracle(homogeneous, t))
+    assert same(general_solution(homogeneous, t), recursion_oracle(homogeneous, t))
 
 
 def unit_problem(model, s, m):
@@ -267,9 +266,8 @@ def check_chain(model, data, same):
     with_window = s - p + 1 >= model.t_min
     for m in range(1, p + 1):
         dense = leading_principal_chain(to_dense(build_phi_matrix(model, m, t, s)))
-        assert same(principal_chain(model, m, t, s), dense)
-        value = xi(model, m, t, s)
-        assert same(value, dense[-1])
+        # every intermediate minor of the kernel: xi at each horizon s+n
+        assert same([xi(model, m, s + n, s) for n in range(1, t - s + 1)], dense[1:])
         assert same(dense[-1], det_recurrence(build_phi_matrix(model, m, t, s)))
         if with_window:
             problem = unit_problem(model, s, m)
@@ -407,7 +405,10 @@ def check_period_skip(model, s, gap, same):
     assert same(green(model, t, s), recursion_oracle(unit, t))
     # homogeneous problems: the bordered chain and the adjoint chain skip too
     assert same(general_solution_kittappa(unit, t), chains[0][-1])
-    assert same(homogeneous_solution_green(unit, t), chains[0][-1])
+    assert same(general_solution(unit, t), chains[0][-1])
+    # a forcing weights every step of the adjoint chain, so that chain never skips
+    forced = SolutionProblem(model, s, unit.init, lambda u: model.one)
+    assert same(general_solution(forced, t), recursion_oracle(forced, t))
     matrix = casorati(model, t, s)
     for i in range(p):
         for j in range(p):
@@ -480,7 +481,7 @@ def test_homogeneous_solution_routes_skip_periods(monkeypatch):
     for model in (CoefficientModel.constant(rows[0]), CoefficientModel.periodic(rows)):
         problem = SolutionProblem(model, 0, (Fraction(1), Fraction(-1, 2), Fraction(2)))
         t = first_skip(model.p, model.period) + 10**4
-        for route in (general_solution_kittappa, homogeneous_solution_green, general_solution):
+        for route in (general_solution_kittappa, general_solution):
             calls.clear()
             monkeypatch.setattr(math, "lcm", counting_lcm)
             value = route(problem, t)

@@ -1,4 +1,5 @@
-"""Nested-sum determinant route and its Green's-function specialization."""
+"""Nested-sum determinant route, and the Green's function by the nested
+method."""
 
 from fractions import Fraction
 from random import Random
@@ -8,14 +9,13 @@ import pytest
 from vclde import (
     det_leibnizian,
     CoefficientModel,
-    DomainError,
     HessenbergMatrix,
     SuperdiagonalError,
     TermSum,
     det_nested_sum,
     det_recurrence,
+    evaluate_green,
     green,
-    green_nested_sum,
     h_sym,
     phi_sym,
 )
@@ -58,7 +58,7 @@ def test_superdiagonal_precondition():
 
 def test_green_single_step():
     model = CoefficientModel.symbolic(3)
-    assert green_nested_sum(model, s=2, t=3) == phi_sym(1, 3)
+    assert evaluate_green(model, 3, 2, "nested") == phi_sym(1, 3)
 
 
 def test_green_second_order_expansion():
@@ -68,7 +68,7 @@ def test_green_second_order_expansion():
         + phi_sym(1, 5) * phi_sym(2, 4)
         + phi_sym(1, 3) * phi_sym(2, 5)
     )
-    assert green_nested_sum(model, t=5, s=2) == expected
+    assert evaluate_green(model, 5, 2, "nested") == expected
 
 
 def test_green_matches_recurrence_random():
@@ -78,10 +78,5 @@ def test_green_matches_recurrence_random():
             model = random_model(rng, p, -2, 16)
             s = rng.randint(0, 4)
             t = s + rng.randint(1, 8)
-            assert green_nested_sum(model, t, s) == green(model, t, s)
+            assert evaluate_green(model, t, s, "nested") == green(model, t, s)
 
-
-def test_green_requires_future_time():
-    model = CoefficientModel.symbolic(2)
-    with pytest.raises(DomainError):
-        green_nested_sum(model, t=2, s=2)

@@ -118,6 +118,15 @@ def test_unknown_names_raise():
         vclde.no_such_name
     with pytest.raises(AttributeError):
         vclde.validate_string_properties  # moved to the tests
+    # wrappers of a dispatch that evaluate_green / evaluate_solution do, and
+    # the Hessenberg JSON format that nothing read or wrote
+    for name in ("green_leibnizian", "green_nested_sum", "general_solution_leibnizian",
+                 "general_solution_nested", "homogeneous_solution_green",
+                 "companion_matrix", "hessenberg_to_json", "hessenberg_from_json"):
+        assert name not in vclde.__all__
+        with pytest.raises(AttributeError):
+            getattr(vclde, name)
+    assert not hasattr(vclde.HessenbergMatrix, "from_entries")
     with pytest.raises(ImportError):
         exec("from vclde import no_such_name", {})
 

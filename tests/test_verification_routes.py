@@ -19,8 +19,8 @@ from vclde import (
     det_leibnizian,
     det_nested_sum,
     det_recurrence,
-    general_solution_nested,
-    green_nested_sum,
+    evaluate_green,
+    evaluate_solution,
 )
 from testutil import det_leibnizian_per_mask, random_problem, random_model
 
@@ -93,11 +93,11 @@ def test_nested_route_enum_limit():
     with pytest.raises(EnumLimitError):
         det_nested_sum(principal_matrix(model, 5, 0), enum_limit=4)
     with pytest.raises(EnumLimitError):
-        green_nested_sum(model, 34, 0)
-    assert green_nested_sum(model, 5, 0, enum_limit=5) == 8
+        evaluate_green(model, 34, 0, "nested")
+    assert evaluate_green(model, 5, 0, "nested", enum_limit=5) == 8
     problem = random_problem(Random(3), random_model(Random(3), 2, -1, 9), 0, 9)
     with pytest.raises(EnumLimitError):
-        general_solution_nested(problem, 9, enum_limit=3)
+        evaluate_solution(problem, 9, "nested", enum_limit=3)
 
 
 values = st.one_of(
