@@ -112,8 +112,7 @@ def load_coefficients(path: str, arith: str) -> CoefficientModel:
             raise ValueError("table coefficients need a non-empty 'rows' object")
         rows = {}
         for key, values in raw_rows.items():
-            t = int(key)
-            rows[t] = _parse_row(values, p, arith, f"rows[{key}]")
+            rows[_parse_key(key, "rows")] = _parse_row(values, p, arith, f"rows[{key}]")
         return CoefficientModel.from_table(rows)
     if kind == "constant":
         return CoefficientModel.constant(
@@ -130,6 +129,18 @@ def load_coefficients(path: str, arith: str) -> CoefficientModel:
             [_parse_row(row, p, arith, f"rows[{idx}]") for idx, row in enumerate(raw_rows)]
         )
     raise ValueError(f"unknown coefficient kind {kind!r}")
+
+
+def _parse_key(key: str, where: str) -> int:
+    """An object key naming a time t, written as str(t) writes it, so that
+    two keys never name the same t."""
+    try:
+        t = int(key)
+    except ValueError:
+        t = None
+    if t is None or str(t) != key:
+        raise ValueError(f"{where} key {key!r} is not an integer written as str(t)")
+    return t
 
 
 def _parse_row(values, p: int, arith: str, where: str) -> tuple:
@@ -159,7 +170,8 @@ def load_problem(path: str, arith: str, model: CoefficientModel) -> SolutionProb
     raw_forcing = doc.get("forcing", {})
     if not isinstance(raw_forcing, Mapping):
         raise ValueError("'forcing' must be an object of t -> value")
-    forcing = {int(key): scalar_from_json(v, arith) for key, v in raw_forcing.items()}
+    forcing = {_parse_key(key, "forcing"): scalar_from_json(v, arith)
+               for key, v in raw_forcing.items()}
     return SolutionProblem(model, s, init, forcing or None)
 
 
@@ -296,6 +308,19 @@ def _corrupted(model: CoefficientModel, s: int) -> CoefficientModel:
     )
 
 
+def _agreement(name: str, values: dict, reference: str, t: int, **where) -> dict:
+    """Check that every route's value at time t is close to the
+    ``reference`` route's; a failure's counterexample holds t, ``where`` and
+    every value."""
+    _finite(values.values(), t)
+    passed = all(scalar.scalars_close(values[reference], v) for v in values.values())
+    entry = {"name": name, "passed": passed}
+    if not passed:
+        entry["counterexample"] = {
+            "t": t, **where, "values": {route: _out(v, t) for route, v in values.items()}}
+    return entry
+
+
 def cmd_verify(args) -> int:
     model = _load_model(args)
     t, s = args.t, args.s
@@ -305,28 +330,13 @@ def cmd_verify(args) -> int:
     _guard_symbolic(model, t, s)
     lei_model = _corrupted(model, s) if args.corrupt else model
 
-    def close(a, b) -> bool:
-        return scalar.scalars_close(a, b)
-
-    checks: list[dict] = []
-
     values = {
         "recurrence": evaluate_green(model, t, s, "recurrence"),
         "leibnizian": evaluate_green(lei_model, t, s, "leibnizian", enum_limit=limit),
         "nested": evaluate_green(model, t, s, "nested", enum_limit=limit),
         "companion": evaluate_green(model, t, s, "companion"),
     }
-    _finite(values.values(), t)
-    reference = values["recurrence"]
-    bad = {name: v for name, v in values.items() if not close(reference, v)}
-    entry = {"name": "green-four-way", "passed": not bad}
-    if bad:
-        entry["counterexample"] = {
-            "t": t,
-            "s": s,
-            "values": {name: _out(v, t) for name, v in values.items()},
-        }
-    checks.append(entry)
+    checks = [_agreement("green-four-way", values, "recurrence", t, s=s)]
 
     xi_matrix = casorati(model, t, s)
     product = companion_product(model, t, s)
@@ -336,7 +346,7 @@ def cmd_verify(args) -> int:
     mismatch = None
     for i in range(model.p):
         for j in range(model.p):
-            if not close(xi_matrix.entries[i][j], product[i][j]):
+            if not scalar.scalars_close(xi_matrix.entries[i][j], product[i][j]):
                 mismatch = {
                     "row": i + 1,
                     "col": j + 1,
@@ -368,16 +378,7 @@ def cmd_verify(args) -> int:
             method: evaluate_solution(problem, t, method, enum_limit=limit)
             for method in SOLVE_METHODS
         }
-        _finite(solutions.values(), t)
-        reference = solutions["recursion"]
-        bad = {name: v for name, v in solutions.items() if not close(reference, v)}
-        entry = {"name": "solution-five-way", "passed": not bad}
-        if bad:
-            entry["counterexample"] = {
-                "t": t,
-                "values": {name: _out(v, t) for name, v in solutions.items()},
-            }
-        checks.append(entry)
+        checks.append(_agreement("solution-five-way", solutions, "recursion", t))
 
     passed = all(c["passed"] for c in checks)
     payload = {"checks": checks, "passed": passed}

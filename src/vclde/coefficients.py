@@ -190,21 +190,24 @@ def skip_periods(window, p: int, row_of, u: int, rest: int, period: int,
     costs more than building the monodromy (period*p^2) and squaring it
     (2p^3 per bit of q).
 
-    ``step(row)`` gives (c, f), which maps the state x = (newest, ...,
-    oldest), zeros past the window, to (c . x, f x_1, ..., f x_{p-1}).  The
-    monodromy M is the product of one period's steps; M^q x comes from
-    repeated squaring (Floquet theory).  Returns the window (oldest first),
-    the number of steps skipped and the product of their factors f.
+    Row r maps the state x = ``window`` (newest first, zeros past its end)
+    to (c . x, f x_1, ..., f x_{p-1}), with (c, f) = (r, one), or the row
+    scaled to integers and its scale, the first two entries of ``step(r)``,
+    when ``step`` is given.  The monodromy M is the product of one period's
+    maps; M^q x comes from repeated squaring (Floquet theory).  Returns the
+    window (newest first), the number of steps skipped and the product of
+    their scales f.
     """
     q = rest // period
     if rest * p <= period * p * p + 2 * p**3 * q.bit_length():
         return window, 0, one
-    x = [[v] for v in reversed(window)] + [[zero]] * (p - len(window))
+    x = [[v] for v in window] + [[zero]] * (p - len(window))
     m = [[one if i == j else zero for j in range(p)] for i in range(p)]
     factor = one
-    for c, f in map(step, map(row_of, range(u, u + period))):
+    for row in map(row_of, range(u, u + period)):
+        c, f = step(row)[:2] if step else (row, one)
         head = [reduce(add, map(mul, c, col)) for col in zip(*m)]
-        m = [head, *([f * v for v in row] for row in m[:-1])]
+        m = [head, *([f * v for v in line] for line in m[:-1])]
         factor = factor * f
     factor, skipped = factor**q, q * period
     while q:
@@ -213,7 +216,7 @@ def skip_periods(window, p: int, row_of, u: int, rest: int, period: int,
         q >>= 1
         if q:
             m = scalar.mat_mul(m, m, zero)
-    return [v for v, in reversed(x)], skipped, factor
+    return [v for v, in x], skipped, factor
 
 
 def build_phi_matrix(model: CoefficientModel, m: int, t: int, s: int):

@@ -4,8 +4,11 @@ variable-coefficient linear difference equations of order p:
     y_t = phi_1(t) y_{t-1} + ... + phi_p(t) y_{t-p} + v_t.
 
 Every production value comes from one linear kernel, the banded chain
-(``_banded_chain``): it expands an order-k banded Hessenbergian along its
-last row in O(k*p) time and O(p) memory.  Its first column is a function of
+(``_banded_chain``): one loop, for every arithmetic, that expands an order-k
+banded Hessenbergian along its last row in O(k*p) time and O(p) memory; in
+rational mode it runs on integer numerators over one running denominator
+(fraction-free, after Bareiss), in float64 and symbolic mode on the values
+themselves.  Its first column is a function of
 the row index, so it serves each fundamental-solution branch (Green's
 function, xi, Casorati matrix) and the bordered Kittappa determinants, whose
 column 1 is b_j = v_{s+j} + sum_m phi_{m+j-1}(s+j) y_{s-m+1}.  Over the
@@ -29,7 +32,7 @@ from collections import deque
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import partial
-from itertools import chain, repeat, tee
+from itertools import chain, islice, repeat, tee
 from operator import itemgetter, mul
 from typing import Callable, Sequence, Union
 
@@ -140,6 +143,12 @@ class SolutionProblem(scalar.Frozen):
             raise MissingForcingError(t) from None
 
 
+def _check_window(p: int, t: int, s: int) -> None:
+    """Refuse a t below the initial window s-p+1..s."""
+    if t < s - p + 1:
+        raise DomainError(f"t={t} below the window start {s - p + 1}")
+
+
 def _banded_chain(
     model: CoefficientModel,
     row_of: Callable[[int], tuple[Scalar, ...]],
@@ -148,93 +157,50 @@ def _banded_chain(
     first: Callable[[int, tuple[Scalar, ...]], Scalar | None],
     weight: Callable[[int], Scalar | None] | None = None,
 ) -> tuple[Sequence[Scalar], Scalar]:
-    """The last p leading principal minors d_{k-p+1}..d_k of an order-k
-    banded Hessenbergian (fewer if k < p), and the sum of weight(n) d_n over
-    n = 0..k (d_0 = 1; zero without ``weight``, and a None weight adds
-    nothing).
+    """The last p leading principal minors d_k, d_{k-1}, ... of an order-k
+    banded Hessenbergian, newest first (fewer if k < p), and the sum of
+    weight(n) d_n over n = 0..k (d_0 = 1; a None weight adds nothing).
 
-    Row n of the matrix holds -1 on the superdiagonal, row[r-1] in column
-    n-r+1 for 1 <= r <= min(n-1, p), and ``first(n, row)`` in column 1, where
-    ``row = row_of(s + n)``.  A None from ``first`` means column 1 is zero in
-    that row and every later one, so it is not called again.  Expanding
-    along the last row gives
+    Row n holds -1 on the superdiagonal, row[r-1] in column n-r+1 for
+    1 <= r <= min(n-1, p), and ``first(n, row)`` in column 1, where
+    ``row = row_of(s + n)``; a None from ``first`` means column 1 is zero
+    from that row on.  Expanding along the last row gives
 
         d_0 = 1,   d_n = sum_r row[r-1] d_{n-r} + first(n, row),
 
-    one row and O(p) scalar operations per step, and O(p) memory.  On a
-    model with a period an unweighted chain skips whole periods once column
-    1 is zero (:func:`~vclde.coefficients.skip_periods`); the rows of every
-    chain here, the adjoint diagonals included, repeat with
-    ``model.period``.  Rational chains run on integers
-    (:func:`_integer_chain`).
-    """
-    if model.backend == scalar.RATIONAL:
-        return _integer_chain(model, row_of, s, k, first, weight)
-    zero, one = model.zero, model.one
-    period = model.period if weight is None else None
-    dets: deque = deque(maxlen=model.p)  # newest first
-    total = (weight and weight(0)) or zero
-    n = 0
-    while n < k:
-        n += 1
-        row = row_of(s + n)
-        # row[r-1] pairs with d_{n-r}, summed left to right; d_0 enters
-        # only through column 1
-        terms = map(mul, row, dets)
-        acc = next(terms, None)
-        for term in terms:
-            acc = acc + term
-        if first is not None:
-            head = first(n, row)
-            if head is None:
-                first = None
-            else:
-                acc = head if acc is None else acc + head
-        value = acc if acc is not None else zero
-        dets.appendleft(value)
-        w = weight and weight(n)
-        if w and value:
-            total = total + w * value
-        if first is None and period:
-            window, skipped, _ = skip_periods(
-                list(reversed(dets)), model.p, row_of, s + n + 1, k - n, period,
-                lambda row: (row, one), zero, one)
-            dets = deque(reversed(window), maxlen=model.p)
-            n += skipped
-            period = None
-    return list(reversed(dets)), total
-
-
-def _integer_chain(
-    model: CoefficientModel,
-    row_of: Callable[[int], tuple[Scalar, ...]],
-    s: int,
-    k: int,
-    first: Callable[[int, tuple[Scalar, ...]], Scalar | None],
-    weight: Callable[[int], Scalar | None] | None,
-) -> tuple[list[Fraction], Fraction]:
-    """The banded chain in exact rationals without Fraction arithmetic.
-
-    The window holds the integer numerators N of the last p minors over one
-    common denominator D.  Step n clears the denominators of row n and of
-    its column-1 entry with their lcm L:
+    O(p) operations per step and O(p) memory.  The loop keeps numerators
+    N = d D over one running denominator D, and the weighted sum over D W.
+    In rational mode step n scales its row and column-1 entry to integers
+    by the lcm L of their denominators (:func:`_integer_step`):
 
         N_n = sum_r (row[r-1] L) N_{n-r} + (first L) D,   D <- D L,
 
-    and the older numerators are multiplied by L.  The weighted sum is one
-    integer over D W, W the lcm of the weight denominators so far.  Each
-    returned value is normalized once, as a Fraction, so no Fraction
-    arithmetic runs in the loop; the integers grow by O(log L) bits per
-    step.  A period skip runs on the same integer steps, so D gains the
-    product of the period's L per period.
+    the older numerators and the sum gain the factor L, and W is the lcm of
+    the weight denominators so far; the results are normalized once, so no
+    Fraction arithmetic runs in the loop.  In float64 and symbolic mode L,
+    D and W stay 1 and nothing is scaled; float terms are summed left to
+    right.  On a model with a period an unweighted chain skips whole periods
+    once column 1 is zero (:func:`~vclde.coefficients.skip_periods`, on the
+    same steps); every chain's rows, the adjoint diagonals included, repeat
+    with ``model.period``.
     """
     p, period = model.p, model.period if weight is None else None
-    window: list[int] = []  # window[-r] = N_{n-r}
-    scale = 1
-    w = weight and weight(0)
-    total, wscale = (w.numerator, w.denominator) if w else (0, 1)  # over scale * wscale
-    n = 0
-    while n < k:
+    step = _integer_step if model.backend == scalar.RATIONAL else None
+    zero, unit = (0, 1) if step else (model.zero, model.one)
+    dets: deque = deque(maxlen=p)  # N_{n-1}, N_{n-2}, ...: newest first
+    scale = wscale = 1  # D and W
+    total, value, n = zero, unit, 0  # value: N_0 = D = 1
+    while True:  # weight(n) d_n enters the sum before step n + 1
+        w = weight and weight(n)
+        if w and value:
+            if step:
+                if wscale % w.denominator:
+                    grow = w.denominator // math.gcd(wscale, w.denominator)
+                    total, wscale = total * grow, wscale * grow
+                w = w.numerator * (wscale // w.denominator)
+            total = total + w * value
+        if n == k:
+            break
         n += 1
         row = row_of(s + n)
         head = None
@@ -242,41 +208,44 @@ def _integer_chain(
             head = first(n, row)
             if head is None:
                 first = None
-        lcm = math.lcm(*[c.denominator for c in row])
-        if head:
-            lcm = math.lcm(lcm, head.denominator)
-        acc = sum(
-            c.numerator * (lcm // c.denominator) * x
-            for c, x in zip(row, reversed(window))
-        )
-        if head:
-            acc += head.numerator * (lcm // head.denominator) * scale
-        if len(window) == p:
-            del window[0]
-        if lcm != 1:
-            window = [x * lcm for x in window]
+        if step:
+            row, lcm, head = step(row, head)
+            if head:
+                head *= scale
+        # row[r-1] pairs with N_{n-r}; N_0 enters only through column 1
+        terms = map(mul, row, dets)
+        acc = next(terms, None)
+        for term in terms:
+            acc = acc + term
+        if head is not None:
+            acc = head if acc is None else acc + head
+        value = acc if acc is not None else zero
+        if step and lcm != 1:
+            dets = deque([x * lcm for x in islice(dets, p - 1)], p)
             scale *= lcm
             total *= lcm
-        window.append(acc)
-        w = weight and weight(n)
-        if w and acc:
-            if wscale % w.denominator:
-                grow = w.denominator // math.gcd(wscale, w.denominator)
-                total, wscale = total * grow, wscale * grow
-            total += w.numerator * (wscale // w.denominator) * acc
+        dets.appendleft(value)
         if first is None and period:
             window, skipped, factor = skip_periods(
-                window, p, row_of, s + n + 1, k - n, period, _integer_step, 0, 1)
+                dets, p, row_of, s + n + 1, k - n, period, step, zero, unit)
+            dets = deque(window, p)
             scale *= factor
             n += skipped
             period = None
-    return [Fraction(x, scale) for x in window], Fraction(total, scale * wscale)
+    if step:
+        return [Fraction(x, scale) for x in dets], Fraction(total, scale * wscale)
+    return list(dets), total
 
 
-def _integer_step(row: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Row scaled to integers by the lcm L of its denominators, and L."""
-    lcm = math.lcm(*[c.denominator for c in row])
-    return [c.numerator * (lcm // c.denominator) for c in row], lcm
+def _integer_step(row: tuple[Fraction, ...], head: Fraction | None = None):
+    """(row L, L, head L): a rational row and its column-1 entry (None if
+    there is none) scaled to integers by the lcm L of their denominators."""
+    dens = [c.denominator for c in row]
+    if head is not None:
+        dens.append(head.denominator)
+    lcm = math.lcm(*dens)
+    ints = [c.numerator * (lcm // c.denominator) for c in row]
+    return ints, lcm, None if head is None else head.numerator * (lcm // head.denominator)
 
 
 def _branch_column(m: int, n: int, row: tuple[Scalar, ...]) -> Scalar | None:
@@ -287,7 +256,7 @@ def _branch_column(m: int, n: int, row: tuple[Scalar, ...]) -> Scalar | None:
 
 
 def _branch_chain(model: CoefficientModel, m: int, t: int, s: int) -> Sequence[Scalar]:
-    """Last p minors of the branch-m matrix over rows s+1..t."""
+    """Last p minors of the branch-m matrix over rows s+1..t, newest first."""
     p = model.p
     if not 1 <= m <= p:
         raise DomainError(f"branch {m} outside 1..{p}")
@@ -335,11 +304,10 @@ def xi(model: CoefficientModel, m: int, t: int, s: int) -> Scalar:
     """
     if not 1 <= m <= model.p:
         raise DomainError(f"branch {m} outside 1..{model.p}")
-    if t < s - model.p + 1:
-        raise DomainError(f"t={t} below the window start {s - model.p + 1}")
+    _check_window(model.p, t, s)
     if t <= s:
         return model.one if t == s - m + 1 else model.zero
-    return _branch_chain(model, m, t, s)[-1]
+    return _branch_chain(model, m, t, s)[0]
 
 
 def green(model: CoefficientModel, t: int, s: int) -> Scalar:
@@ -348,10 +316,9 @@ def green(model: CoefficientModel, t: int, s: int) -> Scalar:
     H(s, s) = 1, H(t, s) = 0 for s-p+1 <= t < s, and the principal
     determinant for t > s.
     """
-    if t < s - model.p + 1:
-        raise DomainError(f"t={t} below the window start {s - model.p + 1}")
+    _check_window(model.p, t, s)
     if t > s:
-        return _branch_chain(model, 1, t, s)[-1]
+        return _branch_chain(model, 1, t, s)[0]
     return model.one if t == s else model.zero
 
 
@@ -404,13 +371,13 @@ def casorati(model: CoefficientModel, t: int, s: int) -> CasoratiMatrix:
     p = model.p
     columns = []
     for branch in range(1, p + 1):
-        # the last p minors d_{t-s-p+1..t-s}; entry i is d_{t-s-i+1}
+        # the last p minors, newest first; entry i is d_{t-s-i+1}
         tail = _branch_chain(model, branch, t, s) if t > s else None
         col = []
         for i in range(1, p + 1):
             u = t - i + 1
             if u > s:
-                col.append(tail[-i])
+                col.append(tail[i - 1])
             else:
                 col.append(model.one if u == s - branch + 1 else model.zero)
         columns.append(col)
@@ -528,7 +495,7 @@ def _green_solution(problem: SolutionProblem, t: int, with_init: bool) -> Scalar
     column = _column(problem, with_init)
     rows, first, k = _adjoint_rows(model, t, s), partial(_branch_column, 1), t - s - 1
     if problem.is_homogeneous:
-        last = [*reversed(_banded_chain(model, rows, 0, k, first)[0]),
+        last = [*_banded_chain(model, rows, 0, k, first)[0],
                 model.one]  # last[j-1] = H(t, s+j)
         return _lazy_dot(model.zero, t - s, column, lambda j: last[j - 1])
     if isinstance(forcing, Mapping):
@@ -539,19 +506,12 @@ def _green_solution(problem: SolutionProblem, t: int, with_init: bool) -> Scalar
     return _banded_chain(model, rows, 0, k, first, weight=lambda n: column(k + 1 - n))[1]
 
 
-def _check_window(problem: SolutionProblem, t: int) -> None:
-    if t < problem.s - problem.p + 1:
-        raise DomainError(
-            f"t={t} below the window start {problem.s - problem.p + 1}"
-        )
-
-
 def homogeneous_solution(problem: SolutionProblem, t: int) -> Scalar:
     """Solution of the homogeneous equation through the fundamental set:
     the initial values weighted by the branch solutions."""
     if not problem.is_homogeneous:
         raise DomainError("operation requires an empty forcing sequence")
-    _check_window(problem, t)
+    _check_window(problem.p, t, problem.s)
     if t <= problem.s:
         return problem.prescribed(t)
     model, s = problem.model, problem.s
@@ -576,7 +536,7 @@ def _bordered_solution(problem: SolutionProblem, t: int, with_init: bool) -> Sca
         raise DomainError(f"requires t > s, got t={t}, s={problem.s}")
     model, s = problem.model, problem.s
     return _banded_chain(model, model._row_source(s + 1, t), s, t - s,
-                         _column(problem, with_init))[0][-1]
+                         _column(problem, with_init))[0][0]
 
 
 def particular_solution_det(problem: SolutionProblem, t: int) -> Scalar:
@@ -588,7 +548,7 @@ def particular_solution_det(problem: SolutionProblem, t: int) -> Scalar:
 def general_solution(problem: SolutionProblem, t: int) -> Scalar:
     """Green's-function representation of the full solution:
     sum_j H(t, s+j) b_j, b_j the initial-value and forcing terms at s+j."""
-    _check_window(problem, t)
+    _check_window(problem.p, t, problem.s)
     if t <= problem.s:
         return problem.prescribed(t)
     return _green_solution(problem, t, with_init=True)
@@ -617,7 +577,7 @@ def recursion_oracle(problem: SolutionProblem, t: int) -> Scalar:
     Independent of every determinant representation; all solution paths must
     agree with it.
     """
-    _check_window(problem, t)
+    _check_window(problem.p, t, problem.s)
     if t <= problem.s:
         return problem.prescribed(t)
     model, s, p = problem.model, problem.s, problem.p
@@ -651,8 +611,7 @@ def evaluate_green(
     """H(t, s) by the chosen route; window values are method-independent."""
     if method not in GREEN_METHODS:
         raise ValueError(f"unknown Green method {method!r}")
-    if t < s - model.p + 1:
-        raise DomainError(f"t={t} below the window start {s - model.p + 1}")
+    _check_window(model.p, t, s)
     if t == s:
         return model.one
     if t < s:
@@ -669,7 +628,7 @@ def evaluate_solution(
     """y_t by the chosen route; window values are the prescribed ones."""
     if method not in SOLVE_METHODS:
         raise ValueError(f"unknown solve method {method!r}")
-    _check_window(problem, t)
+    _check_window(problem.p, t, problem.s)
     if t <= problem.s:
         return problem.prescribed(t)
     if method == "green":

@@ -69,8 +69,6 @@ class Frozen:
 # An atom is one of ("h", i, j), ("phi", m, t), ("y", t), ("v", t).
 Atom = tuple
 
-_KIND_RANK = {"h": 0, "phi": 1, "y": 2, "v": 3}
-
 
 def _atom_key(atom: Atom) -> tuple[int, int, int]:
     kind = atom[0]

@@ -166,6 +166,27 @@ def test_problem_file_must_be_an_object_with_integer_s(fib_coeffs, tmp_path, cap
         assert errors[0]["error"] == "invalid-input"
 
 
+def test_time_keys_must_be_written_as_str_t(fib_coeffs, tmp_path, capsys):
+    # int() reads " 1" and "01" as 1 and "1_0" as 10, so such keys could name
+    # the same t as another key, and the last one would win.
+    for key in (" 1", "01", "+1", "1_0", "1.0", "one"):
+        coeffs = write_json(tmp_path / "c.json", {
+            "p": 1, "kind": "table", "rows": {"0": ["2"], "1": ["3"], key: ["5"]}})
+        problem = write_json(tmp_path / "p.json", {
+            "s": 0, "init": ["0", "1"], "forcing": {"1": "1", key: "7"}})
+        for argv in (["green", "--coeffs", coeffs, "--t", "1", "--s", "0"],
+                     ["solve", "--coeffs", fib_coeffs, "--problem", problem, "--t", "1"]):
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (2, ""), (key, argv[0])
+            body = json.loads(err)
+            assert body["error"] == "invalid-input"
+            assert repr(key) in body["message"]
+    coeffs = write_json(tmp_path / "c.json", {
+        "p": 1, "kind": "table", "rows": {"-1": ["2"], "0": ["3"]}})
+    code, out, _ = run_cli(capsys, ["green", "--coeffs", coeffs, "--t", "0", "--s", "-1"])
+    assert (code, json.loads(out)["H"]) == (0, "3")
+
+
 def test_symbolic_horizon_is_guarded(tmp_path, capsys, monkeypatch):
     # A symbolic H(t, s) has a term for each nonzero product of the
     # order-(t-s) expansion, about 1.6^(t-s) of them at p = 2: each symbolic

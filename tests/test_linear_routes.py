@@ -9,6 +9,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from itertools import count
 from operator import eq
 
@@ -36,8 +37,9 @@ from vclde import (
 )
 from vclde.cli import _corrupted, main
 from vclde.hessenberg import leading_principal_chain
+from vclde.lde import _adjoint_rows, _branch_column, _column
 from vclde.scalar import scalars_close
-from testutil import dense_bordered_matrix, to_dense
+from testutil import dense_bordered_matrix, float_chain, to_dense
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -284,6 +286,45 @@ def check_chain(model, data, same):
             assert same(entries[i][j], expected)
             if with_window:
                 assert same(entries[i][j], recursion_oracle(unit_problem(model, s, j + 1), u))
+
+
+@st.composite
+def bare_float_problems(draw):
+    """A forced float64 problem on a bare-constructor table model, which has
+    no period, so no chain skips.  Entries lie in [-1/p, 1/p] and carry full
+    53-bit mantissas, so the order of a sum shows in its last bits."""
+    p = draw(st.integers(1, 5))
+    t_max = draw(st.integers(p + 1, 16))
+    entry = st.integers(-10**6, 10**6).map(lambda n: n / (999983 * p))
+    rows = {u: tuple(draw(entry) for _ in range(p)) for u in range(t_max + 1)}
+    model = CoefficientModel(p, rows.__getitem__, "float64", 0, t_max)
+    s = draw(st.integers(p - 1, t_max - 1))
+    t = draw(st.integers(s + 1, t_max))
+    given = st.integers(-3 * 10**6, 3 * 10**6).map(lambda n: n / 999983)
+    init = tuple(draw(given) for _ in range(p))
+    return SolutionProblem(model, s, init, {u: draw(given) for u in range(s + 1, t + 1)}), t
+
+
+@PROPERTY_SETTINGS
+@given(bare_float_problems())
+def test_float_chain_sums_in_reference_order(case):
+    # Bit for bit, not within a tolerance: the float64 chain sums its terms
+    # left to right, as the reference loop does.
+    problem, t = case
+    model, s = problem.model, problem.s
+    rows = model.phi_row
+    for u in range(s + 1, t + 1):
+        for m in range(1, model.p + 1):
+            expected = float_chain(model, rows, s, u - s, partial(_branch_column, m))[0][-1]
+            assert xi(model, m, u, s).hex() == expected.hex(), (m, u)
+        assert green(model, u, s).hex() == xi(model, 1, u, s).hex()
+    column = _column(problem, with_init=True)
+    expected = float_chain(model, rows, s, t - s, column)[0][-1]
+    assert general_solution_kittappa(problem, t).hex() == expected.hex()
+    k = t - s - 1
+    expected = float_chain(model, _adjoint_rows(model, t, s), 0, k, partial(_branch_column, 1),
+                           weight=lambda n: column(k + 1 - n))[1]
+    assert general_solution(problem, t).hex() == expected.hex()
 
 
 @PROPERTY_SETTINGS

@@ -2,6 +2,8 @@
 and the reference helpers that only the tests use."""
 
 import itertools
+import operator
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -147,6 +149,39 @@ def det_leibnizian_per_mask(matrix):
         if prod is not None:
             total = prod if total is None else total + prod
     return total if total is not None else matrix.zero
+
+
+def float_chain(model, row_of, s, k, first, weight=None):
+    """Reference for ``lde._banded_chain`` in float64 on a model without a
+    period, to pin its summation order: each minor sums row[r-1] d_{n-r}
+    left to right and adds column 1 last, and the weighted sum adds
+    weight(n) d_n in order of n.  Returns the last p minors oldest first,
+    and the weighted sum."""
+    zero = model.zero
+    dets = deque(maxlen=model.p)  # newest first
+    total = (weight and weight(0)) or zero
+    n = 0
+    while n < k:
+        n += 1
+        row = row_of(s + n)
+        # row[r-1] pairs with d_{n-r}, summed left to right; d_0 enters
+        # only through column 1
+        terms = map(operator.mul, row, dets)
+        acc = next(terms, None)
+        for term in terms:
+            acc = acc + term
+        if first is not None:
+            head = first(n, row)
+            if head is None:
+                first = None
+            else:
+                acc = head if acc is None else acc + head
+        value = acc if acc is not None else zero
+        dets.appendleft(value)
+        w = weight and weight(n)
+        if w and value:
+            total = total + w * value
+    return list(reversed(dets)), total
 
 
 def add(a, b):
