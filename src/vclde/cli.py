@@ -12,8 +12,8 @@ stderr with a distinct exit code per failure class:
 The environment variable VCLDE_ENUM_LIMIT overrides the enumeration guard
 used by the leibnizian and nested routes and by every symbolic query, whose
 values have as many terms as those expansions.  Only ``expand`` and
-``verify``, and the leibnizian and nested methods, import the verification
-modules.
+``verify``, and the methods other than recurrence, green and kittappa,
+import the verification modules (``vclde.oracles`` and the expansions).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .lde import (
     MissingForcingError,
     SolutionProblem,
     casorati,
-    companion_product,
     evaluate_green,
     evaluate_solution,
 )
@@ -322,6 +321,8 @@ def _agreement(name: str, values: dict, reference: str, t: int, **where) -> dict
 
 
 def cmd_verify(args) -> int:
+    from .oracles import companion_product
+
     model = _load_model(args)
     t, s = args.t, args.s
     if t <= s:

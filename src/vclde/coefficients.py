@@ -8,6 +8,7 @@ are table-backed or closed-form, never stateful.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import islice
 from operator import add, mul
 from typing import Callable, Mapping, Sequence
 
@@ -183,20 +184,22 @@ class CoefficientModel:
         )
 
 
-def skip_periods(window, p: int, row_of, u: int, rest: int, period: int,
+def skip_periods(window, p: int, rows, rest: int, period: int,
                  step, zero: Scalar, one: Scalar):
-    """Skip the q = rest // period whole periods among ``rest`` homogeneous
-    order-p chain steps from row u on, when stepping (rest*p operations)
-    costs more than building the monodromy (period*p^2) and squaring it
-    (2p^3 per bit of q).
+    """Skip the q = rest // period whole periods among the ``rest``
+    homogeneous order-p chain steps still to read from the iterator
+    ``rows``, when stepping (rest*p operations) costs more than building the
+    monodromy (period*p^2) and squaring it (2p^3 per bit of q).
 
     Row r maps the state x = ``window`` (newest first, zeros past its end)
     to (c . x, f x_1, ..., f x_{p-1}), with (c, f) = (r, one), or the row
     scaled to integers and its scale, the first two entries of ``step(r)``,
-    when ``step`` is given.  The monodromy M is the product of one period's
-    maps; M^q x comes from repeated squaring (Floquet theory).  Returns the
-    window (newest first), the number of steps skipped and the product of
-    their scales f.
+    when ``step`` is given.  The monodromy M is the product of the maps of
+    one period, read from ``rows``; M^q x comes from repeated squaring
+    (Floquet theory).  A skip has q >= 1, so by periodicity the rows left in
+    ``rows`` equal those past the q skipped periods.  Returns the window
+    (newest first), the number of steps skipped and the product of their
+    scales f.
     """
     q = rest // period
     if rest * p <= period * p * p + 2 * p**3 * q.bit_length():
@@ -204,7 +207,7 @@ def skip_periods(window, p: int, row_of, u: int, rest: int, period: int,
     x = [[v] for v in window] + [[zero]] * (p - len(window))
     m = [[one if i == j else zero for j in range(p)] for i in range(p)]
     factor = one
-    for row in map(row_of, range(u, u + period)):
+    for row in islice(rows, period):
         c, f = step(row)[:2] if step else (row, one)
         head = [reduce(add, map(mul, c, col)) for col in zip(*m)]
         m = [head, *([f * v for v in line] for line in m[:-1])]

@@ -18,9 +18,9 @@ options: on a model with a period every unweighted chain skips whole
 periods once its column 1 is zero.
 
 The Leibnizian, nested-sum, companion-product and forward-recursion routes
-are independent verification oracles, reached by method name through
-:func:`evaluate_green` and :func:`evaluate_solution`; the modules of the two
-expansions are imported only when their routes run.  All operations are
+are independent verification oracles in :mod:`vclde.oracles`, reached by
+method name through :func:`evaluate_green` and :func:`evaluate_solution`,
+which import that module only when such a route runs.  All operations are
 pure and keep no state between calls, so independent queries may run
 concurrently.
 """
@@ -34,11 +34,11 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, islice, repeat, tee
 from operator import itemgetter, mul
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from . import scalar
 from .coefficients import (CoefficientModel, DomainError, build_phi_matrix,
-                           check_enum_limit, skip_periods)
+                           skip_periods)
 from .scalar import Scalar
 
 GREEN_METHODS = ("recurrence", "leibnizian", "nested", "companion")
@@ -151,8 +151,7 @@ def _check_window(p: int, t: int, s: int) -> None:
 
 def _banded_chain(
     model: CoefficientModel,
-    row_of: Callable[[int], tuple[Scalar, ...]],
-    s: int,
+    rows: Iterator[tuple[Scalar, ...]],
     k: int,
     first: Callable[[int, tuple[Scalar, ...]], Scalar | None],
     weight: Callable[[int], Scalar | None] | None = None,
@@ -162,9 +161,9 @@ def _banded_chain(
     weight(n) d_n over n = 0..k (d_0 = 1; a None weight adds nothing).
 
     Row n holds -1 on the superdiagonal, row[r-1] in column n-r+1 for
-    1 <= r <= min(n-1, p), and ``first(n, row)`` in column 1, where
-    ``row = row_of(s + n)``; a None from ``first`` means column 1 is zero
-    from that row on.  Expanding along the last row gives
+    1 <= r <= min(n-1, p), and ``first(n, row)`` in column 1, where ``row``
+    is the n-th item of ``rows``; a None from ``first`` means column 1 is
+    zero from that row on.  Expanding along the last row gives
 
         d_0 = 1,   d_n = sum_r row[r-1] d_{n-r} + first(n, row),
 
@@ -202,7 +201,7 @@ def _banded_chain(
         if n == k:
             break
         n += 1
-        row = row_of(s + n)
+        row = next(rows)
         head = None
         if first is not None:
             head = first(n, row)
@@ -227,7 +226,7 @@ def _banded_chain(
         dets.appendleft(value)
         if first is None and period:
             window, skipped, factor = skip_periods(
-                dets, p, row_of, s + n + 1, k - n, period, step, zero, unit)
+                dets, p, rows, k - n, period, step, zero, unit)
             dets = deque(window, p)
             scale *= factor
             n += skipped
@@ -262,26 +261,24 @@ def _branch_chain(model: CoefficientModel, m: int, t: int, s: int) -> Sequence[S
         raise DomainError(f"branch {m} outside 1..{p}")
     if t <= s:
         raise DomainError(f"chain requires t > s, got t={t}, s={s}")
-    return _banded_chain(model, model._row_source(s + 1, t), s, t - s,
-                         partial(_branch_column, m))[0]
+    return _banded_chain(model, map(model._row_source(s + 1, t), range(s + 1, t + 1)),
+                         t - s, partial(_branch_column, m))[0]
 
 
 def _adjoint_rows(
     model: CoefficientModel, t: int, s: int
-) -> Callable[[int], tuple[Scalar, ...]]:
-    """Row source of the adjoint chain g_n = H(t, t-n), for which
+) -> Iterator[tuple[Scalar, ...]]:
+    """Rows of the adjoint chain g_n = H(t, t-n), for which
 
         g_0 = 1,   g_n = sum_{m=1..min(n, p)} phi_m(t-n+m) g_{n-m}:
 
     the branch-1 chain over the diagonal rows (phi_1(t-n+1), ...,
     phi_p(t-n+p)), with zeros for the unused entries past row t.  Step n
     reads row t-n+1 (rows t down to s+2), and p lagged copies of that stream
-    hold at most p rows.  The argument is ignored: the chain reads in order,
-    and past a period skip the next rows equal those skipped to."""
+    hold at most p rows."""
     rows = map(model._row_source(s + 2, t), range(t, s + 1, -1))
-    diagonals = zip(*(chain(repeat(model.zero, m), map(itemgetter(m), copy))
-                      for m, copy in enumerate(tee(rows, model.p))))
-    return lambda n: next(diagonals)
+    return zip(*(chain(repeat(model.zero, m), map(itemgetter(m), copy))
+                 for m, copy in enumerate(tee(rows, model.p))))
 
 
 def principal_chain(model: CoefficientModel, m: int, t: int, s: int) -> list[Scalar]:
@@ -320,18 +317,6 @@ def green(model: CoefficientModel, t: int, s: int) -> Scalar:
     if t > s:
         return _branch_chain(model, 1, t, s)[0]
     return model.one if t == s else model.zero
-
-
-def xi_via_green(model: CoefficientModel, m: int, t: int, s: int) -> Scalar:
-    """Branch-m fundamental solution from the first-column cofactor identity:
-    the weighted sum of H(t, s+j) over j = 1..p-m+1."""
-    if not 1 <= m <= model.p:
-        raise DomainError(f"branch {m} outside 1..{model.p}")
-    if t <= s:
-        raise DomainError(f"requires t > s, got t={t}, s={s}")
-    return _lazy_dot(model.zero, t - s,
-                      lambda j: _branch_column(m, j, model.phi_row(s + j)),
-                      lambda j: green(model, t, s + j))
 
 
 class CasoratiMatrix(scalar.Frozen):
@@ -398,59 +383,16 @@ def casorati(model: CoefficientModel, t: int, s: int) -> CasoratiMatrix:
     )
 
 
-def companion_product(
-    model: CoefficientModel, t: int, s: int
-) -> tuple[tuple[Scalar, ...], ...]:
-    """Product of the one-step matrices from time s+1 up to t, newest on the
-    left; equals the Casorati matrix entrywise, so its top-left entry is
-    H(t, s).  The one-step matrix at u has first row (phi_1(u)..phi_p(u)),
-    ones on the subdiagonal and zeros elsewhere."""
-    if t <= s:
-        raise DomainError(f"requires t > s, got t={t}, s={s}")
-    p, zero, one = model.p, model.zero, model.one
-    shift = tuple(tuple(one if j == i - 1 else zero for j in range(p))
-                  for i in range(1, p))
-    product = None
-    for u in range(s + 1, t + 1):
-        step = (tuple(model.phi_row(u)), *shift)
-        product = step if product is None else scalar.mat_mul(step, product, zero)
-    return product
-
-
-def _green_by(
-    model: CoefficientModel, t: int, s: int, method: str, enum_limit: int | None
-) -> Scalar:
-    """H(t, s) for t > s by one of :data:`GREEN_METHODS`.  The expansions
-    take the principal banded matrix, guarded by ``enum_limit`` before it is
-    built; their modules are imported at call time, so the other routes
-    never load them."""
-    if method == "recurrence":
-        return green(model, t, s)
-    if method == "companion":
-        return companion_product(model, t, s)[0][0]
-    check_enum_limit(t - s, enum_limit)
-    matrix = build_phi_matrix(model, 1, t, s)
-    if method == "leibnizian":
-        from .leibnizian import det_leibnizian
-
-        return det_leibnizian(matrix, enum_limit=enum_limit)
-    from .nested_sum import det_nested_sum
-
-    return det_nested_sum(matrix, enum_limit)
-
-
-def _column(
-    problem: SolutionProblem, with_init: bool
-) -> Callable[..., Scalar | None]:
+def _column(problem: SolutionProblem) -> Callable[..., Scalar | None]:
     """Column 1 of the bordered (Kittappa) determinant, the coefficient of
     H(t, s+j) in the solution y_t = sum_j H(t, s+j) b_j, as column(j, row):
 
-        b_j = v_{s+j} + sum_m phi_{m+j-1}(s+j) y_{s-m+1},   m+j-1 <= p,
+        b_j = v_{s+j} + sum_m phi_{m+j-1}(s+j) y_{s-m+1},   m+j-1 <= p;
 
-    the initial terms only ``with_init``; ``row`` is model row s+j, read if
-    not given.  A homogeneous problem gives None past its initial terms."""
+    ``row`` is model row s+j, read if not given.  A homogeneous problem
+    gives None past its initial terms."""
     model, s = problem.model, problem.s
-    init = problem.init[::-1] if with_init and any(problem.init) else ()
+    init = problem.init[::-1] if any(problem.init) else ()
     forcing = None if problem.is_homogeneous else problem.forcing_value
     zero = model.zero
 
@@ -485,17 +427,22 @@ def _lazy_dot(zero: Scalar, k: int, coeff: Callable, value: Callable) -> Scalar:
     return total
 
 
-def _green_solution(problem: SolutionProblem, t: int, with_init: bool) -> Scalar:
-    """sum_j H(t, s+j) b_j on the adjoint chain g_n = H(t, t-n), O((t-s)*p)
+def general_solution(problem: SolutionProblem, t: int) -> Scalar:
+    """Green's-function representation of the full solution:
+    sum_j H(t, s+j) b_j, b_j the initial-value and forcing terms at s+j
+    (:func:`_column`), on the adjoint chain g_n = H(t, t-n) in O((t-s)*p)
     time and O(p) memory.  A forced problem weights g_n by b_{t-s-n}; as
     that pass reads the forcing backward, a mapping is first checked for
     s+1..t in order, to name the smallest missing t.  A homogeneous problem
     needs only the last p minors, so its unweighted chain may skip periods."""
+    _check_window(problem.p, t, problem.s)
+    if t <= problem.s:
+        return problem.prescribed(t)
     model, s, forcing = problem.model, problem.s, problem.forcing
-    column = _column(problem, with_init)
+    column = _column(problem)
     rows, first, k = _adjoint_rows(model, t, s), partial(_branch_column, 1), t - s - 1
     if problem.is_homogeneous:
-        last = [*_banded_chain(model, rows, 0, k, first)[0],
+        last = [*_banded_chain(model, rows, k, first)[0],
                 model.one]  # last[j-1] = H(t, s+j)
         return _lazy_dot(model.zero, t - s, column, lambda j: last[j - 1])
     if isinstance(forcing, Mapping):
@@ -503,102 +450,27 @@ def _green_solution(problem: SolutionProblem, t: int, with_init: bool) -> Scalar
             if u not in forcing:
                 model.check_domain(u)  # a row outside the domain fails before its forcing
                 raise MissingForcingError(u)
-    return _banded_chain(model, rows, 0, k, first, weight=lambda n: column(k + 1 - n))[1]
-
-
-def homogeneous_solution(problem: SolutionProblem, t: int) -> Scalar:
-    """Solution of the homogeneous equation through the fundamental set:
-    the initial values weighted by the branch solutions."""
-    if not problem.is_homogeneous:
-        raise DomainError("operation requires an empty forcing sequence")
-    _check_window(problem.p, t, problem.s)
-    if t <= problem.s:
-        return problem.prescribed(t)
-    model, s = problem.model, problem.s
-    return _lazy_dot(model.zero, problem.p, problem.initial_value,
-                     lambda m: xi(model, m, t, s))
+    return _banded_chain(model, rows, k, first, weight=lambda n: column(k + 1 - n))[1]
 
 
 def particular_solution(problem: SolutionProblem, t: int) -> Scalar:
-    """Solution with zero initial values: sum of H(t, s+j) v_{s+j}."""
-    if t < problem.s:
-        raise DomainError(f"requires t >= s, got t={t}, s={problem.s}")
-    if t == problem.s:
-        return problem.model.zero
-    return _green_solution(problem, t, with_init=False)
-
-
-def _bordered_solution(problem: SolutionProblem, t: int, with_init: bool) -> Scalar:
-    """Bordered Hessenbergian of order t-s on the banded chain, column 1 from
-    :func:`_column`; a homogeneous problem skips periods past its initial
-    terms."""
-    if t <= problem.s:
-        raise DomainError(f"requires t > s, got t={t}, s={problem.s}")
-    model, s = problem.model, problem.s
-    return _banded_chain(model, model._row_source(s + 1, t), s, t - s,
-                         _column(problem, with_init))[0][0]
-
-
-def particular_solution_det(problem: SolutionProblem, t: int) -> Scalar:
-    """Particular solution as one bordered Hessenbergian whose first column
-    is the forcing sequence."""
-    return _bordered_solution(problem, t, with_init=False)
-
-
-def general_solution(problem: SolutionProblem, t: int) -> Scalar:
-    """Green's-function representation of the full solution:
-    sum_j H(t, s+j) b_j, b_j the initial-value and forcing terms at s+j."""
-    _check_window(problem.p, t, problem.s)
-    if t <= problem.s:
-        return problem.prescribed(t)
-    return _green_solution(problem, t, with_init=True)
+    """Solution with zero initial values, sum_j H(t, s+j) v_{s+j}: the
+    :func:`general_solution` of the same forcing from a zero window."""
+    model = problem.model
+    return general_solution(
+        SolutionProblem(model, problem.s, (model.zero,) * model.p, problem.forcing), t)
 
 
 def general_solution_kittappa(problem: SolutionProblem, t: int) -> Scalar:
-    """Full solution as a single bordered Hessenbergian; the first column
-    merges the initial-value and forcing contributions by multilinearity."""
-    return _bordered_solution(problem, t, with_init=True)
-
-
-def _general_solution_by(
-    problem: SolutionProblem, t: int, method: str, enum_limit: int | None
-) -> Scalar:
-    """sum_j H(t, s+j) b_j for t > s, each H(t, s+j) with s+j < t expanded
-    by one of :data:`GREEN_METHODS`."""
-    model, s = problem.model, problem.s
-    return _lazy_dot(model.zero, t - s, _column(problem, with_init=True),
-                      lambda j: _green_by(model, t, s + j, method, enum_limit)
-                      if s + j < t else model.one)
-
-
-def recursion_oracle(problem: SolutionProblem, t: int) -> Scalar:
-    """Ground truth: iterate the recurrence forward from the initial window.
-
-    Independent of every determinant representation; all solution paths must
-    agree with it.
-    """
-    _check_window(problem.p, t, problem.s)
+    """Full solution as a single bordered Hessenbergian of order t-s on the
+    banded chain; its first column (:func:`_column`) merges the
+    initial-value and forcing contributions by multilinearity.  A
+    homogeneous problem skips periods past its initial terms."""
     if t <= problem.s:
-        return problem.prescribed(t)
-    model, s, p = problem.model, problem.s, problem.p
-    homogeneous = problem.is_homogeneous
-    window = list(problem.init)
-    for n in range(s + 1, t + 1):
-        row = model.phi_row(n)
-        acc: Scalar | None = None
-        for m in range(1, p + 1):
-            coeff = row[m - 1]
-            prev = window[-m]
-            if not coeff or not prev:
-                continue
-            acc = coeff * prev if acc is None else acc + coeff * prev
-        if not homogeneous:
-            v = problem.forcing_value(n)
-            if v:
-                acc = v if acc is None else acc + v
-        window.append(acc if acc is not None else model.zero)
-        window.pop(0)
-    return window[-1]
+        raise DomainError(f"requires t > s, got t={t}, s={problem.s}")
+    model, s = problem.model, problem.s
+    return _banded_chain(model, map(model._row_source(s + 1, t), range(s + 1, t + 1)),
+                         t - s, _column(problem))[0][0]
 
 
 def evaluate_green(
@@ -608,7 +480,8 @@ def evaluate_green(
     method: str = "recurrence",
     enum_limit: int | None = None,
 ) -> Scalar:
-    """H(t, s) by the chosen route; window values are method-independent."""
+    """H(t, s) by the chosen route; window values are method-independent.
+    Every method but ``recurrence`` is an oracle of :mod:`vclde.oracles`."""
     if method not in GREEN_METHODS:
         raise ValueError(f"unknown Green method {method!r}")
     _check_window(model.p, t, s)
@@ -616,7 +489,11 @@ def evaluate_green(
         return model.one
     if t < s:
         return model.zero
-    return _green_by(model, t, s, method, enum_limit)
+    if method == "recurrence":
+        return green(model, t, s)
+    from . import oracles
+
+    return oracles.green_by(model, t, s, method, enum_limit)
 
 
 def evaluate_solution(
@@ -625,7 +502,9 @@ def evaluate_solution(
     method: str = "green",
     enum_limit: int | None = None,
 ) -> Scalar:
-    """y_t by the chosen route; window values are the prescribed ones."""
+    """y_t by the chosen route; window values are the prescribed ones.
+    Every method but ``green`` and ``kittappa`` is an oracle of
+    :mod:`vclde.oracles`."""
     if method not in SOLVE_METHODS:
         raise ValueError(f"unknown solve method {method!r}")
     _check_window(problem.p, t, problem.s)
@@ -635,6 +514,6 @@ def evaluate_solution(
         return general_solution(problem, t)
     if method == "kittappa":
         return general_solution_kittappa(problem, t)
-    if method == "recursion":
-        return recursion_oracle(problem, t)
-    return _general_solution_by(problem, t, method, enum_limit)
+    from . import oracles
+
+    return oracles.solution_by(problem, t, method, enum_limit)

@@ -18,20 +18,17 @@ from vclde import (
     CoefficientModel,
     SolutionProblem,
     casorati,
-    companion_product,
-    det_leibniz_oracle,
-    det_leibnizian,
-    det_nested_sum,
-    det_recurrence,
     evaluate_solution,
     general_solution,
     general_solution_kittappa,
     green,
-    mask_from_index,
-    recursion_oracle,
-    term_sum_from_json,
     xi,
 )
+from vclde.hessenberg import det_leibniz_oracle, det_recurrence
+from vclde.leibnizian import det_leibnizian, mask_from_index
+from vclde.nested_sum import det_nested_sum
+from vclde.oracles import companion_product, recursion_oracle
+from vclde.scalar import term_sum_from_json
 from testutil import (
     Permutation,
     float_model,

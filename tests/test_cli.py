@@ -7,8 +7,9 @@ from random import Random
 
 import pytest
 
-from vclde import CoefficientModel, SolutionProblem, term_sum_from_json
+from vclde import CoefficientModel, SolutionProblem
 from vclde.cli import load_coefficients, load_problem, main
+from vclde.scalar import term_sum_from_json
 from testutil import random_rows
 
 from test_lde import expected_green_5_2, expected_solution_5

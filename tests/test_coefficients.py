@@ -4,15 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from vclde import (
-    BackendMismatchError,
-    CoefficientModel,
-    DomainError,
-    TermSum,
-    build_phi_matrix,
-    green,
-    phi_sym,
-)
+from vclde import BackendMismatchError, CoefficientModel, DomainError, green
+from vclde.coefficients import build_phi_matrix
+from vclde.scalar import TermSum, phi_sym
 
 
 def test_constant_model():

@@ -5,17 +5,16 @@ from random import Random
 
 import pytest
 
-from vclde import (
-    BackendMismatchError,
+from vclde import BackendMismatchError
+from vclde.hessenberg import (
     BandedHessenbergMatrix,
     HessenbergMatrix,
     StructureError,
-    TermSum,
     det_leibniz_oracle,
     det_recurrence,
-    h_sym,
+    leading_principal_chain,
 )
-from vclde.hessenberg import leading_principal_chain
+from vclde.scalar import TermSum, h_sym
 from testutil import Permutation, random_hessenberg, rational, to_dense
 
 

@@ -11,33 +11,29 @@ from vclde import (
     DomainError,
     MissingForcingError,
     SolutionProblem,
-    TermSum,
-    build_phi_matrix,
     casorati,
-    companion_product,
-    det_recurrence,
     evaluate_green,
     evaluate_solution,
     general_solution,
     general_solution_kittappa,
     green,
-    homogeneous_solution,
     particular_solution,
-    particular_solution_det,
-    phi_sym,
-    principal_chain,
-    recursion_oracle,
-    v_sym,
     xi,
-    xi_via_green,
-    y_sym,
 )
+from vclde.coefficients import build_phi_matrix
+from vclde.hessenberg import det_recurrence
+from vclde.lde import principal_chain
+from vclde.oracles import companion_product, recursion_oracle
+from vclde.scalar import TermSum, phi_sym, v_sym, y_sym
 from testutil import (
     float_model,
     float_problem,
+    homogeneous_solution,
     random_model,
     random_problem,
     random_rows,
+    xi_via_green,
+    zero_init,
 )
 
 
@@ -242,11 +238,11 @@ def test_particular_solution_basics():
     zero_forcing = SolutionProblem(
         model, 0, (Fraction(1), Fraction(1)), {t: Fraction(0) for t in range(1, 6)}
     )
-    assert particular_solution(zero_forcing, 0) == 0
-    for t in range(1, 6):
+    # the zero initial values are the solution on the window
+    for t in range(-1, 6):
         assert particular_solution(zero_forcing, t) == 0
     with pytest.raises(DomainError):
-        particular_solution(zero_forcing, -1)
+        particular_solution(zero_forcing, -2)
 
 
 def test_particular_solution_symbolic():
@@ -262,16 +258,18 @@ def test_particular_solution_symbolic():
 
 
 def test_particular_solution_det_routes():
+    # the particular solution as one bordered determinant: Kittappa's
+    # route on the problem with zero initial values
     model = CoefficientModel.symbolic(2)
     problem = SolutionProblem.symbolic(model, 2)
-    assert particular_solution_det(problem, 3) == v_sym(3)
-    assert particular_solution_det(problem, 5) == particular_solution(problem, 5)
+    assert general_solution_kittappa(zero_init(problem), 3) == v_sym(3)
+    assert general_solution_kittappa(zero_init(problem), 5) == particular_solution(problem, 5)
     rng = Random(20240821)
     for p in (1, 2, 3):
         numeric = random_model(rng, p, -4, 12)
         prob = random_problem(rng, numeric, s=1, t_max=9)
         for t in (2, 5, 9):
-            assert particular_solution_det(prob, t) == particular_solution(prob, t)
+            assert general_solution_kittappa(zero_init(prob), t) == particular_solution(prob, t)
 
 
 def test_missing_forcing_is_hard_error():
@@ -323,7 +321,7 @@ def test_kittappa_reductions():
     zero_init = SolutionProblem(
         model, 2, (TermSum(), TermSum()), v_sym
     )
-    assert general_solution_kittappa(zero_init, 5) == particular_solution_det(zero_init, 5)
+    assert general_solution_kittappa(zero_init, 5) == particular_solution(zero_init, 5)
     geom = CoefficientModel.constant((Fraction(3),))
     no_forcing = SolutionProblem(geom, 0, (Fraction(5),))
     assert general_solution_kittappa(no_forcing, 4) == 5 * Fraction(3) ** 4

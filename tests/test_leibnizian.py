@@ -4,19 +4,16 @@ from random import Random
 
 import pytest
 
-from vclde import (
-    EnumLimitError,
-    HessenbergMatrix,
+from vclde import EnumLimitError
+from vclde.hessenberg import HessenbergMatrix, det_leibniz_oracle, det_recurrence
+from vclde.leibnizian import (
     SepTerm,
-    TermSum,
-    det_leibniz_oracle,
     det_leibnizian,
-    det_recurrence,
     enumerate_seps,
-    h_sym,
     mask_from_index,
     sep_columns,
 )
+from vclde.scalar import TermSum, h_sym
 from testutil import (
     Permutation,
     column_for_index,

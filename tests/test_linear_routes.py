@@ -21,25 +21,26 @@ from vclde import (
     DomainError,
     MissingForcingError,
     SolutionProblem,
-    build_phi_matrix,
     casorati,
-    det_recurrence,
     general_solution,
     general_solution_kittappa,
     green,
-    homogeneous_solution,
     particular_solution,
-    particular_solution_det,
-    phi_sym,
-    principal_chain,
-    recursion_oracle,
     xi,
 )
 from vclde.cli import _corrupted, main
-from vclde.hessenberg import leading_principal_chain
-from vclde.lde import _adjoint_rows, _branch_column, _column
-from vclde.scalar import scalars_close
-from testutil import dense_bordered_matrix, float_chain, to_dense
+from vclde.coefficients import build_phi_matrix
+from vclde.hessenberg import det_recurrence, leading_principal_chain
+from vclde.lde import _adjoint_rows, _branch_column, _column, principal_chain
+from vclde.oracles import recursion_oracle
+from vclde.scalar import phi_sym, scalars_close
+from testutil import (
+    dense_bordered_matrix,
+    float_chain,
+    homogeneous_solution,
+    to_dense,
+    zero_init,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -50,13 +51,25 @@ values = st.one_of(
     st.integers(-3, 3),
     st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
 )
-float_values = st.one_of(st.just(0.0), st.floats(-3, 3))
+
+
+def full_mantissa(lo, hi, den=999983):
+    """Floats n / den for integers lo <= n <= hi.  With den a multiple of
+    the prime 999983 most of them carry full 53-bit mantissas, so the order
+    of a sum shows in its last bits; plain ``st.floats`` draws many short
+    binary fractions, whose sums round alike in any order."""
+    return st.integers(lo, hi).map(lambda n: n / den)
+
+
+float_values = st.one_of(st.just(0.0), full_mantissa(-3 * 999983, 3 * 999983))
 
 
 def coefficients(arith, p):
     """Coefficient entries: rational ``values``, or non-negative floats of
     at most 1/p, so float rows sum to at most 1 and chains stay bounded."""
-    return values if arith == "rational" else st.one_of(st.just(0.0), st.floats(0, 1 / p))
+    if arith == "rational":
+        return values
+    return st.one_of(st.just(0.0), full_mantissa(0, 999983, 999983 * p))
 
 
 def close(a, b):
@@ -112,12 +125,7 @@ def test_solution_routes_read_linear_rows():
     model, reads = counting_model(p)
     forcing = {u: 0.5 + 0.01 * (u % 11) for u in range(s + 1, t + 1)}
     problem = SolutionProblem(model, s, (1.0, -0.5, 0.25), forcing)
-    for route in (
-        general_solution,
-        general_solution_kittappa,
-        particular_solution,
-        particular_solution_det,
-    ):
+    for route in (general_solution, general_solution_kittappa, particular_solution):
         reads[0] = 0
         route(problem, t)
         assert reads[0] <= (p + 2) * (t - s), (route.__name__, reads[0])
@@ -133,7 +141,7 @@ def test_single_values_need_constant_memory():
     try:
         green(model, 10**5, 0)
         general_solution_kittappa(problem, 2000)
-        particular_solution_det(problem, 2000)
+        general_solution_kittappa(zero_init(problem), 2000)
         general_solution(problem, 10**5)
         particular_solution(problem, 10**5)
         general_solution(homogeneous, 10**5)
@@ -196,12 +204,9 @@ def test_bordered_chain_equals_dense_determinant_float64(case):
 
 def check_bordered_chain(case, same):
     problem, t = case
-    assert same(general_solution_kittappa(problem, t), det_recurrence(
-        dense_bordered_matrix(problem, t, with_init=True)
-    ))
-    assert same(particular_solution_det(problem, t), det_recurrence(
-        dense_bordered_matrix(problem, t, with_init=False)
-    ))
+    for bordered in (problem, zero_init(problem)):
+        assert same(general_solution_kittappa(bordered, t),
+                    det_recurrence(dense_bordered_matrix(bordered, t)))
 
 
 @PROPERTY_SETTINGS
@@ -209,12 +214,9 @@ def check_bordered_chain(case, same):
 def test_bordered_chain_equals_dense_determinant_symbolic(p, s, gap):
     problem = SolutionProblem.symbolic(CoefficientModel.symbolic(p), s)
     t = s + gap
-    assert general_solution_kittappa(problem, t) == det_recurrence(
-        dense_bordered_matrix(problem, t, with_init=True)
-    )
-    assert particular_solution_det(problem, t) == det_recurrence(
-        dense_bordered_matrix(problem, t, with_init=False)
-    )
+    for bordered in (problem, zero_init(problem)):
+        assert general_solution_kittappa(bordered, t) == det_recurrence(
+            dense_bordered_matrix(bordered, t))
 
 
 @PROPERTY_SETTINGS
@@ -234,7 +236,7 @@ def check_linear_routes(case, same):
     reference = recursion_oracle(problem, t)
     assert same(general_solution(problem, t), reference)
     assert same(general_solution_kittappa(problem, t), reference)
-    assert same(particular_solution(problem, t), particular_solution_det(problem, t))
+    assert same(particular_solution(problem, t), general_solution_kittappa(zero_init(problem), t))
     homogeneous = SolutionProblem(problem.model, problem.s, problem.init)
     assert same(general_solution(homogeneous, t), recursion_oracle(homogeneous, t))
 
@@ -295,12 +297,12 @@ def bare_float_problems(draw):
     53-bit mantissas, so the order of a sum shows in its last bits."""
     p = draw(st.integers(1, 5))
     t_max = draw(st.integers(p + 1, 16))
-    entry = st.integers(-10**6, 10**6).map(lambda n: n / (999983 * p))
+    entry = full_mantissa(-10**6, 10**6, 999983 * p)
     rows = {u: tuple(draw(entry) for _ in range(p)) for u in range(t_max + 1)}
     model = CoefficientModel(p, rows.__getitem__, "float64", 0, t_max)
     s = draw(st.integers(p - 1, t_max - 1))
     t = draw(st.integers(s + 1, t_max))
-    given = st.integers(-3 * 10**6, 3 * 10**6).map(lambda n: n / 999983)
+    given = full_mantissa(-3 * 10**6, 3 * 10**6)
     init = tuple(draw(given) for _ in range(p))
     return SolutionProblem(model, s, init, {u: draw(given) for u in range(s + 1, t + 1)}), t
 
@@ -312,17 +314,20 @@ def test_float_chain_sums_in_reference_order(case):
     # left to right, as the reference loop does.
     problem, t = case
     model, s = problem.model, problem.s
-    rows = model.phi_row
+
+    def rows(u):
+        return map(model.phi_row, range(s + 1, u + 1))
+
     for u in range(s + 1, t + 1):
         for m in range(1, model.p + 1):
-            expected = float_chain(model, rows, s, u - s, partial(_branch_column, m))[0][-1]
+            expected = float_chain(model, rows(u), u - s, partial(_branch_column, m))[0][-1]
             assert xi(model, m, u, s).hex() == expected.hex(), (m, u)
         assert green(model, u, s).hex() == xi(model, 1, u, s).hex()
-    column = _column(problem, with_init=True)
-    expected = float_chain(model, rows, s, t - s, column)[0][-1]
+    column = _column(problem)
+    expected = float_chain(model, rows(t), t - s, column)[0][-1]
     assert general_solution_kittappa(problem, t).hex() == expected.hex()
     k = t - s - 1
-    expected = float_chain(model, _adjoint_rows(model, t, s), 0, k, partial(_branch_column, 1),
+    expected = float_chain(model, _adjoint_rows(model, t, s), k, partial(_branch_column, 1),
                            weight=lambda n: column(k + 1 - n))[1]
     assert general_solution(problem, t).hex() == expected.hex()
 
@@ -341,9 +346,8 @@ def test_bordered_float_chain_equals_recursion(case):
 
 def check_bordered_recursion(case, same):
     problem, t = case
-    model = problem.model
-    zero_init = SolutionProblem(model, problem.s, (model.zero,) * problem.p, problem.forcing)
-    assert same(particular_solution_det(problem, t), recursion_oracle(zero_init, t))
+    particular = zero_init(problem)
+    assert same(general_solution_kittappa(particular, t), recursion_oracle(particular, t))
     assert same(general_solution_kittappa(problem, t), recursion_oracle(problem, t))
 
 
@@ -380,7 +384,7 @@ def test_chain_reports_the_first_failing_step():
             route(gap, 6)
         assert info.value.t == 2
     with pytest.raises(MissingForcingError):
-        particular_solution_det(gap, 6)
+        general_solution_kittappa(zero_init(gap), 6)
     full = SolutionProblem(model, 0, (1, 1), {u: 1 for u in range(1, 6)})
     for route in (general_solution_kittappa, general_solution, particular_solution):
         with pytest.raises(DomainError):
@@ -416,7 +420,8 @@ def periodic_models(draw, arith="rational"):
         zero, entry = 0, st.one_of(st.just(0), st.fractions(-2, 2, max_denominator=4))
         nonzero = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))
     else:
-        zero, entry, nonzero = 0.0, st.one_of(st.just(0.0), st.floats(0, 1)), st.floats(0.01, 1)
+        zero, nonzero = 0.0, full_mantissa(10**4, 999983)
+        entry = st.one_of(st.just(0.0), full_mantissa(0, 999983))
     rows = []
     for _ in range(period):
         row = [draw(entry) for _ in range(p - 1)] + [draw(nonzero)]

@@ -6,19 +6,11 @@ from random import Random
 
 import pytest
 
-from vclde import (
-    det_leibnizian,
-    CoefficientModel,
-    HessenbergMatrix,
-    SuperdiagonalError,
-    TermSum,
-    det_nested_sum,
-    det_recurrence,
-    evaluate_green,
-    green,
-    h_sym,
-    phi_sym,
-)
+from vclde import CoefficientModel, evaluate_green, green
+from vclde.hessenberg import HessenbergMatrix, det_recurrence
+from vclde.leibnizian import det_leibnizian
+from vclde.nested_sum import SuperdiagonalError, det_nested_sum
+from vclde.scalar import TermSum, h_sym, phi_sym
 from testutil import random_hessenberg, random_model
 
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from vclde import (
-    BackendMismatchError,
+from vclde import BackendMismatchError
+from vclde.scalar import (
     TermSum,
     backend_of,
     format_rational,

@@ -1,9 +1,11 @@
 """Start-up cost and the public surface: the package imports nothing eagerly,
-each CLI command loads only the modules it runs, and the value classes stay
-immutable without dataclasses."""
+each CLI command loads only the modules it runs, the exports are the names
+README documents, and the value classes stay immutable without
+dataclasses."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,9 +16,9 @@ import pytest
 import vclde
 from vclde import BackendMismatchError, CoefficientModel, DomainError, SolutionProblem
 
-VERIFICATION_ONLY = {
-    "vclde.leibnizian", "vclde.nested_sum", "vclde.hessenberg", "dataclasses"
-}
+EXPANSIONS = {"vclde.leibnizian", "vclde.nested_sum", "vclde.hessenberg"}
+VERIFICATION_ONLY = EXPANSIONS | {"vclde.oracles", "dataclasses"}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Runs in a fresh interpreter: records the modules loaded since start after
 # `import vclde`, after `import vclde.cli` and after each command; prints one
@@ -61,24 +63,29 @@ def fib_files(tmp_path):
 
 
 def test_production_commands_skip_verification_modules(fib_files):
+    # The modules loaded are cumulative, so the oracle routes run last.
     coeffs, problem = fib_files
     seen = run_child([
         ["green", ["green", "--coeffs", coeffs, "--t", "9", "--s", "0"]],
-        ["green-companion", ["green", "--coeffs", coeffs, "--t", "9", "--s", "0",
-                             "--method", "companion"]],
         ["solve", ["solve", "--coeffs", coeffs, "--problem", problem, "--t", "2",
                    "--method", "kittappa"]],
         ["solve-green", ["solve", "--coeffs", coeffs, "--problem", problem, "--t", "2"]],
+        ["fundamental", ["fundamental", "--coeffs", coeffs, "--t", "9", "--s", "0"]],
+        ["green-companion", ["green", "--coeffs", coeffs, "--t", "9", "--s", "0",
+                             "--method", "companion"]],
         ["solve-recursion", ["solve", "--coeffs", coeffs, "--problem", problem,
                              "--t", "2", "--method", "recursion"]],
-        ["fundamental", ["fundamental", "--coeffs", coeffs, "--t", "9", "--s", "0"]],
     ])
     assert seen.pop("package") == ["vclde"]
     assert seen.pop("eager") == []
     assert not VERIFICATION_ONLY & set(seen.pop("import"))
     for label, (code, modules) in seen.items():
         assert code == 0, label
-        assert not VERIFICATION_ONLY & set(modules), label
+        if label in ("green-companion", "solve-recursion"):
+            assert "vclde.oracles" in modules, label
+            assert not (VERIFICATION_ONLY - {"vclde.oracles"}) & set(modules), label
+        else:
+            assert not VERIFICATION_ONLY & set(modules), label
 
 
 def test_verify_and_expand_load_what_they_run(fib_files):
@@ -95,9 +102,20 @@ def test_verify_and_expand_load_what_they_run(fib_files):
     assert expand_code == 0
     assert {"vclde.leibnizian", "vclde.hessenberg"} <= set(expand_modules)
     assert seen["verify"][0] == 0
-    assert {"vclde.leibnizian", "vclde.nested_sum"} <= set(seen["verify"][1])
+    assert {"vclde.oracles", "vclde.leibnizian", "vclde.nested_sum"} <= set(seen["verify"][1])
     assert seen["verify-corrupt"][0] == 1
     assert "dataclasses" not in set(seen["verify-corrupt"][1])
+
+
+def test_exports_are_the_readme_library_list():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    documented = []
+    for item in section.split("\n- ")[1:]:
+        # the names a list item documents lead it, before its colon
+        documented += re.findall(r"`(\w+)`", re.match(r"(?:`\w+`,?\s*)+", item)[0])
+    assert len(documented) == len(set(documented))
+    assert sorted(documented) == vclde.__all__
 
 
 def test_every_public_name_resolves_lazily():
@@ -118,15 +136,18 @@ def test_unknown_names_raise():
         vclde.no_such_name
     with pytest.raises(AttributeError):
         vclde.validate_string_properties  # moved to the tests
-    # wrappers of a dispatch that evaluate_green / evaluate_solution do, and
-    # the Hessenberg JSON format that nothing read or wrote
+    # wrappers of a dispatch that evaluate_green / evaluate_solution do, the
+    # Hessenberg JSON format that nothing read or wrote, and identities that
+    # only the tests called (now test references, or deleted)
     for name in ("green_leibnizian", "green_nested_sum", "general_solution_leibnizian",
                  "general_solution_nested", "homogeneous_solution_green",
-                 "companion_matrix", "hessenberg_to_json", "hessenberg_from_json"):
+                 "companion_matrix", "hessenberg_to_json", "hessenberg_from_json",
+                 "xi_via_green", "homogeneous_solution", "particular_solution_det"):
         assert name not in vclde.__all__
         with pytest.raises(AttributeError):
             getattr(vclde, name)
-    assert not hasattr(vclde.HessenbergMatrix, "from_entries")
+    assert not hasattr(vclde.lde, "particular_solution_det")
+    assert not hasattr(vclde.hessenberg.HessenbergMatrix, "from_entries")
     with pytest.raises(ImportError):
         exec("from vclde import no_such_name", {})
 
@@ -136,7 +157,7 @@ def test_value_classes_are_immutable_and_validated():
     problem = SolutionProblem(model, 0, [Fraction(0), Fraction(1)])
     assert problem.init == (Fraction(0), Fraction(1))
     matrix = vclde.casorati(model, 5, 0)
-    term = next(vclde.enumerate_seps(3))
+    term = next(vclde.leibnizian.enumerate_seps(3))
     for obj, field in ((problem, "s"), (matrix, "abel"), (term, "sign")):
         with pytest.raises(AttributeError):
             setattr(obj, field, 1)
@@ -151,9 +172,9 @@ def test_value_classes_are_immutable_and_validated():
     with pytest.raises(DomainError):
         SolutionProblem(model, 0, [Fraction(0), Fraction(1)], {0: Fraction(1)})
     with pytest.raises(ValueError):
-        vclde.SepTerm(3, (2, 1, 3), 1)
+        vclde.leibnizian.SepTerm(3, (2, 1, 3), 1)
     # equality and hashing go by value, as they did for the dataclasses
-    assert term == vclde.SepTerm(term.k, term.columns, term.sign)
-    assert hash(term) == hash(vclde.SepTerm(term.k, term.columns, term.sign))
+    assert term == vclde.leibnizian.SepTerm(term.k, term.columns, term.sign)
+    assert hash(term) == hash(vclde.leibnizian.SepTerm(term.k, term.columns, term.sign))
     assert vclde.casorati(model, 5, 0) == matrix
     assert repr(term) == f"SepTerm(k=3, columns={term.columns!r}, sign={term.sign})"

@@ -9,19 +9,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vclde import (
-    BandedHessenbergMatrix,
     CoefficientModel,
     EnumLimitError,
-    HessenbergMatrix,
-    build_phi_matrix,
     casorati,
-    det_leibniz_oracle,
-    det_leibnizian,
-    det_nested_sum,
-    det_recurrence,
     evaluate_green,
     evaluate_solution,
 )
+from vclde.coefficients import build_phi_matrix
+from vclde.hessenberg import (
+    BandedHessenbergMatrix,
+    HessenbergMatrix,
+    det_leibniz_oracle,
+    det_recurrence,
+)
+from vclde.leibnizian import det_leibnizian
+from vclde.nested_sum import det_nested_sum
 from testutil import det_leibnizian_per_mask, random_problem, random_model
 
 

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from vclde import CoefficientModel, HessenbergMatrix, SolutionProblem
+from vclde import CoefficientModel, DomainError, SolutionProblem, green, xi
+from vclde.hessenberg import HessenbergMatrix
 from vclde.leibnizian import SepTerm, _columns_from_bits, enumerate_seps, mask_from_index
 from vclde.scalar import uniform_backend
 
@@ -85,27 +86,31 @@ def float_problem(problem: SolutionProblem, model: CoefficientModel) -> Solution
     )
 
 
-def dense_bordered_matrix(
-    problem: SolutionProblem, t: int, with_init: bool
-) -> HessenbergMatrix:
+def zero_init(problem: SolutionProblem) -> SolutionProblem:
+    """The problem with the same forcing and zero initial values, whose
+    solution is the particular solution."""
+    model = problem.model
+    return SolutionProblem(model, problem.s, (model.zero,) * model.p, problem.forcing)
+
+
+def dense_bordered_matrix(problem: SolutionProblem, t: int) -> HessenbergMatrix:
     """Reference for the Kittappa routes: the order-(t-s) bordered matrix
-    built densely, entry by entry.  Column 1 is the forcing v_{s+i}, plus
-    sum_m phi_{m+i-1}(s+i) y_{s-m+1} when ``with_init``; the other columns
-    are the banded phi entries and -1 on the superdiagonal."""
+    built densely, entry by entry.  Column 1 is the forcing v_{s+i} plus
+    sum_m phi_{m+i-1}(s+i) y_{s-m+1}; the other columns are the banded phi
+    entries and -1 on the superdiagonal."""
     model, s, p = problem.model, problem.s, problem.p
     minus_one = -model.one
 
     def first_column(i):
         acc = problem.forcing_value(s + i)
-        if with_init:
-            for m in range(1, p + 1):
-                q = m + i - 1
-                if q > p:
-                    break
-                coeff = model.phi(q, s + i)
-                y0 = problem.initial_value(m)
-                if coeff and y0:
-                    acc = acc + coeff * y0
+        for m in range(1, p + 1):
+            q = m + i - 1
+            if q > p:
+                break
+            coeff = model.phi(q, s + i)
+            y0 = problem.initial_value(m)
+            if coeff and y0:
+                acc = acc + coeff * y0
         return acc
 
     def entry(i, j):
@@ -151,19 +156,46 @@ def det_leibnizian_per_mask(matrix):
     return total if total is not None else matrix.zero
 
 
-def float_chain(model, row_of, s, k, first, weight=None):
+def xi_via_green(model, m, t, s):
+    """Reference for ``xi`` for t > s, from the first-column cofactor
+    identity: sum_j phi_{j-1+m}(s+j) H(t, s+j) over j = 1..min(t-s, p-m+1)
+    (H(t, s+j) = 0 for s+j > t, so no row past t is read)."""
+    total = model.zero
+    for j in range(1, min(t - s, model.p - m + 1) + 1):
+        coeff = model.phi(j - 1 + m, s + j)
+        if coeff:
+            total = total + green(model, t, s + j) * coeff
+    return total
+
+
+def homogeneous_solution(problem, t):
+    """Reference for the homogeneous solution through the fundamental set:
+    sum_m y_{s-m+1} xi_m(t, s), the prescribed values on the window."""
+    if not problem.is_homogeneous:
+        raise DomainError("operation requires an empty forcing sequence")
+    if t <= problem.s:
+        return problem.prescribed(t)
+    total = problem.model.zero
+    for m in range(1, problem.p + 1):
+        y0 = problem.initial_value(m)
+        if y0:
+            total = total + xi(problem.model, m, t, problem.s) * y0
+    return total
+
+
+def float_chain(model, rows, k, first, weight=None):
     """Reference for ``lde._banded_chain`` in float64 on a model without a
-    period, to pin its summation order: each minor sums row[r-1] d_{n-r}
-    left to right and adds column 1 last, and the weighted sum adds
-    weight(n) d_n in order of n.  Returns the last p minors oldest first,
-    and the weighted sum."""
+    period, to pin its summation order: row n is the n-th item of ``rows``,
+    each minor sums row[r-1] d_{n-r} left to right and adds column 1 last,
+    and the weighted sum adds weight(n) d_n in order of n.  Returns the last
+    p minors oldest first, and the weighted sum."""
     zero = model.zero
     dets = deque(maxlen=model.p)  # newest first
     total = (weight and weight(0)) or zero
     n = 0
     while n < k:
         n += 1
-        row = row_of(s + n)
+        row = next(rows)
         # row[r-1] pairs with d_{n-r}, summed left to right; d_0 enters
         # only through column 1
         terms = map(operator.mul, row, dets)
