@@ -272,22 +272,17 @@ def cmd_expand(args) -> int:
     expansion = det_leibnizian(matrix)
     oracle = det_leibniz_oracle(matrix, oracle_limit=EXPAND_ORDER_CAP)
     verified = not (expansion - oracle)
-    pretty_terms: list[str] = []
-    for term in enumerate_seps(k):
-        body = term.pretty()
-        if not pretty_terms:
-            pretty_terms.append(body)
-        elif body.startswith("-"):
-            pretty_terms.append(f"- {body[1:]}")
-        else:
-            pretty_terms.append(f"+ {body}")
     payload = {
         "count": 1 << (k - 1),
         "order": k,
         "terms": scalar.term_sum_to_json(expansion),
         "verified": verified,
     }
-    text = " ".join(pretty_terms) + "\n" + ("TRUE" if verified else "FALSE")
+    text = None
+    if args.pretty:
+        first, *rest = (term.pretty() for term in enumerate_seps(k))
+        signed = (f"- {body[1:]}" if body.startswith("-") else f"+ {body}" for body in rest)
+        text = " ".join([first, *signed]) + "\n" + ("TRUE" if verified else "FALSE")
     _emit(payload, text, args.pretty)
     return EXIT_OK if verified else EXIT_VERIFY_FAILED
 

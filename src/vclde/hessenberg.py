@@ -9,10 +9,12 @@ function of its matrix.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import scalar
-from .scalar import Scalar, backend_of, check_backend, uniform_backend
+from .scalar import Scalar, check_backend, uniform_backend
 
 ORACLE_LIMIT_DEFAULT = 9
 
@@ -193,18 +195,23 @@ def det_leibniz_oracle(
     Accepts any square matrix (a Hessenberg matrix object or a sequence of
     rows).  Enumerates permutations depth-first with incremental
     inversion-count signs, skipping exactly-zero factors; exact in the
-    rational and symbolic backends.  Guarded by ``oracle_limit`` because the
+    rational and symbolic backends.  Rational rows are scaled to integers
+    by the lcm L_i of their denominators (:func:`~vclde.scalar.integer_step`);
+    every permutation takes one entry per row, so the integer sum is the
+    determinant times L_1 ... L_k.  Guarded by ``oracle_limit`` because the
     enumeration is factorial in k.
     """
     if isinstance(matrix, _HessenbergBase):
         rows = matrix.to_rows()
         empty = matrix.one
+        backend = matrix.backend
     else:
         rows = [list(r) for r in matrix]
         for i, row in enumerate(rows, start=1):
             if len(row) != len(rows):
                 raise ValueError(f"row {i} has {len(row)} entries, not square")
         empty = 1
+        backend = uniform_backend(v for row in rows for v in row)
     k = len(rows)
     if k > oracle_limit:
         raise ValueError(
@@ -212,6 +219,10 @@ def det_leibniz_oracle(
         )
     if k == 0:
         return empty
+    scale = None
+    if backend == scalar.RATIONAL:
+        rows, lcms = zip(*(scalar.integer_step(row)[:2] for row in rows))
+        scale = math.prod(lcms)
 
     total: Scalar | None = None
 
@@ -240,6 +251,6 @@ def det_leibniz_oracle(
 
     descend(0, 0, False, None)
     if total is None:
-        return scalar.zero(backend_of(rows[0][0]))
-    return total
+        return scalar.zero(backend)
+    return total if scale is None else Fraction(total, scale)
 

@@ -170,7 +170,7 @@ def _banded_chain(
     O(p) operations per step and O(p) memory.  The loop keeps numerators
     N = d D over one running denominator D, and the weighted sum over D W.
     In rational mode step n scales its row and column-1 entry to integers
-    by the lcm L of their denominators (:func:`_integer_step`):
+    by the lcm L of their denominators (:func:`~vclde.scalar.integer_step`):
 
         N_n = sum_r (row[r-1] L) N_{n-r} + (first L) D,   D <- D L,
 
@@ -184,7 +184,7 @@ def _banded_chain(
     with ``model.period``.
     """
     p, period = model.p, model.period if weight is None else None
-    step = _integer_step if model.backend == scalar.RATIONAL else None
+    step = scalar.integer_step if model.backend == scalar.RATIONAL else None
     zero, unit = (0, 1) if step else (model.zero, model.one)
     dets: deque = deque(maxlen=p)  # N_{n-1}, N_{n-2}, ...: newest first
     scale = wscale = 1  # D and W
@@ -234,17 +234,6 @@ def _banded_chain(
     if step:
         return [Fraction(x, scale) for x in dets], Fraction(total, scale * wscale)
     return list(dets), total
-
-
-def _integer_step(row: tuple[Fraction, ...], head: Fraction | None = None):
-    """(row L, L, head L): a rational row and its column-1 entry (None if
-    there is none) scaled to integers by the lcm L of their denominators."""
-    dens = [c.denominator for c in row]
-    if head is not None:
-        dens.append(head.denominator)
-    lcm = math.lcm(*dens)
-    ints = [c.numerator * (lcm // c.denominator) for c in row]
-    return ints, lcm, None if head is None else head.numerator * (lcm // head.denominator)
 
 
 def _branch_column(m: int, n: int, row: tuple[Scalar, ...]) -> Scalar | None:

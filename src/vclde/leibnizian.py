@@ -16,6 +16,8 @@ and exact-backend sums are independent of that order.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 from typing import Iterator
 
 from . import scalar
@@ -121,23 +123,34 @@ def det_leibnizian(matrix, enum_limit: int | None = None) -> Scalar:
     column last + 1 (bit 1), the partial product is shared by every term
     below it, and a subtree is cut at an exactly-zero entry, so only nonzero
     prefixes are visited.  Each product and the summation order are those
-    of the term-by-term sum.  Guarded by ``enum_limit``: the term count is
-    exponential by nature, so an oversized order is an error rather than a
-    hang.
+    of the term-by-term sum.  The entries are read once, into row lists; in
+    rational mode row i is scaled to integers by the lcm L_i of its
+    denominators (:func:`~vclde.scalar.integer_step`), and since every
+    product takes one entry from each row, the integer sum is the
+    determinant times L_1 ... L_k.  Guarded by ``enum_limit``: the term
+    count is exponential by nature, so an oversized order is an error
+    rather than a hang.
     """
     k = matrix.k
     check_enum_limit(k, enum_limit)
     if k == 0:
         return matrix.one
-    c = matrix.c
+    rows = matrix.to_rows()
+    for i, row in enumerate(rows[:-1], start=1):
+        row[i] = -row[i]  # c(i, i+1) = -h(i, i+1)
+    scale = None
+    if matrix.backend == scalar.RATIONAL:
+        rows, lcms = zip(*(scalar.integer_step(row)[:2] for row in rows))
+        scale = math.prod(lcms)
     total: Scalar | None = None
     # (rows chosen, last standard row, their product); the bit-1 child is
     # pushed first so the bit-0 subtree is summed before it
     stack: list = [(0, 0, None)]
     while stack:
         i, last, prod = stack.pop()
+        row = rows[i]
         i += 1
-        a = c(i, last + 1)
+        a = row[last]
         if i == k:
             if a:
                 term = a if prod is None else prod * a
@@ -145,7 +158,9 @@ def det_leibnizian(matrix, enum_limit: int | None = None) -> Scalar:
             continue
         if a:
             stack.append((i, i, a if prod is None else prod * a))
-        a = c(i, i + 1)
+        a = row[i]
         if a:
             stack.append((i, last, a if prod is None else prod * a))
-    return total if total is not None else matrix.zero
+    if total is None:
+        return matrix.zero
+    return total if scale is None else Fraction(total, scale)

@@ -9,6 +9,11 @@ caller errors.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import accumulate
+from operator import mul
+
+from . import scalar
 from .coefficients import check_enum_limit
 from .scalar import Scalar
 
@@ -27,32 +32,47 @@ def det_nested_sum(matrix, enum_limit: int | None = None) -> Scalar:
     or steps to column c in [2, r] and continues at row c - 1.  Each prefix
     product is shared by every chain below it, a branch is cut at an
     exactly-zero entry, and columns left of ``matrix.row_start(r)`` are
-    never read.  Guarded by ``enum_limit`` like the Leibnizian expansion,
+    never visited.  The entries are read once, into row lists.  In rational
+    mode row r is scaled to integers by the lcm L_r of its denominators
+    (:func:`~vclde.scalar.integer_step`); a chain takes the superdiagonal
+    of every row it skips, so the entry in column c of row r also carries
+    L_c ... L_{r-1} (and column 1 carries L_1 ... L_{r-1}), every chain
+    gains L_1 ... L_k, and the integer sum is the determinant times that
+    product.  Guarded by ``enum_limit`` like the Leibnizian expansion,
     which also bounds the depth of the walk.
     """
     k = matrix.k
     if k < 1:
         raise ValueError("nested-sum evaluation needs order >= 1")
     check_enum_limit(k, enum_limit)
+    rows = matrix.to_rows()
     minus_one = -matrix.one
     for i in range(1, k):
-        if matrix.h(i, i + 1) != minus_one:
+        if rows[i - 1][i] != minus_one:
             raise SuperdiagonalError(
                 f"superdiagonal entry ({i},{i + 1}) is not -1"
             )
-    h, row_start = matrix.h, matrix.row_start
-    total = matrix.zero
+    scale = None
+    if matrix.backend == scalar.RATIONAL:
+        ints, lcms = zip(*(scalar.integer_step(row)[:2] for row in rows))
+        prefix = list(accumulate(lcms, mul, initial=1))  # prefix[n] = L_1 ... L_n
+        # row r + 1 carries L_{c+1} ... L_r in column c + 1
+        rows = [[a * (prefix[r] // prefix[c]) for c, a in enumerate(row[:r + 1])]
+                for r, row in enumerate(ints)]
+        scale = prefix[-1]
+    # per row: its column-1 entry, and the nonzero (next row, entry) steps
+    # to columns r down to max(row_start(r), 2)
+    heads = [row[0] for row in rows]
+    steps = [[(c - 1, row[c - 1])
+              for c in range(r, max(matrix.row_start(r), 2) - 1, -1) if row[c - 1]]
+             for r, row in enumerate(rows, start=1)]
+    total = matrix.zero if scale is None else 0
     stack: list = [(k, None)]  # (row, product of the chain's entries so far)
     while stack:
         r, prod = stack.pop()
-        start = row_start(r)
-        if start == 1:
-            a = h(r, 1)
-            if a:
-                total = total + (a if prod is None else prod * a)
-        for col in range(r, max(start, 2) - 1, -1):
-            a = h(r, col)
-            if a:
-                stack.append((col - 1, a if prod is None else prod * a))
-    return total
-
+        a = heads[r - 1]
+        if a:
+            total = total + (a if prod is None else prod * a)
+        for nxt, a in steps[r - 1]:
+            stack.append((nxt, a if prod is None else prod * a))
+    return total if scale is None else Fraction(total, scale)

@@ -421,6 +421,20 @@ def render_scalar(value: Scalar) -> str:
     return str(value)
 
 
+def integer_step(row, head=None):
+    """(row L, L, head L): a rational row and an extra entry ``head`` (None
+    if there is none) scaled to integers by the lcm L of their
+    denominators.  The one row-to-integer scaling of the package: the
+    banded chain, the period skip and the verification expansions use it
+    to run on integers over one denominator."""
+    dens = [c.denominator for c in row]
+    if head is not None:
+        dens.append(head.denominator)
+    lcm = math.lcm(*dens)
+    ints = [c.numerator * (lcm // c.denominator) for c in row]
+    return ints, lcm, None if head is None else head.numerator * (lcm // head.denominator)
+
+
 def mat_mul(a, b, zero: Scalar):
     """Matrix product a b, skipping exact zeros, in any arithmetic."""
     out = []

@@ -332,6 +332,34 @@ def test_float_chain_sums_in_reference_order(case):
     assert general_solution(problem, t).hex() == expected.hex()
 
 
+@st.composite
+def dense_float_tables(draw):
+    """A float64 table model with no zero entry and a horizon 3 <= t - s <=
+    12, so most minors sum several nonzero terms.  Entries lie in
+    [-1/p, 1/p] and carry full 53-bit mantissas, so the order of a sum
+    shows in its last bits."""
+    p = draw(st.integers(1, 5))
+    s = p - 1
+    t = s + draw(st.integers(3, 12))
+    entry = st.integers(-10**6, 10**6).filter(bool).map(lambda n: n / (999983 * p))
+    rows = {u: tuple(draw(entry) for _ in range(p)) for u in range(t + 1)}
+    return CoefficientModel.from_table(rows), t, s
+
+
+@PROPERTY_SETTINGS
+@given(dense_float_tables())
+def test_dense_float_chain_sums_in_reference_order(case):
+    # Every branch at the horizon, bit for bit against the reference loop:
+    # the route-agreement properties compare within scalars_close, which no
+    # last-bit difference crosses.
+    model, t, s = case
+    for m in range(1, model.p + 1):
+        rows = map(model.phi_row, range(s + 1, t + 1))
+        expected = float_chain(model, rows, t - s, partial(_branch_column, m))[0][-1]
+        assert xi(model, m, t, s).hex() == expected.hex(), m
+    assert green(model, t, s).hex() == xi(model, 1, t, s).hex()
+
+
 @PROPERTY_SETTINGS
 @given(table_problems())
 def test_bordered_integer_chain_equals_recursion(case):

@@ -2,7 +2,9 @@
 (entry reads, float summation order, enumeration guard) and the Casoratian
 by Abel's formula against the permutation oracle."""
 
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from random import Random
 
 import pytest
@@ -18,32 +20,49 @@ from vclde import (
 from vclde.coefficients import build_phi_matrix
 from vclde.hessenberg import (
     BandedHessenbergMatrix,
+    _HessenbergBase,
     HessenbergMatrix,
     det_leibniz_oracle,
     det_recurrence,
 )
 from vclde.leibnizian import det_leibnizian
 from vclde.nested_sum import det_nested_sum
-from testutil import det_leibnizian_per_mask, random_problem, random_model
+from testutil import (
+    det_leibnizian_per_mask,
+    det_nested_per_chain,
+    random_model,
+    random_problem,
+)
 
 
-class CountingMatrix:
-    """Read-only view of a Hessenberg matrix that counts h and c reads."""
+class CountedFloat(float):
+    """A float that counts the products it takes part in."""
+
+    muls = 0
+
+    def __mul__(self, other):
+        CountedFloat.muls += 1
+        return CountedFloat(float.__mul__(self, other))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return CountedFloat(float.__neg__(self))
+
+
+class CountingMatrix(_HessenbergBase):
+    """Read-only view of a float Hessenberg matrix that counts the reads of
+    each entry and hands the entries out as :class:`CountedFloat`."""
 
     def __init__(self, inner):
         self.inner = inner
         self.k = inner.k
-        self.one = inner.one
-        self.zero = inner.zero
-        self.reads = 0
+        self.backend = inner.backend
+        self.reads = Counter()
 
     def h(self, i, j):
-        self.reads += 1
-        return self.inner.h(i, j)
-
-    def c(self, i, j):
-        self.reads += 1
-        return self.inner.c(i, j)
+        self.reads[i, j] += 1
+        return CountedFloat(self.inner.h(i, j))
 
     def row_start(self, i):
         return self.inner.row_start(i)
@@ -54,22 +73,32 @@ def principal_matrix(model, t, s):
 
 
 def test_expansions_visit_only_nonzero_prefixes():
-    # Order 20, p = 2: a term-by-term sum reads about 4.1M (Leibnizian) and
-    # 2.07M (nested) entries; the walks share prefixes and stop at zeros.
-    model = CoefficientModel.constant((Fraction(1, 2), Fraction(-1, 3)))
-    matrix = principal_matrix(model, 20, 0)
+    # Order 20, p = 2: a term-by-term sum takes about 3.1M (Leibnizian) and
+    # 1.2M (nested) products; the walks share prefixes and stop at zeros
+    # (about 57k and 29k), and read each entry once, into row lists.  The
+    # entries are dyadic, so every float sum is exact.
+    matrix = principal_matrix(CoefficientModel.constant((0.5, -0.25)), 20, 0)
     expected = det_recurrence(matrix)
     for expand in (det_leibnizian, det_nested_sum):
         counted = CountingMatrix(matrix)
+        CountedFloat.muls = 0
         assert expand(counted) == expected
-        assert counted.reads <= 200_000, (expand.__name__, counted.reads)
+        assert CountedFloat.muls <= 200_000, (expand.__name__, CountedFloat.muls)
+        assert max(counted.reads.values()) == 1, expand.__name__
+    exact = principal_matrix(
+        CoefficientModel.constant((Fraction(1, 2), Fraction(-1, 3))), 20, 0)
+    for expand in (det_leibnizian, det_nested_sum):
+        assert expand(exact) == det_recurrence(exact)
 
 
-def random_float_matrix(rng, k, p=None):
+def random_float_matrix(rng, k, p=None, superdiag=None):
     """Float Hessenberg matrix (banded with band p when given) in which
-    about a quarter of the entries are exact zeros."""
+    about a quarter of the entries are exact zeros; ``superdiag`` forces
+    every (i, i+1) entry to the given value."""
 
     def entry(i, j):
+        if superdiag is not None and j == i + 1:
+            return superdiag
         if rng.random() < 0.25:
             return 0.0
         return rng.uniform(-2.0, 2.0)
@@ -88,6 +117,66 @@ def test_float_leibnizian_bit_identical_to_per_mask_sum():
                 walked = det_leibnizian(matrix)
                 reference = det_leibnizian_per_mask(matrix)
                 assert walked.hex() == reference.hex(), (k, p)
+
+
+def test_float_nested_bit_identical_to_per_chain_sum():
+    rng = Random(20261019)
+    for k in range(1, 11):
+        for p in (None, 1, 2, 3):
+            for _ in range(4):
+                matrix = random_float_matrix(rng, k, p, superdiag=-1.0)
+                walked = det_nested_sum(matrix)
+                reference = det_nested_per_chain(matrix)
+                assert walked.hex() == reference.hex(), (k, p)
+
+
+@st.composite
+def rational_hessenberg_pairs(draw):
+    """A dense or banded rational Hessenberg matrix of order 0..12, and the
+    same matrix with -1 on the superdiagonal.  Each row has its own
+    denominators; some rows are all zero, some integer-valued (plain ints),
+    and entries are negative or exactly zero often."""
+    k = draw(st.integers(0, 12))
+    band = draw(st.one_of(st.none(), st.integers(1, 5)))
+    numerators = st.lists(st.integers(-9, 9), min_size=k, max_size=k)
+    grid = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(("zero", "integer", "fraction", "fraction")))
+        if kind == "zero":
+            grid.append([Fraction(0)] * k)
+        elif kind == "integer":
+            grid.append(draw(numerators))
+        else:
+            den = draw(st.integers(1, 30))
+            grid.append([Fraction(n, den * draw(st.sampled_from((1, 1, 2, 7))))
+                         for n in draw(numerators)])
+
+    def build(superdiag=None):
+        def entry(i, j):
+            if superdiag is not None and j == i + 1:
+                return superdiag
+            return grid[i - 1][j - 1]
+
+        if band is None:
+            return HessenbergMatrix.from_function(k, entry, "rational")
+        return BandedHessenbergMatrix.from_function(k, band, entry, "rational")
+
+    return build(), build(Fraction(-1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_hessenberg_pairs())
+def test_rational_expansions_equal_recurrence_exactly(pair):
+    # The walks and the oracle run on integer rows over one denominator;
+    # each returns the reduced Fraction that the recurrence gives.
+    matrix, monic = pair
+    routes = [(det_leibnizian, matrix), (partial(det_leibniz_oracle, oracle_limit=12), matrix)]
+    if matrix.k:
+        routes.append((det_nested_sum, monic))
+    for route, m in routes:
+        value = route(m)
+        assert type(value) is Fraction
+        assert value == det_recurrence(m)
 
 
 def test_nested_route_enum_limit():

@@ -156,6 +156,33 @@ def det_leibnizian_per_mask(matrix):
     return total if total is not None else matrix.zero
 
 
+def det_nested_per_chain(matrix):
+    """Reference for ``det_nested_sum``: each chain's product is formed on
+    its own, left to right from row k, stopping at an exactly-zero entry,
+    and the products are added to ``matrix.zero`` in the walk's order.  At
+    row r the chain that ends in column 1 comes first, then those that step
+    to column c and continue at row c - 1, by ascending c."""
+
+    def chains(r):
+        yield ((r, 1),)
+        for col in range(2, r + 1):
+            for rest in chains(col - 1):
+                yield ((r, col),) + rest
+
+    total = matrix.zero
+    for factors in chains(matrix.k):
+        prod = None
+        for i, j in factors:
+            a = matrix.h(i, j)
+            if not a:
+                prod = None
+                break
+            prod = a if prod is None else prod * a
+        if prod is not None:
+            total = total + prod
+    return total
+
+
 def xi_via_green(model, m, t, s):
     """Reference for ``xi`` for t > s, from the first-column cofactor
     identity: sum_j phi_{j-1+m}(s+j) H(t, s+j) over j = 1..min(t-s, p-m+1)
