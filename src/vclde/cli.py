@@ -206,7 +206,7 @@ def cmd_green(args) -> int:
         "s": args.s,
         "t": args.t,
     }
-    _emit(payload, render_scalar(value), args.pretty)
+    _emit(payload, render_scalar(value) if args.pretty else None, args.pretty)
     return EXIT_OK
 
 
@@ -232,7 +232,7 @@ def cmd_solve(args) -> int:
         "t": args.t,
         "y": _out(value, args.t),
     }
-    _emit(payload, render_scalar(value), args.pretty)
+    _emit(payload, render_scalar(value) if args.pretty else None, args.pretty)
     return EXIT_OK
 
 
@@ -253,9 +253,12 @@ def cmd_fundamental(args) -> int:
         "s": args.s,
         "t": args.t,
     }
-    lines = ["  ".join(render_scalar(v) for v in row) for row in matrix.entries]
-    lines.append(f"casoratian: {render_scalar(cas)}")
-    _emit(payload, "\n".join(lines), args.pretty)
+    text = None
+    if args.pretty:
+        lines = ["  ".join(render_scalar(v) for v in row) for row in matrix.entries]
+        lines.append(f"casoratian: {render_scalar(cas)}")
+        text = "\n".join(lines)
+    _emit(payload, text, args.pretty)
     return EXIT_OK
 
 

@@ -359,8 +359,9 @@ def casorati(model: CoefficientModel, t: int, s: int) -> CasoratiMatrix:
         tuple(columns[j][i] for j in range(p)) for i in range(p)
     )
     det, vanishing_row = model.one, None
+    row = model._row_source(s + 1, t)
     for u in range(s + 1, t + 1):
-        factor = model.phi(p, u)
+        factor = row(u)[p - 1]
         if not factor and vanishing_row is None:
             vanishing_row = u
         det = det * factor

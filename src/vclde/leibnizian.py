@@ -90,12 +90,11 @@ class SepTerm(scalar.Frozen):
             )
         self._set(k=k, columns=columns, sign=sign)
 
-    @property
-    def atoms(self) -> tuple[scalar.Atom, ...]:
-        return tuple(("h", i, col) for i, col in enumerate(self.columns, start=1))
-
     def term_sum(self) -> TermSum:
-        return TermSum({self.atoms: self.sign})
+        product = TermSum.constant(self.sign)
+        for i, col in enumerate(self.columns, start=1):
+            product = product * scalar.h_sym(i, col)
+        return product
 
     def pretty(self) -> str:
         body = " ".join(f"h[{i},{col}]" for i, col in enumerate(self.columns, start=1))

@@ -66,31 +66,21 @@ class Frozen:
         return f"{type(self).__name__}({body})"
 
 
-# An atom is one of ("h", i, j), ("phi", m, t), ("y", t), ("v", t).
+# An atom is one of (0, i, j) for h[i,j], (1, t, m) for phi_m(t), (2, t) for
+# y(t) and (3, t) for v(t).  Tuple order is the canonical order: h by (i, j),
+# then phi by (t, m), then y, then v by t.  Only this module builds or reads
+# atoms.
 Atom = tuple
-
-
-def _atom_key(atom: Atom) -> tuple[int, int, int]:
-    kind = atom[0]
-    if kind == "h":
-        return (0, atom[1], atom[2])
-    if kind == "phi":
-        # sorted by argument t, then by lag m
-        return (1, atom[2], atom[1])
-    if kind == "y":
-        return (2, atom[1], 0)
-    if kind == "v":
-        return (3, atom[1], 0)
-    raise ValueError(f"unknown atom kind: {atom!r}")
+_KINDS = ("h", "phi", "y", "v")
 
 
 def _atom_str(atom: Atom) -> str:
     kind = atom[0]
-    if kind == "h":
+    if kind == 0:
         return f"h[{atom[1]},{atom[2]}]"
-    if kind == "phi":
-        return f"phi{atom[1]}({atom[2]})"
-    return f"{kind}({atom[1]})"
+    if kind == 1:
+        return f"phi{atom[2]}({atom[1]})"
+    return f"{_KINDS[kind]}({atom[1]})"
 
 
 class TermSum:
@@ -118,22 +108,15 @@ class TermSum:
         return cls({(): int(value)})
 
     @classmethod
-    def single(cls, atom: Atom, sign: int = 1) -> "TermSum":
-        _atom_key(atom)  # validates the shape
-        return cls({(atom,): sign})
-
-    def is_zero(self) -> bool:
-        return not self._terms
+    def single(cls, atom: Atom) -> "TermSum":
+        return cls({(atom,): 1})
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def sorted_items(self) -> list[tuple[tuple[Atom, ...], int]]:
         """Terms as (factors, coefficient) pairs in canonical order."""
-        return sorted(
-            self._terms.items(),
-            key=lambda kv: tuple(_atom_key(a) for a in kv[0]),
-        )
+        return sorted(self._terms.items())
 
     @property
     def term_count(self) -> int:
@@ -170,7 +153,7 @@ class TermSum:
         merged: dict[tuple[Atom, ...], int] = {}
         for f1, c1 in self._terms.items():
             for f2, c2 in other._terms.items():
-                key = tuple(sorted(f1 + f2, key=_atom_key))
+                key = tuple(sorted(f1 + f2))
                 total = merged.get(key, 0) + c1 * c2
                 if total:
                     merged[key] = total
@@ -216,22 +199,22 @@ Scalar = Union[Fraction, int, float, TermSum]
 
 def h_sym(i: int, j: int) -> TermSum:
     """Matrix-entry symbol h(i, j) as a one-term sum."""
-    return TermSum.single(("h", i, j))
+    return TermSum.single((0, i, j))
 
 
 def phi_sym(m: int, t: int) -> TermSum:
     """Coefficient symbol phi_m(t) as a one-term sum."""
-    return TermSum.single(("phi", m, t))
+    return TermSum.single((1, t, m))
 
 
 def y_sym(t: int) -> TermSum:
     """Prescribed-value symbol y(t) as a one-term sum."""
-    return TermSum.single(("y", t))
+    return TermSum.single((2, t))
 
 
 def v_sym(t: int) -> TermSum:
     """Forcing symbol v(t) as a one-term sum."""
-    return TermSum.single(("v", t))
+    return TermSum.single((3, t))
 
 
 def backend_of(value: Scalar) -> str:
@@ -272,9 +255,7 @@ def is_zero(value: Scalar, abs_tol: float = DEFAULT_ABS_TOL) -> bool:
     kind = backend_of(value)
     if kind == FLOAT64:
         return abs(value) <= abs_tol
-    if kind == SYMBOLIC:
-        return value.is_zero()
-    return value == 0
+    return not value
 
 
 def zero(backend: str) -> Scalar:
@@ -341,21 +322,21 @@ def parse_rational(text: Union[str, int]) -> Fraction:
 
 def _atom_to_json(atom: Atom) -> dict:
     kind = atom[0]
-    if kind == "h":
+    if kind == 0:
         return {"kind": "h", "i": atom[1], "j": atom[2]}
-    if kind == "phi":
-        return {"kind": "phi", "m": atom[1], "t": atom[2]}
-    return {"kind": kind, "t": atom[1]}
+    if kind == 1:
+        return {"kind": "phi", "m": atom[2], "t": atom[1]}
+    return {"kind": _KINDS[kind], "t": atom[1]}
 
 
 def _atom_from_json(obj: Mapping) -> Atom:
     kind = obj["kind"]
     if kind == "h":
-        return ("h", int(obj["i"]), int(obj["j"]))
+        return (0, int(obj["i"]), int(obj["j"]))
     if kind == "phi":
-        return ("phi", int(obj["m"]), int(obj["t"]))
+        return (1, int(obj["t"]), int(obj["m"]))
     if kind in ("y", "v"):
-        return (kind, int(obj["t"]))
+        return (_KINDS.index(kind), int(obj["t"]))
     raise ValueError(f"unknown atom kind: {kind!r}")
 
 
@@ -371,14 +352,14 @@ def term_sum_to_json(value: TermSum) -> list[dict]:
 
 
 def term_sum_from_json(items: Iterable[Mapping]) -> TermSum:
-    total = TermSum()
+    terms: dict[tuple[Atom, ...], int] = {}
     for entry in items:
         sign = int(entry["sign"])
         if sign not in (1, -1):
             raise ValueError(f"term sign must be +-1, got {sign}")
-        factors = tuple(_atom_from_json(f) for f in entry["factors"])
-        total = total + TermSum({tuple(sorted(factors, key=_atom_key)): sign})
-    return total
+        factors = tuple(sorted(_atom_from_json(f) for f in entry["factors"]))
+        terms[factors] = terms.get(factors, 0) + sign
+    return TermSum(terms)
 
 
 def scalar_to_json(value: Scalar):

@@ -9,7 +9,7 @@ import pytest
 
 from vclde import CoefficientModel, SolutionProblem
 from vclde.cli import load_coefficients, load_problem, main
-from vclde.scalar import term_sum_from_json
+from vclde.scalar import render_scalar, term_sum_from_json
 from testutil import random_rows
 
 from test_lde import expected_green_5_2, expected_solution_5
@@ -320,6 +320,46 @@ def test_fundamental_identity_and_step(fib_coeffs, capsys):
     assert payload["matrix"] == [["1", "1"], ["1", "0"]]
     code, _, err = run_cli(capsys, ["fundamental", "--coeffs", fib_coeffs, "--t", "1", "--s", "2"])
     assert code == 2
+
+
+PRETTY_CASES = [
+    (["green", "--arith", "symbolic", "--p", "2", "--t", "3", "--s", "0"],
+     "phi1(1) phi1(2) phi1(3) + phi1(1) phi2(3) + phi2(2) phi1(3)\n"),
+    (["solve", "--arith", "symbolic", "--p", "2", "--s", "0", "--t", "2"],
+     "phi1(1) phi1(2) y(0) + phi2(1) phi1(2) y(-1) + phi1(2) v(1) + phi2(2) y(0) + v(2)\n"),
+    (["fundamental", "--arith", "symbolic", "--p", "2", "--t", "2", "--s", "0"],
+     "phi1(1) phi1(2) + phi2(2)  phi2(1) phi1(2)\nphi1(1)  phi2(1)\n"
+     "casoratian: phi2(1) phi2(2)\n"),
+    (["fundamental", "--coeffs", "{coeffs}", "--t", "3", "--s", "0"],
+     "2  3/4\n3/2  1/2\ncasoratian: -1/8\n"),
+    (["solve", "--coeffs", "{coeffs}", "--problem", "{problem}", "--t", "3"], "9/2\n"),
+    (["green", "--coeffs", "{coeffs}", "--t", "4", "--s", "0"], "11/4\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, pretty", PRETTY_CASES,
+    ids=["green-symbolic", "solve-symbolic", "fundamental-symbolic", "fundamental",
+         "solve", "green"],
+)
+def test_pretty_text_rendered_only_under_pretty(tmp_path, capsys, monkeypatch, argv, pretty):
+    files = {
+        "coeffs": write_json(tmp_path / "c.json",
+                             {"p": 2, "kind": "constant", "phi": ["1", "1/2"]}),
+        "problem": write_json(tmp_path / "p.json",
+                              {"s": 0, "init": ["0", "1"],
+                               "forcing": {"1": "1/3", "2": "0", "3": "2"}}),
+    }
+    argv = [arg.format(**files) for arg in argv]
+    calls = []
+    monkeypatch.setattr("vclde.cli.render_scalar",
+                        lambda value: calls.append(value) or render_scalar(value))
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out.startswith("{")
+    assert calls == []
+    code, out, _ = run_cli(capsys, argv + ["--pretty"])
+    assert code == 0 and calls
+    assert out == pretty
 
 
 def test_expand_golden_four(capsys):

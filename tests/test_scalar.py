@@ -1,6 +1,8 @@
 """Ring behaviour, canonical forms, and serialization of the three backends."""
 
+import re
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +26,7 @@ from vclde.scalar import (
     y_sym,
     zero,
 )
-from testutil import add, mul
+from testutil import add, canonical_factor_key, factor_from_text, mul
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=9)
 
@@ -52,7 +54,7 @@ def test_add_rationals():
 
 def test_add_cancellation():
     term = h_sym(1, 1) * h_sym(2, 2)
-    assert add(term, -term).is_zero()
+    assert not add(term, -term)
 
 
 def test_add_floats_exact():
@@ -67,9 +69,7 @@ def test_mul_sorts_factors_by_row():
     product = mul(h_sym(1, 2), h_sym(2, 1))
     reversed_product = mul(h_sym(2, 1), h_sym(1, 2))
     assert product == reversed_product
-    ((factors, coeff),) = product.sorted_items()
-    assert factors == (("h", 1, 2), ("h", 2, 1))
-    assert coeff == 1
+    assert str(product) == "h[1,2] h[2,1]"
 
 
 def test_mul_distributes():
@@ -177,6 +177,81 @@ def test_term_sum_json_shape():
     payload = term_sum_to_json(h_sym(1, 1) * h_sym(2, 2) - phi_sym(1, 3) * y_sym(0))
     assert {"sign": 1, "factors": [{"kind": "h", "i": 1, "j": 1}, {"kind": "h", "i": 2, "j": 2}]} in payload
     assert {"sign": -1, "factors": [{"kind": "phi", "m": 1, "t": 3}, {"kind": "y", "t": 0}]} in payload
+
+
+def _random_term_sum(rng: Random) -> TermSum:
+    """Signed products over all four symbol kinds, with multi-digit and
+    negative arguments and repeated terms, multiplied and summed in random
+    order."""
+    makers = (
+        lambda: h_sym(rng.randint(1, 12), rng.randint(1, 12)),
+        lambda: phi_sym(rng.randint(1, 3), rng.randint(-12, 12)),
+        lambda: y_sym(rng.randint(-12, 12)),
+        lambda: v_sym(rng.randint(-12, 12)),
+    )
+    terms = []
+    for _ in range(rng.randint(1, 12)):
+        factors = [rng.choice(makers)() for _ in range(rng.randint(0, 4))]
+        terms.append((rng.choice((1, -1)), factors))
+    terms += rng.sample(terms, len(terms) // 3)
+    rng.shuffle(terms)
+    total = TermSum()
+    for sign, factors in terms:
+        rng.shuffle(factors)
+        term = TermSum.constant(sign)
+        for factor in factors:
+            term = term * factor
+        total = total + term
+    return total
+
+
+def _printed_term_keys(text: str) -> list[tuple]:
+    """Reference keys of the terms of a printed sum, in printed order."""
+    if text == "0":
+        return []
+    keys = []
+    for term in re.split(r" [+-] ", text.removeprefix("-")):
+        tokens = term.split(" ")
+        if tokens[0].isdigit():
+            tokens = tokens[1:]
+        keys.append(tuple(canonical_factor_key(factor_from_text(t)) for t in tokens))
+    return keys
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_output_lists_terms_in_canonical_order(seed):
+    value = _random_term_sum(Random(seed))
+    payload = term_sum_to_json(value)
+    keys = [tuple(map(canonical_factor_key, entry["factors"])) for entry in payload]
+    assert all(list(key) == sorted(key) for key in keys)
+    assert keys == sorted(keys)
+    assert _printed_term_keys(str(value)) == sorted(set(keys))
+    one_by_one = [
+        entry
+        for factors, coeff in value.sorted_items()
+        for entry in term_sum_to_json(TermSum({factors: coeff}))
+    ]
+    assert one_by_one == payload
+
+
+def test_canonical_order_examples():
+    assert str(phi_sym(1, 4) + phi_sym(2, 3)) == "phi2(3) + phi1(4)"
+    assert str(v_sym(0) + y_sym(0)) == "y(0) + v(0)"
+    assert str(v_sym(-5) + y_sym(5)) == "y(5) + v(-5)"
+    assert str(y_sym(10) + y_sym(-3) + y_sym(2)) == "y(-3) + y(2) + y(10)"
+    assert (str(h_sym(10, 1) + h_sym(9, 12) + h_sym(1, 10) + h_sym(1, 9))
+            == "h[1,9] + h[1,10] + h[9,12] + h[10,1]")
+    assert (str(v_sym(-7) + y_sym(0) + phi_sym(3, -1) + h_sym(2, 2))
+            == "h[2,2] + phi3(-1) + y(0) + v(-7)")
+    assert (str(v_sym(1) * phi_sym(2, 3) * y_sym(-1) * h_sym(3, 1))
+            == "h[3,1] phi2(3) y(-1) v(1)")
+    h11 = h_sym(1, 1)
+    assert str(h11 * h_sym(2, 2) - h11 + TermSum.constant(2)) == "2 - h[1,1] + h[1,1] h[2,2]"
+    assert term_sum_to_json(h11 * h_sym(2, 2) + h11 + h11) == [
+        {"sign": 1, "factors": [{"kind": "h", "i": 1, "j": 1}]},
+        {"sign": 1, "factors": [{"kind": "h", "i": 1, "j": 1}]},
+        {"sign": 1, "factors": [{"kind": "h", "i": 1, "j": 1}, {"kind": "h", "i": 2, "j": 2}]},
+    ]
 
 
 def test_scalars_close():

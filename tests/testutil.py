@@ -3,6 +3,7 @@ and the reference helpers that only the tests use."""
 
 import itertools
 import operator
+import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -241,6 +242,38 @@ def float_chain(model, rows, k, first, weight=None):
         if w and value:
             total = total + w * value
     return list(reversed(dets)), total
+
+
+def canonical_factor_key(factor: dict) -> tuple:
+    """Reference for the documented order of symbolic output, on one JSON
+    factor: h by (i, j), then phi by (t, m), then y by t, then v by t.  A
+    term sorts by the tuple of its factor keys, so the constant term comes
+    first and a product comes before its extensions."""
+    kind = factor["kind"]
+    if kind == "h":
+        return (0, factor["i"], factor["j"])
+    if kind == "phi":
+        return (1, factor["t"], factor["m"])
+    return ({"y": 2, "v": 3}[kind], factor["t"], 0)
+
+
+_FACTOR_TEXT = re.compile(
+    r"h\[(?P<i>-?\d+),(?P<j>-?\d+)\]|phi(?P<m>\d+)\((?P<pt>-?\d+)\)"
+    r"|(?P<kind>[yv])\((?P<t>-?\d+)\)"
+)
+
+
+def factor_from_text(text: str) -> dict:
+    """The JSON factor of one rendered symbol: "h[i,j]", "phim(t)", "y(t)"
+    or "v(t)"."""
+    match = _FACTOR_TEXT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a symbol: {text!r}")
+    if match["i"] is not None:
+        return {"kind": "h", "i": int(match["i"]), "j": int(match["j"])}
+    if match["m"] is not None:
+        return {"kind": "phi", "m": int(match["m"]), "t": int(match["pt"])}
+    return {"kind": match["kind"], "t": int(match["t"])}
 
 
 def add(a, b):
