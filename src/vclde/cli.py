@@ -67,9 +67,10 @@ def _finite(values, t: int) -> None:
 
 
 def _out(value, t: int):
-    """JSON form of a result value at time t."""
+    """JSON form of a result value at time t; a term sum stays as it is,
+    for :func:`_json_text` to write."""
     _finite((value,), t)
-    return scalar_to_json(value)
+    return value if isinstance(value, scalar.TermSum) else scalar_to_json(value)
 
 
 def _enum_limit() -> int | None:
@@ -174,11 +175,25 @@ def load_problem(path: str, arith: str, model: CoefficientModel) -> SolutionProb
     return SolutionProblem(model, s, init, forcing or None)
 
 
+def _json_text(obj) -> str:
+    """Compact sorted-key JSON of a payload whose leaves may be term sums:
+    the text of json.dumps(obj, sort_keys=True, separators=(",", ":")) on
+    their dict form, without building it."""
+    if isinstance(obj, dict):
+        body = ",".join(f"{json.dumps(key)}:{_json_text(obj[key])}" for key in sorted(obj))
+        return f"{{{body}}}"
+    if isinstance(obj, list):
+        return f"[{','.join(map(_json_text, obj))}]"
+    if isinstance(obj, scalar.TermSum):
+        return scalar.term_sum_json_text(obj)
+    return json.dumps(obj)
+
+
 def _emit(payload: dict, pretty_text: str | None, pretty: bool) -> None:
     if pretty and pretty_text is not None:
         print(pretty_text)
     else:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(_json_text(payload))
 
 
 def _error(kind: str, message: str, **extra) -> None:
@@ -278,7 +293,7 @@ def cmd_expand(args) -> int:
     payload = {
         "count": 1 << (k - 1),
         "order": k,
-        "terms": scalar.term_sum_to_json(expansion),
+        "terms": expansion,
         "verified": verified,
     }
     text = None

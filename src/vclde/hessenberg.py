@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import scalar
 from .scalar import Scalar, check_backend, uniform_backend
@@ -224,17 +224,26 @@ def det_leibniz_oracle(
         rows, lcms = zip(*(scalar.integer_step(row)[:2] for row in rows))
         scale = math.prod(lcms)
 
-    total: Scalar | None = None
+    total = scalar.sum_terms(_permutation_terms(rows, k))
+    if total is None:
+        return scalar.zero(backend)
+    return total if scale is None else Fraction(total, scale)
 
-    def descend(i: int, used: int, negative: bool, partial: Scalar | None):
-        nonlocal total
+
+def _permutation_terms(rows, k: int) -> Iterator:
+    """The signed nonzero permutation products of :func:`det_leibniz_oracle`,
+    depth first with columns in ascending order."""
+    # (rows placed, columns used, odd inversion count, their product); the
+    # children are pushed in descending column order so the lowest is
+    # walked first
+    stack: list = [(0, 0, False, None)]
+    while stack:
+        i, used, negative, partial = stack.pop()
         if i == k:
-            if partial is not None:
-                term = -partial if negative else partial
-                total = term if total is None else total + term
-            return
+            yield -partial if negative else partial
+            continue
         row = rows[i]
-        for col in range(k):
+        for col in range(k - 1, -1, -1):
             bit = 1 << col
             if used & bit:
                 continue
@@ -242,15 +251,9 @@ def det_leibniz_oracle(
             if not a:
                 continue
             inversions = (used >> (col + 1)).bit_count()
-            descend(
+            stack.append((
                 i + 1,
                 used | bit,
                 negative ^ bool(inversions & 1),
                 a if partial is None else partial * a,
-            )
-
-    descend(0, 0, False, None)
-    if total is None:
-        return scalar.zero(backend)
-    return total if scale is None else Fraction(total, scale)
-
+            ))

@@ -141,9 +141,17 @@ def det_leibnizian(matrix, enum_limit: int | None = None) -> Scalar:
     if matrix.backend == scalar.RATIONAL:
         rows, lcms = zip(*(scalar.integer_step(row)[:2] for row in rows))
         scale = math.prod(lcms)
-    total: Scalar | None = None
+    total = scalar.sum_terms(_walk(rows, k))
+    if total is None:
+        return matrix.zero
+    return total if scale is None else Fraction(total, scale)
+
+
+def _walk(rows, k: int) -> Iterator:
+    """The nonzero products of :func:`det_leibnizian`'s walk, in ascending
+    index order."""
     # (rows chosen, last standard row, their product); the bit-1 child is
-    # pushed first so the bit-0 subtree is summed before it
+    # pushed first so the bit-0 subtree is walked before it
     stack: list = [(0, 0, None)]
     while stack:
         i, last, prod = stack.pop()
@@ -152,14 +160,10 @@ def det_leibnizian(matrix, enum_limit: int | None = None) -> Scalar:
         a = row[last]
         if i == k:
             if a:
-                term = a if prod is None else prod * a
-                total = term if total is None else total + term
+                yield a if prod is None else prod * a
             continue
         if a:
             stack.append((i, i, a if prod is None else prod * a))
         a = row[i]
         if a:
             stack.append((i, last, a if prod is None else prod * a))
-    if total is None:
-        return matrix.zero
-    return total if scale is None else Fraction(total, scale)

@@ -15,6 +15,7 @@ classes.
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -147,9 +148,30 @@ class TermSum:
             return NotImplemented
         return self + (-other)
 
+    @classmethod
+    def sum(cls, values: Iterable["TermSum"]) -> "TermSum":
+        """Sum of ``values``, merged into one dict: linear in the total
+        number of terms, where a fold of ``+`` copies the running sum at
+        every step."""
+        merged: dict[tuple[Atom, ...], int] = {}
+        get = merged.get
+        for value in values:
+            for factors, coeff in value._terms.items():
+                merged[factors] = get(factors, 0) + coeff
+        out = cls.__new__(cls)
+        out._terms = {f: c for f, c in merged.items() if c}
+        return out
+
     def __mul__(self, other: "TermSum") -> "TermSum":
         if not isinstance(other, TermSum):
             return NotImplemented
+        out = TermSum.__new__(TermSum)
+        if len(self._terms) == 1 and len(other._terms) == 1:
+            # one product times one product, as the expansion walks do
+            (f1, c1), = self._terms.items()
+            (f2, c2), = other._terms.items()
+            out._terms = {tuple(sorted(f1 + f2)): c1 * c2}
+            return out
         merged: dict[tuple[Atom, ...], int] = {}
         for f1, c1 in self._terms.items():
             for f2, c2 in other._terms.items():
@@ -159,7 +181,6 @@ class TermSum:
                     merged[key] = total
                 else:
                     merged.pop(key, None)
-        out = TermSum.__new__(TermSum)
         out._terms = merged
         return out
 
@@ -217,8 +238,14 @@ def v_sym(t: int) -> TermSum:
     return TermSum.single((3, t))
 
 
+_BACKEND_OF_TYPE = {Fraction: RATIONAL, int: RATIONAL, float: FLOAT64, TermSum: SYMBOLIC}
+
+
 def backend_of(value: Scalar) -> str:
     """Backend tag of a scalar value; rejects non-scalar inputs."""
+    backend = _BACKEND_OF_TYPE.get(type(value))
+    if backend is not None:
+        return backend
     if isinstance(value, TermSum):
         return SYMBOLIC
     if isinstance(value, bool):
@@ -233,6 +260,12 @@ def backend_of(value: Scalar) -> str:
 def uniform_backend(values: Iterable[Scalar], default: str | None = None) -> str | None:
     """The one backend shared by ``values``, or ``default`` when there are
     none; mixing backends is an error."""
+    values = tuple(values)
+    # one backend by exact type; anything else (bool, subclasses, strays,
+    # mixtures) takes the loop, which raises at the first offender
+    tags = {_BACKEND_OF_TYPE.get(t) for t in set(map(type, values))}
+    if len(tags) == 1 and None not in tags:
+        return tags.pop()
     found: str | None = None
     for v in values:
         b = backend_of(v)
@@ -241,6 +274,19 @@ def uniform_backend(values: Iterable[Scalar], default: str | None = None) -> str
         elif found != b:
             raise BackendMismatchError(f"backend mismatch: {found} vs {b}")
     return default if found is None else found
+
+
+def sum_terms(terms: Iterable[Scalar]) -> Scalar | None:
+    """Sum of ``terms``, or None when there are none.  Rationals and floats
+    are added left to right, holding one term at a time; term sums are
+    merged by :meth:`TermSum.sum`, in linear time."""
+    terms = iter(terms)
+    total = next(terms, None)
+    if isinstance(total, TermSum):
+        return TermSum.sum(itertools.chain((total,), terms))
+    for term in terms:
+        total = total + term
+    return total
 
 
 def check_backend(values: Iterable[Scalar], backend: str) -> None:
@@ -320,15 +366,6 @@ def parse_rational(text: Union[str, int]) -> Fraction:
     raise ValueError(f"rational values must be strings or integers, got {text!r}")
 
 
-def _atom_to_json(atom: Atom) -> dict:
-    kind = atom[0]
-    if kind == 0:
-        return {"kind": "h", "i": atom[1], "j": atom[2]}
-    if kind == 1:
-        return {"kind": "phi", "m": atom[2], "t": atom[1]}
-    return {"kind": _KINDS[kind], "t": atom[1]}
-
-
 def _atom_from_json(obj: Mapping) -> Atom:
     kind = obj["kind"]
     if kind == "h":
@@ -340,15 +377,41 @@ def _atom_from_json(obj: Mapping) -> Atom:
     raise ValueError(f"unknown atom kind: {kind!r}")
 
 
+def term_sum_json_text(value: TermSum) -> str:
+    """The compact sorted-key JSON text of a term sum: an array of
+    {factors, sign} in canonical order, a term with coefficient c written
+    |c| times.  Each distinct atom is rendered once."""
+    atoms: dict[Atom, str] = {}
+    # every entry is followed by its separator, the last one by "]", so
+    # that one join copies the text once
+    parts = ["["]
+    for factors, coeff in value.sorted_items():
+        texts = []
+        for atom in factors:
+            text = atoms.get(atom)
+            if text is None:
+                kind = atom[0]
+                if kind == 0:
+                    text = f'{{"i":{atom[1]},"j":{atom[2]},"kind":"h"}}'
+                elif kind == 1:
+                    text = f'{{"kind":"phi","m":{atom[2]},"t":{atom[1]}}}'
+                else:
+                    text = f'{{"kind":"{_KINDS[kind]}","t":{atom[1]}}}'
+                atoms[atom] = text
+            texts.append(text)
+        entry = f'{{"factors":[{",".join(texts)}],"sign":{1 if coeff > 0 else -1}}}'
+        parts += [entry, ","] * abs(coeff)
+    if len(parts) > 1:
+        parts.pop()
+    parts.append("]")
+    return "".join(parts)
+
+
 def term_sum_to_json(value: TermSum) -> list[dict]:
     """Sorted JSON array of {sign, factors}; multiplicities are repeated."""
-    out: list[dict] = []
-    for factors, coeff in value.sorted_items():
-        entry_factors = [_atom_to_json(a) for a in factors]
-        sign = 1 if coeff > 0 else -1
-        for _ in range(abs(coeff)):
-            out.append({"sign": sign, "factors": entry_factors})
-    return out
+    import json
+
+    return json.loads(term_sum_json_text(value))
 
 
 def term_sum_from_json(items: Iterable[Mapping]) -> TermSum:
@@ -380,6 +443,8 @@ def scalar_from_json(obj, arith: str) -> Scalar:
             )
         return parse_rational(obj)
     if arith == FLOAT64:
+        if type(obj) is float and math.isfinite(obj):
+            return obj
         if isinstance(obj, bool) or not isinstance(obj, (int, float)):
             raise ValueError(f"float64 mode requires JSON numbers, got {obj!r}")
         try:

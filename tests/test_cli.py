@@ -7,10 +7,12 @@ from random import Random
 
 import pytest
 
-from vclde import CoefficientModel, SolutionProblem
+from vclde import CoefficientModel, SolutionProblem, casorati, evaluate_green
 from vclde.cli import load_coefficients, load_problem, main
-from vclde.scalar import render_scalar, term_sum_from_json
-from testutil import random_rows
+from vclde.hessenberg import HessenbergMatrix
+from vclde.leibnizian import det_leibnizian
+from vclde.scalar import h_sym, render_scalar, term_sum_from_json
+from testutil import random_rows, reference_json_text
 
 from test_lde import expected_green_5_2, expected_solution_5
 
@@ -434,6 +436,36 @@ def test_verify_passes_and_corrupt_fails(tmp_path, capsys):
     assert payload["passed"] is False
     failed = [c for c in payload["checks"] if not c["passed"]]
     assert failed and "counterexample" in failed[0]
+
+
+def test_symbolic_payloads_equal_reference_bytes(capsys):
+    """Term sums at the top level, in nested lists and in a counterexample's
+    values are written as json.dumps writes their dict form."""
+    code, out, _ = run_cli(capsys, ["expand", "--order", "6"])
+    assert code == 0
+    terms = det_leibnizian(HessenbergMatrix.from_function(6, h_sym, "symbolic"))
+    assert out == reference_json_text(
+        {"count": 32, "order": 6, "terms": terms, "verified": True}) + "\n"
+
+    p, s, t = 3, 1, 6
+    code, out, _ = run_cli(capsys, ["fundamental", "--arith", "symbolic", "--p", str(p),
+                                    "--t", str(t), "--s", str(s)])
+    assert code == 0
+    matrix = casorati(CoefficientModel.symbolic(p), t, s)
+    expected = {"arith": "symbolic", "casoratian": matrix.casoratian(),
+                "matrix": [list(row) for row in matrix.entries], "p": p, "s": s, "t": t}
+    assert out == reference_json_text(expected) + "\n"
+
+    code, out, _ = run_cli(capsys, ["verify", "--arith", "symbolic", "--p", "2",
+                                    "--t", "5", "--s", "0", "--corrupt"])
+    assert code == 1
+    payload = json.loads(out)
+    assert [c["passed"] for c in payload["checks"]] == [False, True, True]
+    example = payload["checks"][0]["counterexample"]
+    example["values"] = {route: term_sum_from_json(v) for route, v in example["values"].items()}
+    green = evaluate_green(CoefficientModel.symbolic(2), 5, 0, "recurrence")
+    assert {route for route, v in example["values"].items() if v != green} == {"leibnizian"}
+    assert out == reference_json_text(payload) + "\n"
 
 
 def test_verify_homogeneous_problem(tmp_path, fib_coeffs, capsys):

@@ -1,5 +1,8 @@
 """Ring behaviour, canonical forms, and serialization of the three backends."""
 
+import functools
+import math
+import operator
 import re
 from fractions import Fraction
 from random import Random
@@ -20,13 +23,26 @@ from vclde.scalar import (
     scalar_from_json,
     scalar_to_json,
     scalars_close,
+    sum_terms,
     term_sum_from_json,
+    term_sum_json_text,
     term_sum_to_json,
+    uniform_backend,
     v_sym,
     y_sym,
     zero,
 )
-from testutil import add, canonical_factor_key, factor_from_text, mul
+from testutil import (
+    add,
+    backend_of_by_isinstance,
+    canonical_factor_key,
+    factor_from_text,
+    mul,
+    reference_json_text,
+    term_sum_dicts,
+    term_sum_product,
+    uniform_backend_by_loop,
+)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=9)
 
@@ -259,3 +275,119 @@ def test_scalars_close():
     assert not scalars_close(1.0, 1.0 + 1e-6)
     assert scalars_close(Fraction(1, 3), Fraction(1, 3))
     assert not scalars_close(Fraction(1, 3), Fraction(1, 4))
+
+
+# symbols of all four kinds, with multi-digit and negative arguments
+symbols = st.one_of(
+    st.builds(h_sym, st.integers(1, 120), st.integers(1, 120)),
+    st.builds(phi_sym, st.integers(1, 12), st.integers(-150, 150)),
+    st.builds(y_sym, st.integers(-150, 150)),
+    st.builds(v_sym, st.integers(-150, 150)),
+)
+coefficients = st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+
+@st.composite
+def products(draw):
+    """One product of symbols times a coefficient of +-1 to +-3 (the
+    constant term when it has no factor)."""
+    term = TermSum.constant(draw(coefficients))
+    for factor in draw(st.lists(symbols, max_size=4)):
+        term = term * factor
+    return term
+
+
+@st.composite
+def wide_term_sums(draw):
+    """Sums of up to eight products; the empty sum included."""
+    total = TermSum()
+    for term in draw(st.lists(products(), max_size=8)):
+        total = total + term
+    return total
+
+
+@given(wide_term_sums())
+def test_term_sum_json_text_equals_reference(value):
+    assert term_sum_json_text(value) == reference_json_text(value)
+    assert term_sum_to_json(value) == term_sum_dicts(value)
+
+
+def test_term_sum_json_text_edge_cases():
+    assert term_sum_json_text(TermSum()) == "[]"
+    assert term_sum_json_text(TermSum.constant(1)) == '[{"factors":[],"sign":1}]'
+    assert term_sum_json_text(TermSum.constant(-2)) == (
+        '[{"factors":[],"sign":-1},{"factors":[],"sign":-1}]')
+    value = phi_sym(2, -13) * v_sym(-7) * h_sym(10, 11) - y_sym(100)
+    assert term_sum_json_text(value) == (
+        '[{"factors":[{"i":10,"j":11,"kind":"h"},{"kind":"phi","m":2,"t":-13},'
+        '{"kind":"v","t":-7}],"sign":1},{"factors":[{"kind":"y","t":100}],"sign":-1}]')
+
+
+class Tally(int):
+    """An int subclass: a rational scalar found by isinstance, not by type."""
+
+
+_MIXED_VALUES = st.one_of(
+    st.integers(-5, 5),
+    st.booleans(),
+    rationals,
+    st.floats(allow_nan=False),
+    st.sampled_from(_ATOM_POOL),
+    st.text(max_size=2),
+    st.builds(Tally, st.integers(-5, 5)),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except BackendMismatchError as exc:
+        return ("error", str(exc))
+
+
+@given(st.lists(_MIXED_VALUES, max_size=6), st.sampled_from((None, "float64")))
+def test_backend_checks_equal_the_isinstance_loop(values, default):
+    for value in values:
+        assert _outcome(backend_of, value) == _outcome(backend_of_by_isinstance, value)
+    expected = _outcome(uniform_backend_by_loop, values, default)
+    assert _outcome(uniform_backend, values, default) == expected
+    assert _outcome(uniform_backend, iter(values), default) == expected
+
+
+def test_float_scalars_pass_through_and_non_finite_are_refused():
+    assert scalar_from_json(0.1, "float64") == 0.1
+    assert math.copysign(1, scalar_from_json(-0.0, "float64")) == -1
+    for bad in (math.inf, -math.inf, math.nan, True, "1", None, 10**400):
+        with pytest.raises(ValueError):
+            scalar_from_json(bad, "float64")
+
+
+@given(st.one_of(products(), term_sums()), st.one_of(products(), term_sums()))
+def test_product_equals_reference(a, b):
+    """One-term products (the walks' fast path) and general ones."""
+    assert a * b == term_sum_product(a, b)
+
+
+@given(st.lists(term_sums(), max_size=6), st.data())
+def test_n_ary_sum_equals_fold(values, data):
+    if values:
+        values += [-v for v in data.draw(st.lists(st.sampled_from(values), max_size=3))]
+    values = data.draw(st.permutations(values))
+    total = TermSum.sum(values)
+    assert total == functools.reduce(operator.add, values, TermSum())
+    assert all(coeff for _, coeff in total.sorted_items())
+    assert sum_terms(iter(values)) == (total if values else None)
+
+
+def test_n_ary_sum_drops_cancelled_terms():
+    term = h_sym(1, 2) * phi_sym(1, 3)
+    assert TermSum.sum([]) == TermSum()
+    assert not TermSum.sum([term, h_sym(1, 1), -term, -h_sym(1, 1)])
+    assert TermSum.sum([term, -term, term]).sorted_items() == term.sorted_items()
+
+
+def test_sum_terms_adds_left_to_right():
+    assert sum_terms([]) is None
+    assert sum_terms([1e16, 1.0, 1.0, -1e16]) == 0.0
+    assert math.copysign(1, sum_terms([-0.0])) == -1
+    assert sum_terms(iter([3, Fraction(1, 2)])) == Fraction(7, 2)

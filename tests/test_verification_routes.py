@@ -27,6 +27,7 @@ from vclde.hessenberg import (
 )
 from vclde.leibnizian import det_leibnizian
 from vclde.nested_sum import det_nested_sum
+from vclde.scalar import h_sym
 from testutil import (
     det_leibnizian_per_mask,
     det_nested_per_chain,
@@ -218,3 +219,12 @@ def test_abel_casoratian_equals_permutation_oracle(case):
     assert matrix.casoratian() == det_leibniz_oracle(matrix.entries)
     zero_rows = [u for u in range(s + 1, t + 1) if model.phi(model.p, u) == 0]
     assert matrix.vanishing_row == (zero_rows[0] if zero_rows else None)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_symbolic_walks_equal_recurrence(k):
+    matrix = HessenbergMatrix.from_function(k, h_sym, "symbolic")
+    expected = det_recurrence(matrix)
+    assert expected.term_count == 1 << (k - 1)
+    assert det_leibnizian(matrix) == expected
+    assert det_leibniz_oracle(matrix, oracle_limit=10) == expected

@@ -2,6 +2,7 @@
 and the reference helpers that only the tests use."""
 
 import itertools
+import json
 import operator
 import re
 from collections import deque
@@ -12,7 +13,7 @@ from random import Random
 from vclde import CoefficientModel, DomainError, SolutionProblem, green, xi
 from vclde.hessenberg import HessenbergMatrix
 from vclde.leibnizian import SepTerm, _columns_from_bits, enumerate_seps, mask_from_index
-from vclde.scalar import uniform_backend
+from vclde.scalar import BackendMismatchError, TermSum, uniform_backend
 
 
 def rational(rng: Random, num_max: int = 9, den_max: int = 9) -> Fraction:
@@ -274,6 +275,80 @@ def factor_from_text(text: str) -> dict:
     if match["m"] is not None:
         return {"kind": "phi", "m": int(match["m"]), "t": int(match["pt"])}
     return {"kind": match["kind"], "t": int(match["t"])}
+
+
+def atom_to_json(atom: tuple) -> dict:
+    """Reference JSON object of one atom of a term sum, by kind: (0, i, j)
+    is h[i,j], (1, t, m) is phi_m(t), (2, t) is y(t) and (3, t) is v(t)."""
+    kind = atom[0]
+    if kind == 0:
+        return {"kind": "h", "i": atom[1], "j": atom[2]}
+    if kind == 1:
+        return {"kind": "phi", "m": atom[2], "t": atom[1]}
+    return {"kind": ("y", "v")[kind - 2], "t": atom[1]}
+
+
+def term_sum_dicts(value: TermSum) -> list:
+    """Reference dict form of a term sum: one {sign, factors} entry per term
+    in canonical order, a coefficient c repeated |c| times."""
+    out = []
+    for factors, coeff in value.sorted_items():
+        entry = {"sign": 1 if coeff > 0 else -1,
+                 "factors": [atom_to_json(a) for a in factors]}
+        out.extend([entry] * abs(coeff))
+    return out
+
+
+def reference_json_text(obj) -> str:
+    """Reference compact sorted-key JSON of a payload whose leaves may be
+    term sums: json.dumps over their dict form."""
+
+    def plain(node):
+        if isinstance(node, TermSum):
+            return term_sum_dicts(node)
+        if isinstance(node, dict):
+            return {key: plain(v) for key, v in node.items()}
+        if isinstance(node, list):
+            return [plain(v) for v in node]
+        return node
+
+    return json.dumps(plain(obj), sort_keys=True, separators=(",", ":"))
+
+
+def term_sum_product(a: TermSum, b: TermSum) -> TermSum:
+    """Reference product: every pair of terms, merged into one mapping."""
+    merged = {}
+    for f1, c1 in a.sorted_items():
+        for f2, c2 in b.sorted_items():
+            key = tuple(sorted(f1 + f2))
+            merged[key] = merged.get(key, 0) + c1 * c2
+    return TermSum(merged)
+
+
+def backend_of_by_isinstance(value) -> str:
+    """Reference backend tag by isinstance checks alone."""
+    if isinstance(value, TermSum):
+        return "symbolic"
+    if isinstance(value, bool):
+        raise BackendMismatchError("bool is not a scalar")
+    if isinstance(value, (int, Fraction)):
+        return "rational"
+    if isinstance(value, float):
+        return "float64"
+    raise BackendMismatchError(f"not a scalar: {value!r}")
+
+
+def uniform_backend_by_loop(values, default=None):
+    """Reference shared backend: one ordered pass that raises at the first
+    value whose backend differs from the first one found."""
+    found = None
+    for v in values:
+        b = backend_of_by_isinstance(v)
+        if found is None:
+            found = b
+        elif found != b:
+            raise BackendMismatchError(f"backend mismatch: {found} vs {b}")
+    return default if found is None else found
 
 
 def add(a, b):
