@@ -68,7 +68,7 @@ def _finite(values, t: int) -> None:
 
 def _out(value, t: int):
     """JSON form of a result value at time t; a term sum stays as it is,
-    for :func:`_json_text` to write."""
+    for :func:`_json_chunks` to write."""
     _finite((value,), t)
     return value if isinstance(value, scalar.TermSum) else scalar_to_json(value)
 
@@ -92,7 +92,11 @@ def _guard_symbolic(model: CoefficientModel, t: int, s: int) -> None:
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            # the decoder recurses once per level of nesting
+            raise ValueError(f"{path} is nested too deeply") from None
 
 
 def load_coefficients(path: str, arith: str) -> CoefficientModel:
@@ -175,25 +179,49 @@ def load_problem(path: str, arith: str, model: CoefficientModel) -> SolutionProb
     return SolutionProblem(model, s, init, forcing or None)
 
 
-def _json_text(obj) -> str:
-    """Compact sorted-key JSON of a payload whose leaves may be term sums:
-    the text of json.dumps(obj, sort_keys=True, separators=(",", ":")) on
-    their dict form, without building it."""
+def _json_chunks(obj):
+    """Compact sorted-key JSON of a payload whose leaves may be term sums, in
+    pieces: the text of json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    on their dict form, without building it."""
     if isinstance(obj, dict):
-        body = ",".join(f"{json.dumps(key)}:{_json_text(obj[key])}" for key in sorted(obj))
-        return f"{{{body}}}"
-    if isinstance(obj, list):
-        return f"[{','.join(map(_json_text, obj))}]"
-    if isinstance(obj, scalar.TermSum):
-        return scalar.term_sum_json_text(obj)
-    return json.dumps(obj)
+        sep = "{"
+        for key in sorted(obj):
+            yield f"{sep}{json.dumps(key)}:"
+            yield from _json_chunks(obj[key])
+            sep = ","
+        yield "}" if sep == "," else "{}"
+    elif isinstance(obj, list):
+        sep = "["
+        for item in obj:
+            yield sep
+            yield from _json_chunks(item)
+            sep = ","
+        yield "]" if sep == "," else "[]"
+    elif isinstance(obj, scalar.TermSum):
+        yield from scalar.term_sum_json_chunks(obj)
+    else:
+        yield json.dumps(obj)
+
+
+# stdout is written in blocks of about this many characters, so that an
+# answer's text is never held whole; one write per piece costs more time
+_BLOCK = 1 << 16
 
 
 def _emit(payload: dict, pretty_text: str | None, pretty: bool) -> None:
     if pretty and pretty_text is not None:
         print(pretty_text)
-    else:
-        print(_json_text(payload))
+        return
+    write = sys.stdout.write
+    block, size = [], 0
+    for chunk in _json_chunks(payload):
+        block.append(chunk)
+        size += len(chunk)
+        if size >= _BLOCK:
+            write("".join(block))
+            block, size = [], 0
+    block.append("\n")
+    write("".join(block))
 
 
 def _error(kind: str, message: str, **extra) -> None:
@@ -288,8 +316,7 @@ def cmd_expand(args) -> int:
         raise EnumLimitError(f"order {k} exceeds the expansion cap {EXPAND_ORDER_CAP}")
     matrix = HessenbergMatrix.from_function(k, scalar.h_sym, scalar.SYMBOLIC)
     expansion = det_leibnizian(matrix)
-    oracle = det_leibniz_oracle(matrix, oracle_limit=EXPAND_ORDER_CAP)
-    verified = not (expansion - oracle)
+    verified = expansion == det_leibniz_oracle(matrix, oracle_limit=EXPAND_ORDER_CAP)
     payload = {
         "count": 1 << (k - 1),
         "order": k,

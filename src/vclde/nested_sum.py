@@ -10,8 +10,9 @@ caller errors.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import mul
+from typing import Iterator
 
 from . import scalar
 from .coefficients import check_enum_limit
@@ -32,7 +33,8 @@ def det_nested_sum(matrix, enum_limit: int | None = None) -> Scalar:
     or steps to column c in [2, r] and continues at row c - 1.  Each prefix
     product is shared by every chain below it, a branch is cut at an
     exactly-zero entry, and columns left of ``matrix.row_start(r)`` are
-    never visited.  The entries are read once, into row lists.  In rational
+    never visited.  The entries are read once, into row lists, and the
+    products are summed by :func:`~vclde.scalar.sum_terms`.  In rational
     mode row r is scaled to integers by the lcm L_r of its denominators
     (:func:`~vclde.scalar.integer_step`); a chain takes the superdiagonal
     of every row it skips, so the entry in column c of row r also carries
@@ -66,13 +68,21 @@ def det_nested_sum(matrix, enum_limit: int | None = None) -> Scalar:
     steps = [[(c - 1, row[c - 1])
               for c in range(r, max(matrix.row_start(r), 2) - 1, -1) if row[c - 1]]
              for r, row in enumerate(rows, start=1)]
-    total = matrix.zero if scale is None else 0
+    # summed from zero, as the fold zero + p_1 + p_2 + ... is, so that a
+    # float sum keeps its order and the sign of a zero result
+    zero = matrix.zero if scale is None else 0
+    total = scalar.sum_terms(chain((zero,), _walk(heads, steps, k)))
+    return total if scale is None else Fraction(total, scale)
+
+
+def _walk(heads, steps, k: int) -> Iterator:
+    """The nonzero chain products of :func:`det_nested_sum`'s walk, in its
+    order."""
     stack: list = [(k, None)]  # (row, product of the chain's entries so far)
     while stack:
         r, prod = stack.pop()
         a = heads[r - 1]
         if a:
-            total = total + (a if prod is None else prod * a)
+            yield a if prod is None else prod * a
         for nxt, a in steps[r - 1]:
             stack.append((nxt, a if prod is None else prod * a))
-    return total if scale is None else Fraction(total, scale)

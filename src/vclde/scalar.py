@@ -18,7 +18,7 @@ import decimal
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 RATIONAL = "rational"
 FLOAT64 = "float64"
@@ -377,15 +377,16 @@ def _atom_from_json(obj: Mapping) -> Atom:
     raise ValueError(f"unknown atom kind: {kind!r}")
 
 
-def term_sum_json_text(value: TermSum) -> str:
-    """The compact sorted-key JSON text of a term sum: an array of
-    {factors, sign} in canonical order, a term with coefficient c written
-    |c| times.  Each distinct atom is rendered once."""
+def term_sum_json_chunks(value: TermSum) -> Iterator[str]:
+    """The compact sorted-key JSON text of a term sum, one entry at a time:
+    an array of {factors, sign} in canonical order, a term with coefficient
+    c written |c| times.  Each piece is an entry preceded by "[" or ",",
+    and "]" closes the array.  Each distinct atom is rendered once."""
     atoms: dict[Atom, str] = {}
-    # every entry is followed by its separator, the last one by "]", so
-    # that one join copies the text once
-    parts = ["["]
-    for factors, coeff in value.sorted_items():
+    terms = value._terms
+    sep = "["
+    for factors in sorted(terms):
+        coeff = terms[factors]
         texts = []
         for atom in factors:
             text = atoms.get(atom)
@@ -399,12 +400,17 @@ def term_sum_json_text(value: TermSum) -> str:
                     text = f'{{"kind":"{_KINDS[kind]}","t":{atom[1]}}}'
                 atoms[atom] = text
             texts.append(text)
-        entry = f'{{"factors":[{",".join(texts)}],"sign":{1 if coeff > 0 else -1}}}'
-        parts += [entry, ","] * abs(coeff)
-    if len(parts) > 1:
-        parts.pop()
-    parts.append("]")
-    return "".join(parts)
+        body = ",".join(texts)
+        sign = 1 if coeff > 0 else -1
+        for _ in range(abs(coeff)):
+            yield f'{sep}{{"factors":[{body}],"sign":{sign}}}'
+            sep = ","
+    yield "]" if sep == "," else "[]"
+
+
+def term_sum_json_text(value: TermSum) -> str:
+    """The text of :func:`term_sum_json_chunks` as one string."""
+    return "".join(term_sum_json_chunks(value))
 
 
 def term_sum_to_json(value: TermSum) -> list[dict]:

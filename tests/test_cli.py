@@ -1,17 +1,22 @@
 """End-to-end CLI behaviour: payloads, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vclde import CoefficientModel, SolutionProblem, casorati, evaluate_green
+from vclde import CoefficientModel, SolutionProblem, casorati, cli, evaluate_green
 from vclde.cli import load_coefficients, load_problem, main
 from vclde.hessenberg import HessenbergMatrix
 from vclde.leibnizian import det_leibnizian
-from vclde.scalar import h_sym, render_scalar, term_sum_from_json
+from vclde.scalar import h_sym, render_scalar, term_sum_from_json, term_sum_json_chunks
 from testutil import random_rows, reference_json_text
 
 from test_lde import expected_green_5_2, expected_solution_5
@@ -144,11 +149,14 @@ def test_solve_missing_forcing_exit_4(fib_coeffs, tmp_path, capsys):
 def test_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    # the decoder recurses once per level of nesting
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
     # a JSON true is no integer, for "p" and for "period" alike
     bool_p = write_json(tmp_path / "bool-p.json", {"p": True, "kind": "constant", "phi": ["2"]})
     bool_period = write_json(tmp_path / "bool-period.json",
                              {"p": 1, "kind": "periodic", "period": True, "rows": [["2"]]})
-    for path in (str(bad), bool_p, bool_period):
+    for path in (str(bad), str(deep), bool_p, bool_period):
         code, out, err = run_cli(capsys, ["green", "--coeffs", path, "--t", "3", "--s", "0"])
         assert (code, out) == (2, ""), path
         assert json.loads(err)["error"] == "invalid-input"
@@ -468,6 +476,46 @@ def test_symbolic_payloads_equal_reference_bytes(capsys):
     assert out == reference_json_text(payload) + "\n"
 
 
+class _Writes(list):
+    """A stdout that keeps each write."""
+
+    def write(self, text):
+        self.append(text)
+        return len(text)
+
+
+class _Sink:
+    """A stdout that keeps nothing, so that only the writer's own memory
+    is traced."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_symbolic_answer_is_written_in_bounded_blocks(monkeypatch):
+    """A 1.6 MB answer reaches stdout in blocks of about 64 KiB, and writing
+    it never holds more than a small part of its text."""
+    writes = _Writes()
+    monkeypatch.setattr(sys, "stdout", writes)
+    assert main(["green", "--arith", "symbolic", "--p", "2", "--t", "18", "--s", "0"]) == 0
+    value = evaluate_green(CoefficientModel.symbolic(2), 18, 0)
+    payload = {"H": value, "arith": "symbolic", "method": "recurrence", "s": 0, "t": 18}
+    text = reference_json_text(payload)
+    assert "".join(writes) == text + "\n"
+    longest = max(map(len, term_sum_json_chunks(value)))
+    assert len(writes) > 1
+    assert max(map(len, writes)) <= (1 << 16) + longest
+
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    tracemalloc.start()
+    try:
+        cli._emit(payload, None, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text) / 4
+
+
 def test_verify_homogeneous_problem(tmp_path, fib_coeffs, capsys):
     problem = write_json(tmp_path / "h.json", {"s": 0, "init": ["1", "2"]})
     code, out, _ = run_cli(
@@ -661,3 +709,77 @@ def test_symbolic_needs_structure(capsys):
     assert code == 0
     code, _, err = run_cli(capsys, ["green", "--p", "2", "--t", "4", "--s", "2"])
     assert code == 2  # --p alone only works in symbolic mode
+
+
+# Integers in the fuzzed documents stay small, because s, p and the time keys
+# set how long a run is.
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.floats(),
+              st.sampled_from(["1/2", "-3", "0", "1/0", "x", "0.25", "1e3", "7/-2"]),
+              st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8,
+)
+_scalars = st.one_of(st.sampled_from(["1/2", "-2", "0", "3/7"]),
+                     st.integers(-3, 3), st.floats(-4, 4))
+_time_keys = st.one_of(st.integers(-2, 6).map(str), st.text(max_size=3))
+
+
+@st.composite
+def _documents(draw, p):
+    """Mostly an object holding most of the keys, each with a value of the
+    kind it needs (rows of p values, mostly) or, less often, any JSON
+    value; at times any JSON value."""
+    mostly = st.sampled_from((True,) * 5 + (False,))
+    if not draw(mostly):
+        return draw(_json_values)
+    if draw(mostly):
+        row = st.lists(_scalars, min_size=p, max_size=p)
+    else:
+        row = st.lists(_scalars, max_size=4)
+    fields = {
+        "p": st.just(p),
+        "kind": st.sampled_from(["table", "constant", "periodic", "bogus"]),
+        "rows": st.one_of(st.dictionaries(_time_keys, row, max_size=8),
+                          st.lists(row, max_size=3)),
+        "phi": row,
+        "period": st.integers(0, 3),
+        "s": st.integers(-2, 4),
+        "init": row,
+        "forcing": st.dictionaries(_time_keys, _scalars, max_size=6),
+    }
+    doc = {}
+    for key, values in fields.items():
+        if draw(mostly):
+            doc[key] = draw(values if draw(mostly) else _json_values)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=st.integers(0, 3),
+       arith=st.sampled_from(["rational", "float64", "symbolic"]),
+       t=st.integers(-1, 6), s=st.integers(-1, 3))
+def test_fuzzed_input_files_exit_with_documented_codes(tmp_path_factory, data, p, arith,
+                                                       t, s):
+    """Random coefficient and problem files end in an exit code 0-5; a
+    failure writes nothing to stdout and one JSON line to stderr."""
+    coeffs, problem = data.draw(_documents(p)), data.draw(_documents(p))
+    folder = tmp_path_factory.mktemp("fuzz")
+    paths = [folder / "c.json", folder / "p.json"]
+    for path, doc in zip(paths, (coeffs, problem)):
+        path.write_text(json.dumps(doc))
+    common = ["--coeffs", str(paths[0]), "--arith", arith, "--t", str(t)]
+    for argv in (["green", *common, "--s", str(s)],
+                 ["solve", *common, "--problem", str(paths[1])]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in range(6), argv
+        if code:
+            assert out.getvalue() == "", argv
+            line, = err.getvalue().splitlines()
+            assert json.loads(line)["error"], argv
+        else:
+            assert err.getvalue() == "", argv
+            json.loads(out.getvalue())

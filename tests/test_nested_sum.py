@@ -40,6 +40,30 @@ def test_matches_recurrence_random():
             assert value == det_leibnizian(matrix)
 
 
+def test_symbolic_sum_merges_once(monkeypatch):
+    """Symbolic values equal the recurrence's at orders 1-12, and the walk's
+    products are merged into one sum, never added pairwise."""
+
+    def entry(i, j):
+        return TermSum.constant(-1) if j == i + 1 else h_sym(i, j)
+
+    calls = []
+    add = TermSum.__add__
+
+    def counted(self, other):
+        calls.append(1)
+        return add(self, other)
+
+    for k in range(1, 13):
+        matrix = HessenbergMatrix.from_function(k, entry, "symbolic")
+        with monkeypatch.context() as patch:
+            patch.setattr(TermSum, "__add__", counted)
+            value = det_nested_sum(matrix)
+        assert value == det_recurrence(matrix)
+        assert value.term_count == 1 << (k - 1)
+    assert not calls
+
+
 def test_superdiagonal_precondition():
     matrix = random_hessenberg(Random(5), 4, superdiag=Fraction(1))
     with pytest.raises(SuperdiagonalError):

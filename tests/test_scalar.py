@@ -1,6 +1,7 @@
 """Ring behaviour, canonical forms, and serialization of the three backends."""
 
 import functools
+import json
 import math
 import operator
 import re
@@ -25,6 +26,7 @@ from vclde.scalar import (
     scalars_close,
     sum_terms,
     term_sum_from_json,
+    term_sum_json_chunks,
     term_sum_json_text,
     term_sum_to_json,
     uniform_backend,
@@ -308,8 +310,14 @@ def wide_term_sums(draw):
 
 @given(wide_term_sums())
 def test_term_sum_json_text_equals_reference(value):
-    assert term_sum_json_text(value) == reference_json_text(value)
+    chunks = list(term_sum_json_chunks(value))
+    assert "".join(chunks) == term_sum_json_text(value) == reference_json_text(value)
     assert term_sum_to_json(value) == term_sum_dicts(value)
+    # one entry per piece, after its separator; "]" closes a non-empty array
+    *entries, last = chunks
+    assert last == ("]" if entries else "[]")
+    assert all(c[0] == ("," if i else "[") for i, c in enumerate(entries))
+    assert all(isinstance(json.loads(c[1:]), dict) for c in entries)
 
 
 def test_term_sum_json_text_edge_cases():
