@@ -100,7 +100,8 @@ def _read_json(path: str):
 
 
 def load_coefficients(path: str, arith: str) -> CoefficientModel:
-    """Build a model from a coefficient file under the given arithmetic."""
+    """Build a model from a coefficient file under the given arithmetic,
+    converting each value once, in file order."""
     doc = _read_json(path)
     if not isinstance(doc, Mapping):
         raise ValueError("coefficient file must be a JSON object")
@@ -109,48 +110,56 @@ def load_coefficients(path: str, arith: str) -> CoefficientModel:
         raise ValueError(f"'p' must be a positive integer, got {p!r}")
     if arith == scalar.SYMBOLIC:
         return CoefficientModel.symbolic(p)
-    kind = doc.get("kind")
+    kind, raw_rows = doc.get("kind"), doc.get("rows")
     if kind == "table":
-        raw_rows = doc.get("rows")
         if not isinstance(raw_rows, Mapping) or not raw_rows:
             raise ValueError("table coefficients need a non-empty 'rows' object")
-        rows = {}
-        for key, values in raw_rows.items():
-            rows[_parse_key(key, "rows")] = _parse_row(values, p, arith, f"rows[{key}]")
-        return CoefficientModel.from_table(rows)
+        return CoefficientModel.from_table(_entries(raw_rows, "rows", arith, p))
     if kind == "constant":
-        return CoefficientModel.constant(
-            _parse_row(doc.get("phi"), p, arith, "phi")
-        )
+        return CoefficientModel.constant(_parse(doc.get("phi"), arith, p, "phi"))
     if kind == "periodic":
         period = doc.get("period")
-        raw_rows = doc.get("rows")
         if not isinstance(period, int) or isinstance(period, bool) or period < 1:
             raise ValueError(f"'period' must be a positive integer, got {period!r}")
         if not isinstance(raw_rows, list) or len(raw_rows) != period:
             raise ValueError("periodic coefficients need 'rows' with one row per phase")
         return CoefficientModel.periodic(
-            [_parse_row(row, p, arith, f"rows[{idx}]") for idx, row in enumerate(raw_rows)]
-        )
+            [_parse(row, arith, p, "rows", i) for i, row in enumerate(raw_rows)])
     raise ValueError(f"unknown coefficient kind {kind!r}")
 
 
-def _parse_key(key: str, where: str) -> int:
-    """An object key naming a time t, written as str(t) writes it, so that
-    two keys never name the same t."""
+def _entries(raw: dict, where: str, arith: str, p: int | None) -> dict:
+    """{t: _parse(value)} over a decoded JSON object, in file order; each
+    key must be a time t written as str(t), so that no two name the same t.
+    Entries leave ``raw`` as they are read, so that what is built from them
+    can reuse their memory."""
+    keys = list(raw)
+    keys.reverse()
+    out = {}
+    while keys:
+        key = keys.pop()
+        try:
+            t = int(key)
+        except ValueError:
+            t = None
+        if t is None or str(t) != key:
+            raise ValueError(f"{where} key {key!r} is not an integer written as str(t)")
+        out[t] = _parse(raw.pop(key), arith, p, where, key)
+    return out
+
+
+def _parse(value, arith: str, p: int | None, where: str, key=None):
+    """One scalar, or with ``p`` a tuple of exactly p; an error names
+    ``where``, or its entry ``key``."""
     try:
-        t = int(key)
-    except ValueError:
-        t = None
-    if t is None or str(t) != key:
-        raise ValueError(f"{where} key {key!r} is not an integer written as str(t)")
-    return t
-
-
-def _parse_row(values, p: int, arith: str, where: str) -> tuple:
-    if not isinstance(values, list) or len(values) != p:
-        raise ValueError(f"{where} must be a list of exactly {p} values")
-    return tuple(scalar_from_json(v, arith) for v in values)
+        if p is None:
+            return scalar_from_json(value, arith)
+        if isinstance(value, list) and len(value) == p:
+            return tuple([scalar_from_json(v, arith) for v in value])
+        raise ValueError(f"must be a list of exactly {p} values")
+    except ValueError as exc:
+        name = where if key is None else f"{where}[{key}]"
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _read_problem(path: str) -> tuple[Mapping, int]:
@@ -165,17 +174,15 @@ def _read_problem(path: str) -> tuple[Mapping, int]:
 
 
 def load_problem(path: str, arith: str, model: CoefficientModel) -> SolutionProblem:
-    """Build a solution problem from a problem file.
-
-    An absent or empty forcing object declares the equation homogeneous.
-    """
+    """Build a solution problem from a problem file, converting each value
+    once, in file order.  An absent or empty forcing object declares the
+    equation homogeneous."""
     doc, s = _read_problem(path)
-    init = _parse_row(doc.get("init"), model.p, arith, "init")
+    init = _parse(doc.get("init"), arith, model.p, "init")
     raw_forcing = doc.get("forcing", {})
     if not isinstance(raw_forcing, Mapping):
         raise ValueError("'forcing' must be an object of t -> value")
-    forcing = {_parse_key(key, "forcing"): scalar_from_json(v, arith)
-               for key, v in raw_forcing.items()}
+    forcing = _entries(raw_forcing, "forcing", arith, None)
     return SolutionProblem(model, s, init, forcing or None)
 
 
@@ -384,19 +391,11 @@ def cmd_verify(args) -> int:
     for matrix in (xi_matrix.entries, product):
         for i, row in enumerate(matrix):
             _finite(row, t - i)
-    mismatch = None
-    for i in range(model.p):
-        for j in range(model.p):
-            if not scalar.scalars_close(xi_matrix.entries[i][j], product[i][j]):
-                mismatch = {
-                    "row": i + 1,
-                    "col": j + 1,
-                    "fundamental": _out(xi_matrix.entries[i][j], t - i),
-                    "companion": _out(product[i][j], t - i),
-                }
-                break
-        if mismatch:
-            break
+    mismatch = next(({"row": i + 1, "col": j + 1, "fundamental": _out(a, t - i),
+                      "companion": _out(b, t - i)}
+                     for i, (xi_row, row) in enumerate(zip(xi_matrix.entries, product))
+                     for j, (a, b) in enumerate(zip(xi_row, row))
+                     if not scalar.scalars_close(a, b)), None)
     entry = {"name": "fundamental-matrix", "passed": mismatch is None}
     if mismatch:
         entry["counterexample"] = mismatch

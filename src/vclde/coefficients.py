@@ -34,6 +34,16 @@ def check_enum_limit(k: int, enum_limit: int | None) -> None:
         raise EnumLimitError(f"order {k} exceeds the enumeration limit {limit}")
 
 
+def _row_length(rows: Sequence[tuple], names, label: str) -> int:
+    """The length p shared by ``rows``; the first row of another length is
+    named by its entry of ``names`` after ``label``."""
+    p = len(rows[0])
+    if any(map(p.__ne__, map(len, rows))):
+        name, row = next((n, r) for n, r in zip(names, rows) if len(r) != p)
+        raise ValueError(f"{label}{name} has {len(row)} values, expected {p}")
+    return p
+
+
 class CoefficientModel:
     """Coefficients phi_m(t) for 1 <= m <= p over a declared t-domain.
 
@@ -112,7 +122,7 @@ class CoefficientModel:
         row = tuple(values)
         if not row:
             raise ValueError("need at least one coefficient")
-        backend = scalar.uniform_backend(row)
+        backend = scalar.rows_backend((row,))
         model = cls(len(row), lambda t: row, backend)
         model._period = None if backend == scalar.SYMBOLIC else 1
         return model
@@ -122,35 +132,26 @@ class CoefficientModel:
         """Table-backed model over the contiguous key range of ``rows``."""
         if not rows:
             raise ValueError("coefficient table is empty")
-        keys = sorted(rows)
-        t_min, t_max = keys[0], keys[-1]
-        if keys != list(range(t_min, t_max + 1)):
+        t_min, t_max = min(rows), max(rows)
+        span = range(t_min, t_max + 1)
+        if len(span) != len(rows) or not all(map(rows.__contains__, span)):
             raise ValueError("coefficient table keys must be contiguous integers")
-        p = len(rows[t_min])
-        table: dict[int, tuple[Scalar, ...]] = {}
-        for t in keys:
-            row = tuple(rows[t])
-            if len(row) != p:
-                raise ValueError(f"row t={t} has {len(row)} values, expected {p}")
-            table[t] = row
-        backend = scalar.uniform_backend(v for row in table.values() for v in row)
-        return cls(p, lambda t: table[t], backend, t_min=t_min, t_max=t_max)
+        # tuple() of a tuple is the tuple itself: rows are not copied
+        table = list(map(tuple, map(rows.__getitem__, span)))
+        p = _row_length(table, span, "row t=")
+        backend = scalar.rows_backend(table)
+        return cls(p, lambda t: table[t - t_min], backend, t_min=t_min, t_max=t_max)
 
     @classmethod
     def periodic(cls, rows: Sequence[Sequence[Scalar]]) -> "CoefficientModel":
         """phi values repeating with period len(rows): row index t mod period."""
-        period = len(rows)
+        cycle = tuple(map(tuple, rows))
+        period = len(cycle)
         if period < 1:
             raise ValueError("need at least one periodic row")
-        p = len(rows[0])
-        cycle = []
-        for idx, row in enumerate(rows):
-            if len(row) != p:
-                raise ValueError(f"periodic row {idx} has {len(row)} values, expected {p}")
-            cycle.append(tuple(row))
-        backend = scalar.uniform_backend(v for row in cycle for v in row)
-        cycle_t = tuple(cycle)
-        model = cls(p, lambda t: cycle_t[t % period], backend)
+        p = _row_length(cycle, range(period), "periodic row ")
+        backend = scalar.rows_backend(cycle)
+        model = cls(p, lambda t: cycle[t % period], backend)
         model._period = None if backend == scalar.SYMBOLIC else period
         return model
 
@@ -169,7 +170,7 @@ class CoefficientModel:
 
         def row_fn(t: int) -> tuple[Scalar, ...]:
             row = tuple(fn(m, t) for m in range(1, p + 1))
-            scalar.check_backend(row, backend)
+            scalar.check_backend(backend, row)
             return row
 
         return cls(p, row_fn, backend, t_min=t_min, t_max=t_max)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from . import scalar
-from .scalar import Scalar, check_backend, uniform_backend
+from .scalar import Scalar, check_backend, rows_backend
 
 ORACLE_LIMIT_DEFAULT = 9
 
@@ -84,7 +84,7 @@ class HessenbergMatrix(_HessenbergBase):
         rows = [
             [fn(i, j) for j in range(1, min(i + 1, k) + 1)] for i in range(1, k + 1)
         ]
-        check_backend((v for row in rows for v in row), backend)
+        check_backend(backend, *rows)
         return cls(k, rows, backend)
 
     @classmethod
@@ -102,9 +102,7 @@ class HessenbergMatrix(_HessenbergBase):
                         f"nonzero entry ({i},{j}) above the superdiagonal"
                     )
             stored.append(list(row[: min(i + 1, k)]))
-        resolved = uniform_backend(
-            (v for row in stored for v in row), backend or scalar.RATIONAL
-        )
+        resolved = rows_backend(stored, backend or scalar.RATIONAL)
         return cls(k, stored, resolved)
 
     def h(self, i: int, j: int) -> Scalar:
@@ -143,7 +141,7 @@ class BandedHessenbergMatrix(_HessenbergBase):
             lo = max(1, 1 + offset)
             hi = min(k, k + offset)
             stripes[offset] = [fn(i, i - offset) for i in range(lo, hi + 1)]
-        check_backend((v for s in stripes.values() for v in s), backend)
+        check_backend(backend, *stripes.values())
         return cls(k, p, stripes, backend)
 
     def h(self, i: int, j: int) -> Scalar:
@@ -211,7 +209,7 @@ def det_leibniz_oracle(
             if len(row) != len(rows):
                 raise ValueError(f"row {i} has {len(row)} entries, not square")
         empty = 1
-        backend = uniform_backend(v for row in rows for v in row)
+        backend = rows_backend(rows)
     k = len(rows)
     if k > oracle_limit:
         raise ValueError(

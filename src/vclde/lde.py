@@ -86,15 +86,13 @@ class SolutionProblem(scalar.Frozen):
                 f"anchor s={s} puts the initial window below the "
                 f"coefficient domain start {model.t_min}"
             )
-        values = init
+        rows = (init,)
         if isinstance(forcing, Mapping):
-            bad = [t for t in forcing if t <= s]
-            if bad:
-                raise DomainError(
-                    f"forcing keys must exceed the anchor s={s}: {sorted(bad)}"
-                )
-            values += tuple(forcing.values())
-        scalar.check_backend(values, model.backend)
+            if forcing and min(forcing) <= s:
+                bad = sorted(t for t in forcing if t <= s)
+                raise DomainError(f"forcing keys must exceed the anchor s={s}: {bad}")
+            rows += (forcing.values(),)
+        scalar.check_backend(model.backend, *rows)
         self._set(model=model, s=s, init=init, forcing=forcing)
 
     @classmethod
@@ -133,7 +131,7 @@ class SolutionProblem(scalar.Frozen):
         forcing = self.forcing
         if callable(forcing):
             value = forcing(t)
-            scalar.check_backend((value,), self.model.backend)
+            scalar.check_backend(self.model.backend, (value,))
             return value
         if not forcing:
             return self.model.zero

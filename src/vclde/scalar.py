@@ -17,6 +17,7 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -260,14 +261,19 @@ def backend_of(value: Scalar) -> str:
 def uniform_backend(values: Iterable[Scalar], default: str | None = None) -> str | None:
     """The one backend shared by ``values``, or ``default`` when there are
     none; mixing backends is an error."""
-    values = tuple(values)
-    # one backend by exact type; anything else (bool, subclasses, strays,
-    # mixtures) takes the loop, which raises at the first offender
-    tags = {_BACKEND_OF_TYPE.get(t) for t in set(map(type, values))}
+    return rows_backend((tuple(values),), default)
+
+
+def rows_backend(rows: Iterable[Iterable[Scalar]], default: str | None = None) -> str | None:
+    """:func:`uniform_backend` of the values of ``rows``.  When their exact
+    types all map to one backend they are read in one pass and not held;
+    anything else (bool, subclasses, strays, mixtures) takes a second pass,
+    which raises at the first offender, so each row must be iterable twice."""
+    tags = set(map(_BACKEND_OF_TYPE.get, set(map(type, itertools.chain.from_iterable(rows)))))
     if len(tags) == 1 and None not in tags:
         return tags.pop()
     found: str | None = None
-    for v in values:
+    for v in itertools.chain.from_iterable(rows):
         b = backend_of(v)
         if found is None:
             found = b
@@ -289,9 +295,10 @@ def sum_terms(terms: Iterable[Scalar]) -> Scalar | None:
     return total
 
 
-def check_backend(values: Iterable[Scalar], backend: str) -> None:
-    """Raise :class:`BackendMismatchError` unless every value is of ``backend``."""
-    found = uniform_backend(values, backend)
+def check_backend(backend: str, *rows: Iterable[Scalar]) -> None:
+    """Raise :class:`BackendMismatchError` unless every value of ``rows``
+    is of ``backend``; each row must be iterable twice."""
+    found = rows_backend(rows, backend)
     if found != backend:
         raise BackendMismatchError(f"backend mismatch: {backend} vs {found}")
 
@@ -353,28 +360,38 @@ def format_rational(value: Union[Fraction, int]) -> str:
 
 
 def parse_rational(text: Union[str, int]) -> Fraction:
-    """Parse "num/den" (or a bare integer/decimal string) exactly."""
+    """Parse an integer, or a string "n", "n/d" or a decimal such as
+    "-1.25e-3" as Fraction reads it, exactly.  A string whose numerator or
+    denominator is written with more than sys.get_int_max_str_digits()
+    digits, an exponent counting as its zeros, is refused before any big
+    integer is built."""
     if isinstance(text, bool):
         raise ValueError("bool is not a rational")
     if isinstance(text, int):
         return Fraction(text)
-    if isinstance(text, str):
+    if not isinstance(text, str):
+        raise ValueError(f"rational values must be strings or integers, got {repr(text)[:40]}")
+    num, slash, den = text.partition("/")
+    plain = text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash)
+    # the interpreter's int digit limit, 4300 by default (0: none)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    if limit and (not plain or len(text) > limit):
+        body, _, divisor = text.lower().replace("_", "").partition("/")
+        mantissa, _, exponent = body.partition("e")
+        whole, _, fraction = mantissa.strip(" +-").partition(".")
         try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {text!r}") from exc
-    raise ValueError(f"rational values must be strings or integers, got {text!r}")
-
-
-def _atom_from_json(obj: Mapping) -> Atom:
-    kind = obj["kind"]
-    if kind == "h":
-        return (0, int(obj["i"]), int(obj["j"]))
-    if kind == "phi":
-        return (1, int(obj["t"]), int(obj["m"]))
-    if kind in ("y", "v"):
-        return (_KINDS.index(kind), int(obj["t"]))
-    raise ValueError(f"unknown atom kind: {kind!r}")
+            shift = int(exponent or 0) - len(fraction)
+        except ValueError:
+            shift = 0  # no rational: Fraction says so below
+        if max(len(whole + fraction) + shift, 1 - shift, len(divisor.strip())) > limit:
+            raise ValueError(f"{text[:40]!r} has more than {limit} digits in its "
+                             "numerator or denominator")
+    try:
+        if plain:
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational: {text[:40]!r}") from None
 
 
 def term_sum_json_chunks(value: TermSum) -> Iterator[str]:
@@ -420,17 +437,6 @@ def term_sum_to_json(value: TermSum) -> list[dict]:
     return json.loads(term_sum_json_text(value))
 
 
-def term_sum_from_json(items: Iterable[Mapping]) -> TermSum:
-    terms: dict[tuple[Atom, ...], int] = {}
-    for entry in items:
-        sign = int(entry["sign"])
-        if sign not in (1, -1):
-            raise ValueError(f"term sign must be +-1, got {sign}")
-        factors = tuple(sorted(_atom_from_json(f) for f in entry["factors"]))
-        terms[factors] = terms.get(factors, 0) + sign
-    return TermSum(terms)
-
-
 def scalar_to_json(value: Scalar):
     kind = backend_of(value)
     if kind == RATIONAL:
@@ -452,7 +458,7 @@ def scalar_from_json(obj, arith: str) -> Scalar:
         if type(obj) is float and math.isfinite(obj):
             return obj
         if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-            raise ValueError(f"float64 mode requires JSON numbers, got {obj!r}")
+            raise ValueError(f"float64 mode requires JSON numbers, got {repr(obj)[:40]}")
         try:
             value = float(obj)
         except OverflowError:

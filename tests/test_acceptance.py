@@ -28,7 +28,6 @@ from vclde.hessenberg import det_leibniz_oracle, det_recurrence
 from vclde.leibnizian import det_leibnizian, mask_from_index
 from vclde.nested_sum import det_nested_sum
 from vclde.oracles import companion_product, recursion_oracle
-from vclde.scalar import term_sum_from_json
 from testutil import (
     Permutation,
     float_model,
@@ -39,6 +38,7 @@ from testutil import (
     random_problem,
     random_rows,
     sep_from_mask,
+    term_sum_from_json,
     validate_string_properties,
     zero_run,
     zero_run_piecewise,

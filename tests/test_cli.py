@@ -3,10 +3,13 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -16,8 +19,9 @@ from vclde import CoefficientModel, SolutionProblem, casorati, cli, evaluate_gre
 from vclde.cli import load_coefficients, load_problem, main
 from vclde.hessenberg import HessenbergMatrix
 from vclde.leibnizian import det_leibnizian
-from vclde.scalar import h_sym, render_scalar, term_sum_from_json, term_sum_json_chunks
-from testutil import random_rows, reference_json_text
+from vclde.scalar import (format_rational, h_sym, render_scalar, scalar_from_json,
+                          term_sum_json_chunks)
+from testutil import random_rows, reference_json_text, term_sum_from_json
 
 from test_lde import expected_green_5_2, expected_solution_5
 
@@ -694,6 +698,205 @@ def test_loaders_direct():
         assert isinstance(problem, SolutionProblem)
         assert problem.forcing_value(3) == Fraction(1, 2)
         assert not problem.is_homogeneous
+
+
+def run_child(argv_list, *flags, timeout=10):
+    """Each argv through ``python [flags] -m vclde`` in a fresh interpreter
+    that imports this vclde: (exit code, stdout, stderr) per argv."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    results = []
+    for argv in argv_list:
+        proc = subprocess.run([sys.executable, *flags, "-m", "vclde", *argv],
+                              capture_output=True, text=True, timeout=timeout, env=env)
+        results.append((proc.returncode, proc.stdout, proc.stderr))
+    return results
+
+
+def test_file_rationals_are_bounded_by_the_int_digit_limit(tmp_path):
+    # Fraction expands a decimal exponent before anything checks its size,
+    # so "1e10000000" would build an integer of ten million digits.  A value
+    # written with more digits than the interpreter's int limit (an exponent
+    # counting as its zeros) exits 2 at once, naming where it sits and
+    # quoting at most about 40 characters of it.
+    limit = sys.get_int_max_str_digits()
+    long_int = "7" * (limit + 700)
+    rows = {str(t): ["1"] for t in range(5)}
+    rows["3"] = ["1e-10000000"]
+    # each document under the text its message must hold
+    files = {
+        "phi": {"p": 1, "kind": "constant", "phi": ["1e10000000"]},
+        f"'1e{limit}'": {"p": 1, "kind": "constant", "phi": [f"1e{limit}"]},
+        "rows[3]": {"p": 1, "kind": "table", "rows": rows},
+        "rows[1]": {"p": 1, "kind": "periodic", "period": 2, "rows": [["2"], [long_int]]},
+    }
+    problems = {
+        "init": {"s": 0, "init": ["1e10000000"]},
+        "forcing[7]": {"s": 0, "init": ["1"], "forcing": {"6": "1", "7": "5e-99999999"}},
+    }
+    fine = write_json(tmp_path / "fine.json", {"p": 1, "kind": "constant", "phi": ["2"]})
+    argvs = [["green", "--coeffs", write_json(tmp_path / f"c{i}.json", doc),
+              "--t", "1", "--s", "0"] for i, doc in enumerate(files.values())]
+    argvs += [["solve", "--coeffs", fine, "--t", "8",
+               "--problem", write_json(tmp_path / f"p{i}.json", doc)]
+              for i, doc in enumerate(problems.values())]
+    argvs.append(["green", "--coeffs", write_json(tmp_path / "edge.json", {
+        "p": 1, "kind": "constant", "phi": [f"1e{limit - 1}"]}), "--t", "1", "--s", "0"])
+    start = time.perf_counter()
+    *refused, (code, out, err) = run_child(argvs)
+    assert time.perf_counter() - start < 8
+    assert (code, err) == (0, "")
+    assert json.loads(out)["H"] == "1" + "0" * (limit - 1)
+    for named, (code, out, err) in zip([*files, *problems], refused):
+        assert (code, out) == (2, ""), named
+        body = json.loads(err)
+        assert body["error"] == "invalid-input"
+        assert named in body["message"] and len(body["message"]) < 120, body
+
+
+def test_first_bad_entry_in_file_order_is_named(tmp_path, capsys, fib_coeffs):
+    # file order, not time order: rows[5] and forcing[4] come first
+    coeffs = write_json(tmp_path / "table.json", {"p": 1, "kind": "table", "rows": {
+        "5": ["x"], "1": ["1", "2"], "2": ["y"]}})
+    problem = write_json(tmp_path / "p.json", {"s": 0, "init": ["0", "1"], "forcing": {
+        "1": "1", "4": "1/0", "2": "z", "03": "1"}})
+    for argv, where in ((["green", "--coeffs", coeffs, "--t", "2", "--s", "1"], "rows[5]"),
+                        (["solve", "--coeffs", fib_coeffs, "--problem", problem, "--t", "4"],
+                         "forcing[4]")):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        message = json.loads(err)["message"]
+        assert message.startswith(where), message
+
+
+_RATIONAL_TEXTS = st.one_of(
+    st.fractions(max_denominator=10**6).map(format_rational),
+    st.integers(-10**6, 10**6),
+    st.decimals(allow_nan=False, allow_infinity=False, places=4).map(str),
+    st.sampled_from(["1e3", "-2.5e-2", "+3", "1_000", " 7/8 ", "0.0"]),
+)
+_FLOAT_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.integers(-10**20, 10**20))
+
+
+def _same_scalars(a, b) -> bool:
+    """Equal values of the same type; floats bit for bit (signed zeros too)."""
+    return len(a) == len(b) and all(
+        type(x) is type(y) and (x.hex() == y.hex() if type(x) is float else x == y)
+        for x, y in zip(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), arith=st.sampled_from(["rational", "float64"]), p=st.integers(1, 3))
+def test_loaders_convert_each_value_as_scalar_from_json(tmp_path_factory, data, arith, p):
+    """Table, periodic and constant coefficient files and problem files load
+    to the rows, initial values and forcing that a parse of each value
+    alone gives, whatever the order of their keys."""
+    value = _RATIONAL_TEXTS if arith == "rational" else _FLOAT_NUMBERS
+    row = st.lists(value, min_size=p, max_size=p)
+    t0, n = data.draw(st.integers(-5, 5)), data.draw(st.integers(1, 12))
+    times = data.draw(st.permutations(range(t0, t0 + n)))
+    table = {str(t): data.draw(row) for t in times}
+    cycle = data.draw(st.lists(row, min_size=1, max_size=4))
+    phi = data.draw(row)
+    init, s = data.draw(row), data.draw(st.integers(-3, 3))
+    forcing = {str(t): data.draw(value)
+               for t in data.draw(st.lists(st.integers(s + 1, s + 20), unique=True))}
+
+    def parsed(values):
+        return tuple(scalar_from_json(v, arith) for v in values)
+
+    folder = tmp_path_factory.mktemp("load")
+    docs = {"table": {"p": p, "kind": "table", "rows": table},
+            "periodic": {"p": p, "kind": "periodic", "period": len(cycle), "rows": cycle},
+            "constant": {"p": p, "kind": "constant", "phi": phi}}
+    models = {kind: load_coefficients(write_json(folder / f"{kind}.json", doc), arith)
+              for kind, doc in docs.items()}
+    for t in times:
+        assert _same_scalars(models["table"].phi_row(t), parsed(table[str(t)]))
+    for t in range(-len(cycle), len(cycle)):
+        assert _same_scalars(models["periodic"].phi_row(t), parsed(cycle[t % len(cycle)]))
+    assert _same_scalars(models["constant"].phi_row(0), parsed(phi))
+
+    problem = load_problem(write_json(folder / "problem.json", {
+        "s": s, "init": init, "forcing": forcing}), arith, models["constant"])
+    assert _same_scalars(problem.init, parsed(init))
+    assert sorted(problem.forcing or {}) == sorted(map(int, forcing))
+    for key, v in forcing.items():
+        assert _same_scalars((problem.forcing[int(key)],), parsed([v]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=st.fractions())
+def test_rational_output_round_trips_byte_for_byte(tmp_path_factory, x):
+    # H(s+1, s) = phi_1(s+1): the file's value comes back as it was written
+    text = format_rational(x)
+    coeffs = tmp_path_factory.mktemp("rt") / "c.json"
+    coeffs.write_text(json.dumps({"p": 1, "kind": "constant", "phi": [text]}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["green", "--coeffs", str(coeffs), "--t", "1", "--s", "0"]) == 0
+    assert f'"H":"{text}"' in out.getvalue()
+    assert json.loads(out.getvalue())["H"] == text
+
+
+def _load_peak_ratio(path, load):
+    """tracemalloc peak of ``load()`` over that of json.load on the file."""
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def decode():
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+
+    return peak(load) / peak(decode)
+
+
+def test_loads_peak_at_the_decoded_json(tmp_path):
+    """Loading a 20,000-row table or a 20,000-entry problem file converts it
+    in one pass: the load peaks at about the memory json.load needs, not at
+    a second copy of the table."""
+    rng = Random(7)
+    n, p = 20_000, 4
+    floats = {str(t): [rng.uniform(-1, 1) for _ in range(p)] for t in range(n)}
+    rationals = {str(t): [f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}" for _ in range(p)]
+                 for t in range(n)}
+    forcing = {str(t): rng.uniform(-1, 1) for t in range(1, n + 1)}
+    model = CoefficientModel.constant([0.5] * p)
+    cases = {
+        "float table": ({"p": p, "kind": "table", "rows": floats},
+                        lambda path: load_coefficients(path, "float64")),
+        "rational table": ({"p": p, "kind": "table", "rows": rationals},
+                           lambda path: load_coefficients(path, "rational")),
+        "float problem": ({"s": 0, "init": [0.5] * p, "forcing": forcing},
+                          lambda path: load_problem(path, "float64", model)),
+    }
+    for name, (doc, load) in cases.items():
+        path = write_json(tmp_path / "doc.json", doc)
+        ratio = _load_peak_ratio(path, lambda: load(path))
+        assert ratio <= 1.05, (name, ratio)
+
+
+def test_dev_mode_runs_warning_free(tmp_path):
+    # -X dev reports unclosed files and other resource warnings, and
+    # -W error makes each of them fatal
+    coeffs = write_json(tmp_path / "c.json", {"p": 2, "kind": "table", "rows": {
+        str(t): [f"{t + 2}/3", "-1/2"] for t in range(-1, 9)}})
+    problem = write_json(tmp_path / "p.json", {
+        "s": 0, "init": ["1", "1/2"], "forcing": {str(t): f"1/{t}" for t in range(1, 9)}})
+    common = ["--coeffs", coeffs, "--t", "8"]
+    argvs = [["green", *common, "--s", "0"], ["solve", *common, "--problem", problem],
+             ["verify", *common, "--s", "0", "--problem", problem]]
+    for argv, (code, out, err) in zip(argvs, run_child(argvs, "-X", "dev", "-W", "error",
+                                                        timeout=60)):
+        assert (code, err) == (0, ""), argv
+        json.loads(out)
 
 
 def test_usage_error_is_json(fib_coeffs, capsys):

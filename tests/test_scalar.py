@@ -25,7 +25,6 @@ from vclde.scalar import (
     scalar_to_json,
     scalars_close,
     sum_terms,
-    term_sum_from_json,
     term_sum_json_chunks,
     term_sum_json_text,
     term_sum_to_json,
@@ -42,6 +41,7 @@ from testutil import (
     mul,
     reference_json_text,
     term_sum_dicts,
+    term_sum_from_json,
     term_sum_product,
     uniform_backend_by_loop,
 )

@@ -325,6 +325,28 @@ def term_sum_product(a: TermSum, b: TermSum) -> TermSum:
     return TermSum(merged)
 
 
+def term_sum_from_json(items) -> TermSum:
+    """Reference reader of a term sum's JSON array, the inverse of
+    ``scalar.term_sum_to_json``: each atom object back to its tuple."""
+
+    def atom(obj):
+        kind = obj["kind"]
+        if kind == "h":
+            return (0, int(obj["i"]), int(obj["j"]))
+        if kind == "phi":
+            return (1, int(obj["t"]), int(obj["m"]))
+        return ({"y": 2, "v": 3}[kind], int(obj["t"]))
+
+    terms = {}
+    for entry in items:
+        sign = int(entry["sign"])
+        if sign not in (1, -1):
+            raise ValueError(f"term sign must be +-1, got {sign}")
+        factors = tuple(sorted(atom(f) for f in entry["factors"]))
+        terms[factors] = terms.get(factors, 0) + sign
+    return TermSum(terms)
+
+
 def backend_of_by_isinstance(value) -> str:
     """Reference backend tag by isinstance checks alone."""
     if isinstance(value, TermSum):
