@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from typing import Mapping
 
 from . import scalar
 from .coefficients import (CoefficientModel, DomainError, EnumLimitError,
@@ -100,10 +99,9 @@ def _read_json(path: str):
 
 
 def load_coefficients(path: str, arith: str) -> CoefficientModel:
-    """Build a model from a coefficient file under the given arithmetic,
-    converting each value once, in file order."""
+    """Build a model from a coefficient file, converting each value once."""
     doc = _read_json(path)
-    if not isinstance(doc, Mapping):
+    if not isinstance(doc, dict):
         raise ValueError("coefficient file must be a JSON object")
     p = doc.get("p")
     if not isinstance(p, int) or isinstance(p, bool) or p < 1:
@@ -112,7 +110,7 @@ def load_coefficients(path: str, arith: str) -> CoefficientModel:
         return CoefficientModel.symbolic(p)
     kind, raw_rows = doc.get("kind"), doc.get("rows")
     if kind == "table":
-        if not isinstance(raw_rows, Mapping) or not raw_rows:
+        if not isinstance(raw_rows, dict) or not raw_rows:
             raise ValueError("table coefficients need a non-empty 'rows' object")
         return CoefficientModel.from_table(_entries(raw_rows, "rows", arith, p))
     if kind == "constant":
@@ -129,12 +127,10 @@ def load_coefficients(path: str, arith: str) -> CoefficientModel:
 
 
 def _entries(raw: dict, where: str, arith: str, p: int | None) -> dict:
-    """{t: _parse(value)} over a decoded JSON object, in file order; each
-    key must be a time t written as str(t), so that no two name the same t.
-    Entries leave ``raw`` as they are read, so that what is built from them
-    can reuse their memory."""
-    keys = list(raw)
-    keys.reverse()
+    """{t: _parse(value)} over a decoded JSON object in file order, each key
+    a time t written as str(t) so that no two name the same t; entries leave
+    ``raw`` as they are read, so what is built from them reuses their memory."""
+    keys = list(reversed(raw))
     out = {}
     while keys:
         key = keys.pop()
@@ -149,8 +145,7 @@ def _entries(raw: dict, where: str, arith: str, p: int | None) -> dict:
 
 
 def _parse(value, arith: str, p: int | None, where: str, key=None):
-    """One scalar, or with ``p`` a tuple of exactly p; an error names
-    ``where``, or its entry ``key``."""
+    """One scalar, or a row of exactly ``p``; an error names where[key]."""
     try:
         if p is None:
             return scalar_from_json(value, arith)
@@ -162,10 +157,10 @@ def _parse(value, arith: str, p: int | None, where: str, key=None):
         raise ValueError(f"{name}: {exc}") from None
 
 
-def _read_problem(path: str) -> tuple[Mapping, int]:
+def _read_problem(path: str) -> tuple[dict, int]:
     """A problem file's JSON object and its integer anchor s."""
     doc = _read_json(path)
-    if not isinstance(doc, Mapping):
+    if not isinstance(doc, dict):
         raise ValueError("problem file must be a JSON object")
     s = doc.get("s")
     if not isinstance(s, int) or isinstance(s, bool):
@@ -175,12 +170,11 @@ def _read_problem(path: str) -> tuple[Mapping, int]:
 
 def load_problem(path: str, arith: str, model: CoefficientModel) -> SolutionProblem:
     """Build a solution problem from a problem file, converting each value
-    once, in file order.  An absent or empty forcing object declares the
-    equation homogeneous."""
+    once; an absent or empty forcing object declares the equation homogeneous."""
     doc, s = _read_problem(path)
     init = _parse(doc.get("init"), arith, model.p, "init")
     raw_forcing = doc.get("forcing", {})
-    if not isinstance(raw_forcing, Mapping):
+    if not isinstance(raw_forcing, dict):
         raise ValueError("'forcing' must be an object of t -> value")
     forcing = _entries(raw_forcing, "forcing", arith, None)
     return SolutionProblem(model, s, init, forcing or None)
@@ -391,11 +385,19 @@ def cmd_verify(args) -> int:
     for matrix in (xi_matrix.entries, product):
         for i, row in enumerate(matrix):
             _finite(row, t - i)
-    mismatch = next(({"row": i + 1, "col": j + 1, "fundamental": _out(a, t - i),
-                      "companion": _out(b, t - i)}
-                     for i, (xi_row, row) in enumerate(zip(xi_matrix.entries, product))
-                     for j, (a, b) in enumerate(zip(xi_row, row))
-                     if not scalar.scalars_close(a, b)), None)
+    mismatch = None
+    for i in range(model.p):
+        for j in range(model.p):
+            if not scalar.scalars_close(xi_matrix.entries[i][j], product[i][j]):
+                mismatch = {
+                    "row": i + 1,
+                    "col": j + 1,
+                    "fundamental": _out(xi_matrix.entries[i][j], t - i),
+                    "companion": _out(product[i][j], t - i),
+                }
+                break
+        if mismatch:
+            break
     entry = {"name": "fundamental-matrix", "passed": mismatch is None}
     if mismatch:
         entry["counterexample"] = mismatch

@@ -170,7 +170,7 @@ class CoefficientModel:
 
         def row_fn(t: int) -> tuple[Scalar, ...]:
             row = tuple(fn(m, t) for m in range(1, p + 1))
-            scalar.check_backend(backend, row)
+            scalar.check_backend((row,), backend)
             return row
 
         return cls(p, row_fn, backend, t_min=t_min, t_max=t_max)

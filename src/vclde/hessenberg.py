@@ -84,7 +84,7 @@ class HessenbergMatrix(_HessenbergBase):
         rows = [
             [fn(i, j) for j in range(1, min(i + 1, k) + 1)] for i in range(1, k + 1)
         ]
-        check_backend(backend, *rows)
+        check_backend(rows, backend)
         return cls(k, rows, backend)
 
     @classmethod
@@ -141,7 +141,7 @@ class BandedHessenbergMatrix(_HessenbergBase):
             lo = max(1, 1 + offset)
             hi = min(k, k + offset)
             stripes[offset] = [fn(i, i - offset) for i in range(lo, hi + 1)]
-        check_backend(backend, *stripes.values())
+        check_backend(stripes.values(), backend)
         return cls(k, p, stripes, backend)
 
     def h(self, i: int, j: int) -> Scalar:

@@ -92,7 +92,7 @@ class SolutionProblem(scalar.Frozen):
                 bad = sorted(t for t in forcing if t <= s)
                 raise DomainError(f"forcing keys must exceed the anchor s={s}: {bad}")
             rows += (forcing.values(),)
-        scalar.check_backend(model.backend, *rows)
+        scalar.check_backend(rows, model.backend)
         self._set(model=model, s=s, init=init, forcing=forcing)
 
     @classmethod
@@ -131,7 +131,7 @@ class SolutionProblem(scalar.Frozen):
         forcing = self.forcing
         if callable(forcing):
             value = forcing(t)
-            scalar.check_backend(self.model.backend, (value,))
+            scalar.check_backend(((value,),), self.model.backend)
             return value
         if not forcing:
             return self.model.zero

@@ -4,7 +4,7 @@ Three backends behind one small ring interface: exact rationals
 (:class:`fractions.Fraction`, with plain ``int`` accepted as an integer
 rational), IEEE-754 binary64 (Python ``float``), and symbolic term sums
 (:class:`TermSum`).  Backends never coerce into each other:
-:func:`uniform_backend` raises :class:`BackendMismatchError` wherever values
+:func:`rows_backend` raises :class:`BackendMismatchError` wherever values
 from different backends meet.
 
 All values are immutable after construction and safe to share between
@@ -258,17 +258,12 @@ def backend_of(value: Scalar) -> str:
     raise BackendMismatchError(f"not a scalar: {value!r}")
 
 
-def uniform_backend(values: Iterable[Scalar], default: str | None = None) -> str | None:
-    """The one backend shared by ``values``, or ``default`` when there are
-    none; mixing backends is an error."""
-    return rows_backend((tuple(values),), default)
-
-
 def rows_backend(rows: Iterable[Iterable[Scalar]], default: str | None = None) -> str | None:
-    """:func:`uniform_backend` of the values of ``rows``.  When their exact
-    types all map to one backend they are read in one pass and not held;
-    anything else (bool, subclasses, strays, mixtures) takes a second pass,
-    which raises at the first offender, so each row must be iterable twice."""
+    """The one backend shared by the values of ``rows``, or ``default`` when
+    there are none; mixing backends is an error.  When their exact types all
+    map to one backend they are read in one pass and not held; anything else
+    (bool, subclasses, strays, mixtures) takes a second pass, which raises at
+    the first offender, so ``rows`` and each row must be iterable twice."""
     tags = set(map(_BACKEND_OF_TYPE.get, set(map(type, itertools.chain.from_iterable(rows)))))
     if len(tags) == 1 and None not in tags:
         return tags.pop()
@@ -295,9 +290,9 @@ def sum_terms(terms: Iterable[Scalar]) -> Scalar | None:
     return total
 
 
-def check_backend(backend: str, *rows: Iterable[Scalar]) -> None:
+def check_backend(rows: Iterable[Iterable[Scalar]], backend: str) -> None:
     """Raise :class:`BackendMismatchError` unless every value of ``rows``
-    is of ``backend``; each row must be iterable twice."""
+    is of ``backend``; ``rows`` and each row must be iterable twice."""
     found = rows_backend(rows, backend)
     if found != backend:
         raise BackendMismatchError(f"backend mismatch: {backend} vs {found}")
@@ -338,7 +333,7 @@ def scalars_close(
     abs_tol: float = DEFAULT_ABS_TOL,
 ) -> bool:
     """Equality check: exact for rational/symbolic, tolerant for binary64."""
-    kind = uniform_backend((a, b))
+    kind = rows_backend(((a, b),))
     if kind == FLOAT64:
         return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
     return a == b
@@ -371,11 +366,10 @@ def parse_rational(text: Union[str, int]) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str):
         raise ValueError(f"rational values must be strings or integers, got {repr(text)[:40]}")
-    num, slash, den = text.partition("/")
-    plain = text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash)
-    # the interpreter's int digit limit, 4300 by default (0: none)
+    # the interpreter's int digit limit, 4300 by default (0: none); without
+    # an exponent no numerator or denominator has more digits than the text
     limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
-    if limit and (not plain or len(text) > limit):
+    if limit and (len(text) > limit or "e" in text or "E" in text):
         body, _, divisor = text.lower().replace("_", "").partition("/")
         mantissa, _, exponent = body.partition("e")
         whole, _, fraction = mantissa.strip(" +-").partition(".")
@@ -387,8 +381,6 @@ def parse_rational(text: Union[str, int]) -> Fraction:
             raise ValueError(f"{text[:40]!r} has more than {limit} digits in its "
                              "numerator or denominator")
     try:
-        if plain:
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not a rational: {text[:40]!r}") from None

@@ -21,6 +21,7 @@ from vclde.scalar import (
     one,
     parse_rational,
     phi_sym,
+    rows_backend,
     scalar_from_json,
     scalar_to_json,
     scalars_close,
@@ -28,7 +29,6 @@ from vclde.scalar import (
     term_sum_json_chunks,
     term_sum_json_text,
     term_sum_to_json,
-    uniform_backend,
     v_sym,
     y_sym,
     zero,
@@ -358,8 +358,9 @@ def test_backend_checks_equal_the_isinstance_loop(values, default):
     for value in values:
         assert _outcome(backend_of, value) == _outcome(backend_of_by_isinstance, value)
     expected = _outcome(uniform_backend_by_loop, values, default)
-    assert _outcome(uniform_backend, values, default) == expected
-    assert _outcome(uniform_backend, iter(values), default) == expected
+    assert _outcome(rows_backend, (values,), default) == expected
+    half = len(values) // 2
+    assert _outcome(rows_backend, [values[:half], values[half:]], default) == expected
 
 
 def test_float_scalars_pass_through_and_non_finite_are_refused():

@@ -13,7 +13,7 @@ from random import Random
 from vclde import CoefficientModel, DomainError, SolutionProblem, green, xi
 from vclde.hessenberg import HessenbergMatrix
 from vclde.leibnizian import SepTerm, _columns_from_bits, enumerate_seps, mask_from_index
-from vclde.scalar import BackendMismatchError, TermSum, uniform_backend
+from vclde.scalar import BackendMismatchError, TermSum, rows_backend
 
 
 def rational(rng: Random, num_max: int = 9, den_max: int = 9) -> Fraction:
@@ -375,13 +375,13 @@ def uniform_backend_by_loop(values, default=None):
 
 def add(a, b):
     """Ring addition within one backend; mixing backends is an error."""
-    uniform_backend((a, b))
+    rows_backend(((a, b),))
     return a + b
 
 
 def mul(a, b):
     """Ring multiplication within one backend; mixing backends is an error."""
-    uniform_backend((a, b))
+    rows_backend(((a, b),))
     return a * b
 
 
