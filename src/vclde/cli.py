@@ -105,7 +105,7 @@ def load_coefficients(path: str, arith: str) -> CoefficientModel:
         raise ValueError("coefficient file must be a JSON object")
     p = doc.get("p")
     if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-        raise ValueError(f"'p' must be a positive integer, got {p!r}")
+        raise ValueError(f"'p' must be a positive integer, got {repr(p)[:40]}")
     if arith == scalar.SYMBOLIC:
         return CoefficientModel.symbolic(p)
     kind, raw_rows = doc.get("kind"), doc.get("rows")
@@ -118,7 +118,8 @@ def load_coefficients(path: str, arith: str) -> CoefficientModel:
     if kind == "periodic":
         period = doc.get("period")
         if not isinstance(period, int) or isinstance(period, bool) or period < 1:
-            raise ValueError(f"'period' must be a positive integer, got {period!r}")
+            raise ValueError(
+                f"'period' must be a positive integer, got {repr(period)[:40]}")
         if not isinstance(raw_rows, list) or len(raw_rows) != period:
             raise ValueError("periodic coefficients need 'rows' with one row per phase")
         return CoefficientModel.periodic(
@@ -164,7 +165,7 @@ def _read_problem(path: str) -> tuple[dict, int]:
         raise ValueError("problem file must be a JSON object")
     s = doc.get("s")
     if not isinstance(s, int) or isinstance(s, bool):
-        raise ValueError(f"'s' must be an integer, got {s!r}")
+        raise ValueError(f"'s' must be an integer, got {repr(s)[:40]}")
     return doc, s
 
 

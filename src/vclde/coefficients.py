@@ -224,12 +224,13 @@ def skip_periods(window, p: int, rows, rest: int, period: int,
 
 
 def build_phi_matrix(model: CoefficientModel, m: int, t: int, s: int):
-    """The order-(t-s) :class:`~vclde.hessenberg.BandedHessenbergMatrix` of
-    branch m, for the verification routes that expand it entry by entry.
+    """The order-(t-s) banded Hessenberg rows of branch m
+    (:class:`~vclde.hessenberg.BandedHessenbergMatrix`), for the
+    verification routes that expand them entry by entry.
 
     Row i carries phi_{i-j+1}(s+i) in interior columns, the truncated column
     phi_{i-1+m}(s+i) at j = 1 (rows 1..p-m+1 only), and -1 on the
-    superdiagonal.
+    superdiagonal.  Each model row s+1..t is read once.
     """
     from .hessenberg import BandedHessenbergMatrix
 
@@ -238,18 +239,14 @@ def build_phi_matrix(model: CoefficientModel, m: int, t: int, s: int):
         raise DomainError(f"branch {m} outside 1..{p}")
     if t <= s:
         raise DomainError(f"requires t > s, got t={t}, s={s}")
+    phi = [model.phi_row(u) for u in range(s + 1, t + 1)]
     zero = model.zero
     minus_one = -model.one
 
     def entry(i: int, j: int) -> Scalar:
         if j == i + 1:
             return minus_one
-        if j == 1:
-            q = i - 1 + m
-            return model.phi(q, s + i) if q <= p else zero
-        q = i - j + 1
-        if 1 <= q <= p:
-            return model.phi(q, s + i)
-        return zero
+        q = i - 1 + m if j == 1 else i - j + 1
+        return phi[i - 1][q - 1] if q <= p else zero
 
     return BandedHessenbergMatrix.from_function(t - s, p, entry, model.backend)

@@ -273,7 +273,7 @@ def principal_chain(model: CoefficientModel, m: int, t: int, s: int) -> list[Sca
 
     Returns [d_0, ..., d_{t-s}] where d_n is the order-n leading principal
     minor (d_0 = 1), computed by the Hessenbergian recurrence on the banded
-    matrix in O((t-s)*p) scalar operations.
+    rows in O((t-s)*p) scalar multiplies.
     """
     from .hessenberg import leading_principal_chain
 

@@ -5,9 +5,8 @@ A k-th order Hessenbergian has exactly 2^(k-1) SEPs that avoid the
 structural zeros above the superdiagonal.  Each one is indexed by a 0/1 mask
 of length k whose entries flag standard factors (on or below the diagonal)
 with 1 and non-standard factors (superdiagonal) with 0; the last factor is
-always standard, so the last mask bit is 1.  The functions below build the
-mask for an integer index, recover column positions from a mask, and sum the
-resulting products, which equals the determinant.
+always standard, so the last mask bit is 1.  The functions below list the
+products in index order and sum them, which equals the determinant.
 
 Everything here is a pure function; enumeration order is ascending index m,
 and exact-backend sums are independent of that order.
@@ -22,22 +21,7 @@ from typing import Iterator
 
 from . import scalar
 from .coefficients import check_enum_limit
-from .scalar import Scalar, TermSum
-
-Mask = tuple  # 0/1 entries, last entry 1
-
-
-def mask_from_index(k: int, m: int) -> Mask:
-    """Binary expansion of m over k-1 bits (most significant first), then 1.
-
-    Bijective from [0, 2^(k-1) - 1] onto the masks of length k.
-    """
-    if k < 1:
-        raise ValueError("order must be >= 1")
-    if not 0 <= m < (1 << (k - 1)):
-        raise ValueError(f"index {m} out of range [0, {(1 << (k - 1)) - 1}]")
-    bits = tuple((m >> (k - 1 - i)) & 1 for i in range(1, k))
-    return bits + (1,)
+from .scalar import Scalar
 
 
 def _columns_from_bits(bits) -> tuple[int, ...]:
@@ -53,15 +37,6 @@ def _columns_from_bits(bits) -> tuple[int, ...]:
         else:
             cols.append(i + 1)
     return tuple(cols)
-
-
-def sep_columns(k: int, m: int) -> tuple[int, ...]:
-    """All k factor columns of the m-th product in one pass: the columns of
-    the mask :func:`mask_from_index` gives for m.  A standard factor sits
-    as many columns left of the diagonal as there are non-standard factors
-    right above it; a non-standard one sits at column i + 1.
-    """
-    return _columns_from_bits(mask_from_index(k, m))
 
 
 class SepTerm(scalar.Frozen):
@@ -90,12 +65,6 @@ class SepTerm(scalar.Frozen):
             )
         self._set(k=k, columns=columns, sign=sign)
 
-    def term_sum(self) -> TermSum:
-        product = TermSum.constant(self.sign)
-        for i, col in enumerate(self.columns, start=1):
-            product = product * scalar.h_sym(i, col)
-        return product
-
     def pretty(self) -> str:
         body = " ".join(f"h[{i},{col}]" for i, col in enumerate(self.columns, start=1))
         return f"-{body}" if self.sign < 0 else body
@@ -112,7 +81,7 @@ def enumerate_seps(k: int, enum_limit: int | None = None) -> Iterator[SepTerm]:
         yield SepTerm(k, _columns_from_bits(mask), -1 if mask.count(0) % 2 else 1)
 
 
-def det_leibnizian(matrix, enum_limit: int | None = None) -> Scalar:
+def det_leibnizian(rows, enum_limit: int | None = None) -> Scalar:
     """Hessenbergian as the sum of its 2^(k-1) non-trivial products.
 
     Sums sign-flipped c-entries (so no explicit signature appears) in
@@ -130,20 +99,21 @@ def det_leibnizian(matrix, enum_limit: int | None = None) -> Scalar:
     count is exponential by nature, so an oversized order is an error
     rather than a hang.
     """
-    k = matrix.k
+    k = len(rows)
     check_enum_limit(k, enum_limit)
+    rows = [list(row) for row in rows]
+    backend = scalar.rows_backend(rows, scalar.RATIONAL)
     if k == 0:
-        return matrix.one
-    rows = matrix.to_rows()
+        return scalar.one(backend)
     for i, row in enumerate(rows[:-1], start=1):
         row[i] = -row[i]  # c(i, i+1) = -h(i, i+1)
     scale = None
-    if matrix.backend == scalar.RATIONAL:
+    if backend == scalar.RATIONAL:
         rows, lcms = zip(*(scalar.integer_step(row)[:2] for row in rows))
         scale = math.prod(lcms)
     total = scalar.sum_terms(_walk(rows, k))
     if total is None:
-        return matrix.zero
+        return scalar.zero(backend)
     return total if scale is None else Fraction(total, scale)
 
 

@@ -23,19 +23,19 @@ class SuperdiagonalError(ValueError):
     """Raised when a superdiagonal entry differs from -1."""
 
 
-def det_nested_sum(matrix, enum_limit: int | None = None) -> Scalar:
-    """Determinant of a Hessenberg matrix whose superdiagonal is all -1.
+def det_nested_sum(rows, enum_limit: int | None = None) -> Scalar:
+    """Determinant of Hessenberg rows whose superdiagonal is all -1.
 
     h(k,1) plus, for each depth j, the sum over index chains
     k >= k_1 > ... > k_{j-1} >= 2 of
     h(k,k_1) * prod h(k_{m-1}-1, k_m) * h(k_{j-1}-1, 1).  The chains are
     walked depth first from row k: at row r a chain either ends in column 1
     or steps to column c in [2, r] and continues at row c - 1.  Each prefix
-    product is shared by every chain below it, a branch is cut at an
-    exactly-zero entry, and columns left of ``matrix.row_start(r)`` are
-    never visited.  The entries are read once, into row lists, and the
-    products are summed by :func:`~vclde.scalar.sum_terms`.  In rational
-    mode row r is scaled to integers by the lcm L_r of its denominators
+    product is shared by every chain below it, and a branch is cut at an
+    exactly-zero entry, so the zeros outside a band are never visited.  The
+    entries are read once, into row lists, and the products are summed by
+    :func:`~vclde.scalar.sum_terms`.  In rational mode row r is scaled to
+    integers by the lcm L_r of its denominators
     (:func:`~vclde.scalar.integer_step`); a chain takes the superdiagonal
     of every row it skips, so the entry in column c of row r also carries
     L_c ... L_{r-1} (and column 1 carries L_1 ... L_{r-1}), every chain
@@ -43,19 +43,20 @@ def det_nested_sum(matrix, enum_limit: int | None = None) -> Scalar:
     product.  Guarded by ``enum_limit`` like the Leibnizian expansion,
     which also bounds the depth of the walk.
     """
-    k = matrix.k
+    k = len(rows)
     if k < 1:
         raise ValueError("nested-sum evaluation needs order >= 1")
     check_enum_limit(k, enum_limit)
-    rows = matrix.to_rows()
-    minus_one = -matrix.one
+    rows = [list(row) for row in rows]
+    backend = scalar.rows_backend(rows)
+    minus_one = -scalar.one(backend)
     for i in range(1, k):
         if rows[i - 1][i] != minus_one:
             raise SuperdiagonalError(
                 f"superdiagonal entry ({i},{i + 1}) is not -1"
             )
     scale = None
-    if matrix.backend == scalar.RATIONAL:
+    if backend == scalar.RATIONAL:
         ints, lcms = zip(*(scalar.integer_step(row)[:2] for row in rows))
         prefix = list(accumulate(lcms, mul, initial=1))  # prefix[n] = L_1 ... L_n
         # row r + 1 carries L_{c+1} ... L_r in column c + 1
@@ -63,14 +64,13 @@ def det_nested_sum(matrix, enum_limit: int | None = None) -> Scalar:
                 for r, row in enumerate(ints)]
         scale = prefix[-1]
     # per row: its column-1 entry, and the nonzero (next row, entry) steps
-    # to columns r down to max(row_start(r), 2)
+    # to columns r down to 2
     heads = [row[0] for row in rows]
-    steps = [[(c - 1, row[c - 1])
-              for c in range(r, max(matrix.row_start(r), 2) - 1, -1) if row[c - 1]]
+    steps = [[(c - 1, row[c - 1]) for c in range(r, 1, -1) if row[c - 1]]
              for r, row in enumerate(rows, start=1)]
     # summed from zero, as the fold zero + p_1 + p_2 + ... is, so that a
     # float sum keeps its order and the sign of a zero result
-    zero = matrix.zero if scale is None else 0
+    zero = scalar.zero(backend) if scale is None else 0
     total = scalar.sum_terms(chain((zero,), _walk(heads, steps, k)))
     return total if scale is None else Fraction(total, scale)
 

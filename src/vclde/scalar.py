@@ -298,14 +298,6 @@ def check_backend(rows: Iterable[Iterable[Scalar]], backend: str) -> None:
         raise BackendMismatchError(f"backend mismatch: {backend} vs {found}")
 
 
-def is_zero(value: Scalar, abs_tol: float = DEFAULT_ABS_TOL) -> bool:
-    """Exact zero test for rational/symbolic values, |x| <= abs_tol for floats."""
-    kind = backend_of(value)
-    if kind == FLOAT64:
-        return abs(value) <= abs_tol
-    return not value
-
-
 def zero(backend: str) -> Scalar:
     if backend == RATIONAL:
         return Fraction(0)

@@ -25,13 +25,14 @@ from vclde import (
     xi,
 )
 from vclde.hessenberg import det_leibniz_oracle, det_recurrence
-from vclde.leibnizian import det_leibnizian, mask_from_index
+from vclde.leibnizian import det_leibnizian
 from vclde.nested_sum import det_nested_sum
 from vclde.oracles import companion_product, recursion_oracle
 from testutil import (
     Permutation,
     float_model,
     float_problem,
+    mask_from_index,
     mask_from_sep,
     random_hessenberg,
     random_model,

@@ -30,8 +30,8 @@ def test_tracing_instruments_and_restores(tmp_path, capsys):
     assert code == 0
     names = {span[0] for span in tracer.spans}
     assert {"lde.evaluate_green", "coefficients.build_phi_matrix",
-            "leibnizian.det_leibnizian", "nested_sum.det_nested_sum",
-            "lde.casorati"} <= names
+            "hessenberg.from_function", "leibnizian.det_leibnizian",
+            "nested_sum.det_nested_sum", "lde.casorati"} <= names
     assert tracer.counts["coefficients.row_reads"] > 0
     assert (vclde.lde.evaluate_green, vclde.coefficients.build_phi_matrix,
             vclde.lde.CasoratiMatrix.__dict__["casoratian"]) == originals

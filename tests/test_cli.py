@@ -160,10 +160,21 @@ def test_parse_error_exit_2(tmp_path, capsys):
     bool_p = write_json(tmp_path / "bool-p.json", {"p": True, "kind": "constant", "phi": ["2"]})
     bool_period = write_json(tmp_path / "bool-period.json",
                              {"p": 1, "kind": "periodic", "period": True, "rows": [["2"]]})
-    for path in (str(bad), str(deep), bool_p, bool_period):
-        code, out, err = run_cli(capsys, ["green", "--coeffs", path, "--t", "3", "--s", "0"])
-        assert (code, out) == (2, ""), path
+    # a rejected value is quoted by at most about 40 characters
+    huge = "9" * 100_000
+    long_p = write_json(tmp_path / "long-p.json", {"p": huge, "kind": "constant", "phi": ["2"]})
+    long_period = write_json(tmp_path / "long-period.json",
+                             {"p": 1, "kind": "periodic", "period": huge, "rows": [["2"]]})
+    long_s = write_json(tmp_path / "long-s.json", {"s": huge, "init": ["1"]})
+    fine = write_json(tmp_path / "fine.json", {"p": 1, "kind": "constant", "phi": ["2"]})
+    argvs = [["green", "--coeffs", path, "--t", "3", "--s", "0"]
+             for path in (str(bad), str(deep), bool_p, bool_period, long_p, long_period)]
+    argvs.append(["solve", "--coeffs", fine, "--problem", long_s, "--t", "3"])
+    for argv in argvs:
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
         assert json.loads(err)["error"] == "invalid-input"
+        assert len(err) < 200, argv
 
 
 def test_problem_file_must_be_an_object_with_integer_s(fib_coeffs, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Coefficient models, extension conventions, and the banded matrix builder."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -75,7 +76,7 @@ def test_principal_matrix_spec_validation():
         build_phi_matrix(model, 3, 5, 2)
     with pytest.raises(DomainError):
         build_phi_matrix(model, 1, 2, 2)
-    assert build_phi_matrix(model, 1, 5, 2).k == 3
+    assert len(build_phi_matrix(model, 1, 5, 2)) == 3
 
 
 def test_phi_matrix_first_branch_shape():
@@ -89,28 +90,41 @@ def test_phi_matrix_first_branch_shape():
     ]
     for i in range(1, 4):
         for j in range(1, 4):
-            assert matrix.h(i, j) == rows[i - 1][j - 1]
+            assert matrix[i - 1][j - 1] == rows[i - 1][j - 1]
 
 
 def test_phi_matrix_highest_branch_first_column():
     model = CoefficientModel.symbolic(3)
     matrix = build_phi_matrix(model, 3, 4, 0)
-    assert matrix.h(1, 1) == phi_sym(3, 1)
+    assert matrix[0][0] == phi_sym(3, 1)
     for i in (2, 3, 4):
-        assert matrix.h(i, 1) == TermSum()
+        assert matrix[i - 1][0] == TermSum()
 
 
 def test_phi_matrix_middle_branch_first_column():
     model = CoefficientModel.symbolic(3)
     matrix = build_phi_matrix(model, 2, 4, 0)
-    col = [matrix.h(i, 1) for i in range(1, 5)]
+    col = [row[0] for row in matrix]
     assert col == [phi_sym(2, 1), phi_sym(3, 2), TermSum(), TermSum()]
 
 
 def test_phi_matrix_bandwidth():
     model = CoefficientModel.symbolic(3)
     matrix = build_phi_matrix(model, 1, 8, 0)
-    assert matrix.p == 3
-    assert matrix.h(6, 2) == TermSum()  # below the band
-    assert matrix.h(6, 4) == phi_sym(3, 6)
-    assert matrix.h(2, 4) == TermSum()  # above the superdiagonal
+    assert matrix[5][1] == TermSum()  # below the band
+    assert matrix[5][3] == phi_sym(3, 6)
+    assert matrix[1][3] == TermSum()  # above the superdiagonal
+
+
+def test_phi_matrix_reads_each_row_once():
+    reads = Counter()
+
+    def fn(m, t):
+        if m == 1:  # a row read calls fn(1, t) once
+            reads[t] += 1
+        return Fraction(m, t)
+
+    model = CoefficientModel.from_function(3, fn, "rational", t_min=1)
+    matrix = build_phi_matrix(model, 2, 9, 1)
+    assert reads == Counter(range(2, 10))
+    assert matrix[7][5] == Fraction(3, 9)

@@ -17,7 +17,6 @@ from vclde.scalar import (
     backend_of,
     format_rational,
     h_sym,
-    is_zero,
     one,
     parse_rational,
     phi_sym,
@@ -96,14 +95,6 @@ def test_mul_distributes():
     assert expanded == h_sym(1, 1) * h_sym(2, 1) + h_sym(1, 2) * h_sym(2, 1)
 
 
-def test_is_zero():
-    assert is_zero(Fraction(0, 1))
-    assert is_zero(TermSum())
-    assert is_zero(1e-15)
-    assert not is_zero(1e-9)
-    assert not is_zero(Fraction(1, 10**9))
-
-
 def test_backend_mismatch_raises():
     with pytest.raises(BackendMismatchError):
         add(Fraction(1), 1.0)
@@ -122,8 +113,9 @@ def test_backends_of_values():
 
 def test_zero_one_constants():
     for b in ("rational", "float64", "symbolic"):
-        assert is_zero(zero(b))
-        assert not is_zero(one(b))
+        assert not zero(b)
+        assert one(b)
+        assert backend_of(zero(b)) == backend_of(one(b)) == b
 
 
 @given(rationals, rationals, rationals)

@@ -20,7 +20,6 @@ from vclde import (
 from vclde.coefficients import build_phi_matrix
 from vclde.hessenberg import (
     BandedHessenbergMatrix,
-    _HessenbergBase,
     HessenbergMatrix,
     det_leibniz_oracle,
     det_recurrence,
@@ -51,22 +50,23 @@ class CountedFloat(float):
         return CountedFloat(float.__neg__(self))
 
 
-class CountingMatrix(_HessenbergBase):
-    """Read-only view of a float Hessenberg matrix that counts the reads of
-    each entry and hands the entries out as :class:`CountedFloat`."""
+class CountingRow:
+    """Read-only view of row i of a float matrix that counts the reads of
+    each entry in ``reads`` and hands the entries out as
+    :class:`CountedFloat`."""
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.k = inner.k
-        self.backend = inner.backend
-        self.reads = Counter()
+    def __init__(self, row, i, reads):
+        self.row, self.i, self.reads = row, i, reads
 
-    def h(self, i, j):
-        self.reads[i, j] += 1
-        return CountedFloat(self.inner.h(i, j))
+    def __len__(self):
+        return len(self.row)
 
-    def row_start(self, i):
-        return self.inner.row_start(i)
+    def __getitem__(self, j):
+        self.reads[self.i, j] += 1
+        return CountedFloat(self.row[j])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.row)))
 
 
 def principal_matrix(model, t, s):
@@ -81,11 +81,12 @@ def test_expansions_visit_only_nonzero_prefixes():
     matrix = principal_matrix(CoefficientModel.constant((0.5, -0.25)), 20, 0)
     expected = det_recurrence(matrix)
     for expand in (det_leibnizian, det_nested_sum):
-        counted = CountingMatrix(matrix)
+        reads = Counter()
+        counted = [CountingRow(row, i, reads) for i, row in enumerate(matrix)]
         CountedFloat.muls = 0
         assert expand(counted) == expected
         assert CountedFloat.muls <= 200_000, (expand.__name__, CountedFloat.muls)
-        assert max(counted.reads.values()) == 1, expand.__name__
+        assert max(reads.values()) == 1, expand.__name__
     exact = principal_matrix(
         CoefficientModel.constant((Fraction(1, 2), Fraction(-1, 3))), 20, 0)
     for expand in (det_leibnizian, det_nested_sum):
@@ -118,6 +119,8 @@ def test_float_leibnizian_bit_identical_to_per_mask_sum():
                 walked = det_leibnizian(matrix)
                 reference = det_leibnizian_per_mask(matrix)
                 assert walked.hex() == reference.hex(), (k, p)
+                plain = det_leibnizian([list(row) for row in matrix])
+                assert plain.hex() == walked.hex(), (k, p)
 
 
 def test_float_nested_bit_identical_to_per_chain_sum():
@@ -129,6 +132,8 @@ def test_float_nested_bit_identical_to_per_chain_sum():
                 walked = det_nested_sum(matrix)
                 reference = det_nested_per_chain(matrix)
                 assert walked.hex() == reference.hex(), (k, p)
+                plain = det_nested_sum([list(row) for row in matrix])
+                assert plain.hex() == walked.hex(), (k, p)
 
 
 @st.composite
@@ -169,15 +174,18 @@ def rational_hessenberg_pairs(draw):
 @given(rational_hessenberg_pairs())
 def test_rational_expansions_equal_recurrence_exactly(pair):
     # The walks and the oracle run on integer rows over one denominator;
-    # each returns the reduced Fraction that the recurrence gives.
+    # each returns the reduced Fraction that the recurrence gives, and the
+    # same value when the matrix comes as plain lists of lists.
     matrix, monic = pair
-    routes = [(det_leibnizian, matrix), (partial(det_leibniz_oracle, oracle_limit=12), matrix)]
-    if matrix.k:
+    routes = [(det_leibnizian, matrix), (partial(det_leibniz_oracle, oracle_limit=12), matrix),
+              (det_recurrence, matrix)]
+    if matrix:
         routes.append((det_nested_sum, monic))
     for route, m in routes:
         value = route(m)
         assert type(value) is Fraction
         assert value == det_recurrence(m)
+        assert route([list(row) for row in m]) == value
 
 
 def test_nested_route_enum_limit():

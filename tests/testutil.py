@@ -10,10 +10,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from vclde import CoefficientModel, DomainError, SolutionProblem, green, xi
+from vclde import CoefficientModel, DomainError, SolutionProblem, green, scalar, xi
 from vclde.hessenberg import HessenbergMatrix
-from vclde.leibnizian import SepTerm, _columns_from_bits, enumerate_seps, mask_from_index
-from vclde.scalar import BackendMismatchError, TermSum, rows_backend
+from vclde.leibnizian import SepTerm, _columns_from_bits, enumerate_seps
+from vclde.scalar import BackendMismatchError, TermSum, h_sym, rows_backend
 
 
 def rational(rng: Random, num_max: int = 9, den_max: int = 9) -> Fraction:
@@ -128,15 +128,20 @@ def dense_bordered_matrix(problem: SolutionProblem, t: int) -> HessenbergMatrix:
     return HessenbergMatrix.from_function(t - s, entry, model.backend)
 
 
-def det_leibnizian_per_mask(matrix):
+def det_leibnizian_per_mask(rows):
     """Reference for ``det_leibnizian``: each of the 2^(k-1) products is
     formed on its own from its mask index (row i takes column i + 1 for bit
     0 and column last + 1 for bit 1), stopping at an exactly-zero entry, and
     the products are summed in ascending index order."""
-    k = matrix.k
+    k = len(rows)
+    backend = rows_backend(rows, "rational")
     if k == 0:
-        return matrix.one
-    c = matrix.c
+        return scalar.one(backend)
+
+    def c(i, j):  # c(i, i+1) = -h(i, i+1), c(i, j) = h(i, j) else
+        value = rows[i - 1][j - 1]
+        return -value if j == i + 1 else value
+
     total = None
     for m in range(1 << (k - 1)):
         last = 0
@@ -155,13 +160,13 @@ def det_leibnizian_per_mask(matrix):
             prod = a if prod is None else prod * a
         if prod is not None:
             total = prod if total is None else total + prod
-    return total if total is not None else matrix.zero
+    return total if total is not None else scalar.zero(backend)
 
 
-def det_nested_per_chain(matrix):
+def det_nested_per_chain(rows):
     """Reference for ``det_nested_sum``: each chain's product is formed on
     its own, left to right from row k, stopping at an exactly-zero entry,
-    and the products are added to ``matrix.zero`` in the walk's order.  At
+    and the products are added to the backend's zero in the walk's order.  At
     row r the chain that ends in column 1 comes first, then those that step
     to column c and continue at row c - 1, by ascending c."""
 
@@ -171,11 +176,11 @@ def det_nested_per_chain(matrix):
             for rest in chains(col - 1):
                 yield ((r, col),) + rest
 
-    total = matrix.zero
-    for factors in chains(matrix.k):
+    total = scalar.zero(rows_backend(rows))
+    for factors in chains(len(rows)):
         prod = None
         for i, j in factors:
-            a = matrix.h(i, j)
+            a = rows[i - 1][j - 1]
             if not a:
                 prod = None
                 break
@@ -409,9 +414,40 @@ class Permutation:
         return -1 if inversions % 2 else 1
 
 
-def to_dense(banded) -> HessenbergMatrix:
-    """The dense copy of a banded Hessenberg matrix."""
-    return HessenbergMatrix.from_function(banded.k, banded.h, banded.backend)
+def to_dense(banded) -> list:
+    """A banded Hessenberg matrix as plain lists of its rows, a form every
+    evaluator also takes."""
+    return [list(row) for row in banded]
+
+
+def mask_from_index(k: int, m: int) -> tuple:
+    """Binary expansion of m over k-1 bits (most significant first), then 1.
+
+    Bijective from [0, 2^(k-1) - 1] onto the masks of length k.
+    """
+    if k < 1:
+        raise ValueError("order must be >= 1")
+    if not 0 <= m < (1 << (k - 1)):
+        raise ValueError(f"index {m} out of range [0, {(1 << (k - 1)) - 1}]")
+    bits = tuple((m >> (k - 1 - i)) & 1 for i in range(1, k))
+    return bits + (1,)
+
+
+def sep_columns(k: int, m: int) -> tuple:
+    """All k factor columns of the m-th product in one pass: the columns of
+    the mask :func:`mask_from_index` gives for m.  A standard factor sits
+    as many columns left of the diagonal as there are non-standard factors
+    right above it; a non-standard one sits at column i + 1.
+    """
+    return _columns_from_bits(mask_from_index(k, m))
+
+
+def sep_term_sum(term: SepTerm) -> TermSum:
+    """The product ``term`` as a term sum of h[i,j] symbols, with its sign."""
+    product = TermSum.constant(term.sign)
+    for i, col in enumerate(term.columns, start=1):
+        product = product * h_sym(i, col)
+    return product
 
 
 def zero_run_piecewise(k: int, i: int, mask) -> int:
