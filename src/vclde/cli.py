@@ -79,7 +79,7 @@ def _enum_limit() -> int | None:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"VCLDE_ENUM_LIMIT must be an integer, got {raw!r}")
+        raise ValueError(f"VCLDE_ENUM_LIMIT must be an integer, got {repr(raw)[:40]}")
 
 
 def _guard_symbolic(model: CoefficientModel, t: int, s: int) -> None:
@@ -124,7 +124,7 @@ def load_coefficients(path: str, arith: str) -> CoefficientModel:
             raise ValueError("periodic coefficients need 'rows' with one row per phase")
         return CoefficientModel.periodic(
             [_parse(row, arith, p, "rows", i) for i, row in enumerate(raw_rows)])
-    raise ValueError(f"unknown coefficient kind {kind!r}")
+    raise ValueError(f"unknown coefficient kind {repr(kind)[:40]}")
 
 
 def _entries(raw: dict, where: str, arith: str, p: int | None) -> dict:
@@ -140,7 +140,8 @@ def _entries(raw: dict, where: str, arith: str, p: int | None) -> dict:
         except ValueError:
             t = None
         if t is None or str(t) != key:
-            raise ValueError(f"{where} key {key!r} is not an integer written as str(t)")
+            raise ValueError(
+                f"{where} key {repr(key)[:40]} is not an integer written as str(t)")
         out[t] = _parse(raw.pop(key), arith, p, where, key)
     return out
 
@@ -210,9 +211,10 @@ def _json_chunks(obj):
 _BLOCK = 1 << 16
 
 
-def _emit(payload: dict, pretty_text: str | None, pretty: bool) -> None:
-    if pretty and pretty_text is not None:
-        print(pretty_text)
+def _emit(payload: dict, text: str | None) -> None:
+    """Print ``text`` if given (``--pretty``), else the payload's JSON."""
+    if text is not None:
+        print(text)
         return
     write = sys.stdout.write
     block, size = [], 0
@@ -235,7 +237,7 @@ def _error(kind: str, message: str, **extra) -> None:
 def _load_model(args) -> CoefficientModel:
     if args.coeffs is not None:
         return load_coefficients(args.coeffs, args.arith)
-    if args.arith == scalar.SYMBOLIC and getattr(args, "p", None) is not None:
+    if args.arith == scalar.SYMBOLIC and args.p is not None:
         return CoefficientModel.symbolic(args.p)
     raise ValueError("need --coeffs (or --p in symbolic mode)")
 
@@ -251,7 +253,7 @@ def cmd_green(args) -> int:
         "s": args.s,
         "t": args.t,
     }
-    _emit(payload, render_scalar(value) if args.pretty else None, args.pretty)
+    _emit(payload, render_scalar(value) if args.pretty else None)
     return EXIT_OK
 
 
@@ -277,14 +279,12 @@ def cmd_solve(args) -> int:
         "t": args.t,
         "y": _out(value, args.t),
     }
-    _emit(payload, render_scalar(value) if args.pretty else None, args.pretty)
+    _emit(payload, render_scalar(value) if args.pretty else None)
     return EXIT_OK
 
 
 def cmd_fundamental(args) -> int:
     model = _load_model(args)
-    if args.t < args.s:
-        raise DomainError(f"requires t >= s, got t={args.t}, s={args.s}")
     _guard_symbolic(model, args.t, args.s)
     matrix = casorati(model, args.t, args.s)
     cas = matrix.casoratian()
@@ -303,7 +303,7 @@ def cmd_fundamental(args) -> int:
         lines = ["  ".join(render_scalar(v) for v in row) for row in matrix.entries]
         lines.append(f"casoratian: {render_scalar(cas)}")
         text = "\n".join(lines)
-    _emit(payload, text, args.pretty)
+    _emit(payload, text)
     return EXIT_OK
 
 
@@ -330,23 +330,18 @@ def cmd_expand(args) -> int:
         first, *rest = (term.pretty() for term in enumerate_seps(k))
         signed = (f"- {body[1:]}" if body.startswith("-") else f"+ {body}" for body in rest)
         text = " ".join([first, *signed]) + "\n" + ("TRUE" if verified else "FALSE")
-    _emit(payload, text, args.pretty)
+    _emit(payload, text)
     return EXIT_OK if verified else EXIT_VERIFY_FAILED
 
 
 def _corrupted(model: CoefficientModel, s: int) -> CoefficientModel:
     # Debug aid for verify: bumps phi_1(s+1) by one so identity checks fail.
-    bump = model.one
+    def fn(m: int, t: int):
+        value = model.phi(m, t)
+        return value + model.one if (m, t) == (1, s + 1) else value
 
-    def row_fn(t: int):
-        row = model.phi_row(t)
-        if t == s + 1:
-            return (row[0] + bump,) + row[1:]
-        return row
-
-    return CoefficientModel(
-        model.p, row_fn, model.backend, t_min=model.t_min, t_max=model.t_max
-    )
+    return CoefficientModel.from_function(
+        model.p, fn, model.backend, t_min=model.t_min, t_max=model.t_max)
 
 
 def _agreement(name: str, values: dict, reference: str, t: int, **where) -> dict:
@@ -373,16 +368,19 @@ def cmd_verify(args) -> int:
     _guard_symbolic(model, t, s)
     lei_model = _corrupted(model, s) if args.corrupt else model
 
+    # H(t, s) is the (1, 1) entry of the Casorati matrix and of the companion
+    # product; the product comes after the expansions, so that a horizon
+    # past their enumeration limit is refused before it is paid for
+    xi_matrix = casorati(model, t, s)
     values = {
-        "recurrence": evaluate_green(model, t, s, "recurrence"),
+        "recurrence": xi_matrix.entries[0][0],
         "leibnizian": evaluate_green(lei_model, t, s, "leibnizian", enum_limit=limit),
         "nested": evaluate_green(model, t, s, "nested", enum_limit=limit),
-        "companion": evaluate_green(model, t, s, "companion"),
     }
+    product = companion_product(model, t, s)
+    values["companion"] = product[0][0]
     checks = [_agreement("green-four-way", values, "recurrence", t, s=s)]
 
-    xi_matrix = casorati(model, t, s)
-    product = companion_product(model, t, s)
     for matrix in (xi_matrix.entries, product):
         for i, row in enumerate(matrix):
             _finite(row, t - i)
@@ -424,11 +422,10 @@ def cmd_verify(args) -> int:
         checks.append(_agreement("solution-five-way", solutions, "recursion", t))
 
     passed = all(c["passed"] for c in checks)
-    payload = {"checks": checks, "passed": passed}
-    lines = [
-        f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}" for c in checks
-    ]
-    _emit(payload, "\n".join(lines), args.pretty)
+    text = None
+    if args.pretty:
+        text = "\n".join(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}" for c in checks)
+    _emit({"checks": checks, "passed": passed}, text)
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
@@ -450,12 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_method=None, with_problem=False, with_p=True):
+    def common(p, with_method=None, with_problem=False):
         p.add_argument("--coeffs", help="coefficient file (JSON)")
-        if with_p:
-            p.add_argument(
-                "--p", type=int, help="equation order (symbolic mode without --coeffs)"
-            )
+        p.add_argument(
+            "--p", type=int, help="equation order (symbolic mode without --coeffs)"
+        )
         if with_problem:
             p.add_argument("--problem", help="problem file (JSON)")
         if with_method:

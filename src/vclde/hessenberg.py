@@ -14,16 +14,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import compress, count
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from . import scalar
 from .scalar import Scalar, check_backend, rows_backend
 
 ORACLE_LIMIT_DEFAULT = 9
-
-
-class StructureError(ValueError):
-    """Raised for entries that violate the Hessenberg zero pattern."""
 
 
 class HessenbergMatrix(tuple):
@@ -38,19 +34,6 @@ class HessenbergMatrix(tuple):
         cls, k: int, fn: Callable[[int, int], Scalar], backend: str
     ) -> "HessenbergMatrix":
         return _band_rows(cls, k, k, fn, backend)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "HessenbergMatrix":
-        k = len(rows)
-        for i, row in enumerate(rows, start=1):
-            if len(row) != k:
-                raise StructureError(f"row {i} has {len(row)} entries, expected {k}")
-            for j, value in enumerate(row[i + 1:], start=i + 2):
-                if value:
-                    raise StructureError(f"nonzero entry ({i},{j}) above the superdiagonal")
-        matrix = cls(map(tuple, rows))
-        rows_backend(matrix)  # raises on mixed backends and non-scalars
-        return matrix
 
 
 class BandedHessenbergMatrix(tuple):

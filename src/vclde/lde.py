@@ -113,12 +113,6 @@ class SolutionProblem(scalar.Frozen):
         forcing = self.forcing
         return forcing is None or (isinstance(forcing, Mapping) and not forcing)
 
-    def initial_value(self, m: int) -> Scalar:
-        """y_{s-m+1} for 1 <= m <= p."""
-        if not 1 <= m <= self.p:
-            raise DomainError(f"initial index {m} outside 1..{self.p}")
-        return self.init[self.p - m]
-
     def prescribed(self, t: int) -> Scalar:
         """The given value at a window position s-p+1 <= t <= s."""
         if not self.s - self.p + 1 <= t <= self.s:
@@ -242,12 +236,8 @@ def _branch_column(m: int, n: int, row: tuple[Scalar, ...]) -> Scalar | None:
 
 
 def _branch_chain(model: CoefficientModel, m: int, t: int, s: int) -> Sequence[Scalar]:
-    """Last p minors of the branch-m matrix over rows s+1..t, newest first."""
-    p = model.p
-    if not 1 <= m <= p:
-        raise DomainError(f"branch {m} outside 1..{p}")
-    if t <= s:
-        raise DomainError(f"chain requires t > s, got t={t}, s={s}")
+    """Last p minors of the branch-m matrix over rows s+1..t, newest first;
+    the caller ensures 1 <= m <= p and t > s."""
     return _banded_chain(model, map(model._row_source(s + 1, t), range(s + 1, t + 1)),
                          t - s, partial(_branch_column, m))[0]
 
@@ -295,15 +285,10 @@ def xi(model: CoefficientModel, m: int, t: int, s: int) -> Scalar:
 
 
 def green(model: CoefficientModel, t: int, s: int) -> Scalar:
-    """Green's function H(t, s): the first fundamental solution.
-
+    """Green's function H(t, s): the first fundamental solution, so
     H(s, s) = 1, H(t, s) = 0 for s-p+1 <= t < s, and the principal
-    determinant for t > s.
-    """
-    _check_window(model.p, t, s)
-    if t > s:
-        return _branch_chain(model, 1, t, s)[0]
-    return model.one if t == s else model.zero
+    determinant for t > s."""
+    return xi(model, 1, t, s)
 
 
 class CasoratiMatrix(scalar.Frozen):
@@ -341,21 +326,14 @@ def casorati(model: CoefficientModel, t: int, s: int) -> CasoratiMatrix:
     if t < s:
         raise DomainError(f"requires t >= s, got t={t}, s={s}")
     p = model.p
-    columns = []
-    for branch in range(1, p + 1):
-        # the last p minors, newest first; entry i is d_{t-s-i+1}
-        tail = _branch_chain(model, branch, t, s) if t > s else None
-        col = []
-        for i in range(1, p + 1):
-            u = t - i + 1
-            if u > s:
-                col.append(tail[i - 1])
-            else:
-                col.append(model.one if u == s - branch + 1 else model.zero)
-        columns.append(col)
+    # the last min(t-s, p) minors of each branch, newest first: row i (time
+    # t-i) reads tail[i] while t-i > s, then xi's window value
+    tails = [_branch_chain(model, m, t, s) if t > s else () for m in range(1, p + 1)]
     entries = tuple(
-        tuple(columns[j][i] for j in range(p)) for i in range(p)
-    )
+        tuple(tail[i] if i < len(tail) else
+              model.one if t - i == s - m + 1 else model.zero
+              for m, tail in enumerate(tails, 1))
+        for i in range(p))
     det, vanishing_row = model.one, None
     row = model._row_source(s + 1, t)
     for u in range(s + 1, t + 1):
@@ -468,16 +446,12 @@ def evaluate_green(
     method: str = "recurrence",
     enum_limit: int | None = None,
 ) -> Scalar:
-    """H(t, s) by the chosen route; window values are method-independent.
-    Every method but ``recurrence`` is an oracle of :mod:`vclde.oracles`."""
+    """H(t, s) by the chosen route; window values, and every value of
+    ``recurrence``, are :func:`green`'s.  Every other method is an oracle of
+    :mod:`vclde.oracles`."""
     if method not in GREEN_METHODS:
         raise ValueError(f"unknown Green method {method!r}")
-    _check_window(model.p, t, s)
-    if t == s:
-        return model.one
-    if t < s:
-        return model.zero
-    if method == "recurrence":
+    if method == "recurrence" or t <= s:
         return green(model, t, s)
     from . import oracles
 
@@ -490,15 +464,12 @@ def evaluate_solution(
     method: str = "green",
     enum_limit: int | None = None,
 ) -> Scalar:
-    """y_t by the chosen route; window values are the prescribed ones.
-    Every method but ``green`` and ``kittappa`` is an oracle of
-    :mod:`vclde.oracles`."""
+    """y_t by the chosen route; window values, and every value of ``green``,
+    are :func:`general_solution`'s.  Every method but ``green`` and
+    ``kittappa`` is an oracle of :mod:`vclde.oracles`."""
     if method not in SOLVE_METHODS:
         raise ValueError(f"unknown solve method {method!r}")
-    _check_window(problem.p, t, problem.s)
-    if t <= problem.s:
-        return problem.prescribed(t)
-    if method == "green":
+    if method == "green" or t <= problem.s:
         return general_solution(problem, t)
     if method == "kittappa":
         return general_solution_kittappa(problem, t)

@@ -409,16 +409,11 @@ def term_sum_json_chunks(value: TermSum) -> Iterator[str]:
     yield "]" if sep == "," else "[]"
 
 
-def term_sum_json_text(value: TermSum) -> str:
-    """The text of :func:`term_sum_json_chunks` as one string."""
-    return "".join(term_sum_json_chunks(value))
-
-
 def term_sum_to_json(value: TermSum) -> list[dict]:
     """Sorted JSON array of {sign, factors}; multiplicities are repeated."""
     import json
 
-    return json.loads(term_sum_json_text(value))
+    return json.loads("".join(term_sum_json_chunks(value)))
 
 
 def scalar_to_json(value: Scalar):

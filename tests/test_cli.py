@@ -150,7 +150,7 @@ def test_solve_missing_forcing_exit_4(fib_coeffs, tmp_path, capsys):
     assert body["t"] == 2
 
 
-def test_parse_error_exit_2(tmp_path, capsys):
+def test_parse_error_exit_2(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     # the decoder recurses once per level of nesting
@@ -166,15 +166,27 @@ def test_parse_error_exit_2(tmp_path, capsys):
     long_period = write_json(tmp_path / "long-period.json",
                              {"p": 1, "kind": "periodic", "period": huge, "rows": [["2"]]})
     long_s = write_json(tmp_path / "long-s.json", {"s": huge, "init": ["1"]})
+    long_kind = write_json(tmp_path / "long-kind.json", {"p": 1, "kind": huge})
+    long_row_key = write_json(tmp_path / "long-row-key.json",
+                              {"p": 1, "kind": "table", "rows": {huge: ["2"]}})
+    long_forcing_key = write_json(tmp_path / "long-forcing-key.json",
+                                  {"s": 0, "init": ["1"], "forcing": {huge: "1"}})
     fine = write_json(tmp_path / "fine.json", {"p": 1, "kind": "constant", "phi": ["2"]})
     argvs = [["green", "--coeffs", path, "--t", "3", "--s", "0"]
-             for path in (str(bad), str(deep), bool_p, bool_period, long_p, long_period)]
-    argvs.append(["solve", "--coeffs", fine, "--problem", long_s, "--t", "3"])
+             for path in (str(bad), str(deep), bool_p, bool_period, long_p, long_period,
+                          long_kind, long_row_key)]
+    argvs += [["solve", "--coeffs", fine, "--problem", path, "--t", "3"]
+              for path in (long_s, long_forcing_key)]
     for argv in argvs:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, ""), argv
         assert json.loads(err)["error"] == "invalid-input"
         assert len(err) < 200, argv
+    monkeypatch.setenv("VCLDE_ENUM_LIMIT", "9" * 5000)
+    code, out, err = run_cli(capsys, ["green", "--coeffs", fine, "--t", "3", "--s", "0"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "invalid-input"
+    assert len(err) < 200
 
 
 def test_problem_file_must_be_an_object_with_integer_s(fib_coeffs, tmp_path, capsys):
@@ -249,6 +261,12 @@ def test_enum_limit_env_exit_3(fib_coeffs, capsys, monkeypatch):
         capsys,
         ["green", "--coeffs", fib_coeffs, "--t", "8", "--s", "0", "--method", "leibnizian"],
     )
+    assert code == 3
+    assert json.loads(err)["error"] == "enum-limit"
+    # verify refuses such a horizon before it builds the companion product,
+    # which costs far more than the chains at long rational horizons
+    monkeypatch.setattr("vclde.oracles.companion_product", None)
+    code, _, err = run_cli(capsys, ["verify", "--coeffs", fib_coeffs, "--t", "8", "--s", "0"])
     assert code == 3
     assert json.loads(err)["error"] == "enum-limit"
 
@@ -332,6 +350,20 @@ def test_verify_float_casoratian_is_exact(tmp_path, capsys):
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert checks["casoratian-nonzero"]["counterexample"] == {"casoratian": 0.0, "u": 3}
+
+
+def test_table_ending_before_t_fails_alike(tmp_path, capsys):
+    # verify and fundamental read H(t, s) through the Casorati matrix, so a
+    # table that ends before t is refused with green's message
+    coeffs = write_json(tmp_path / "c.json", {
+        "p": 2, "kind": "table", "rows": {str(t): ["1", "1/2"] for t in range(5)}})
+    errors = []
+    for command in ("green", "verify", "fundamental"):
+        code, out, err = run_cli(capsys, [command, "--coeffs", coeffs, "--t", "7", "--s", "1"])
+        assert (code, out) == (2, ""), command
+        errors.append(json.loads(err))
+    assert errors[0]["error"] == "invalid-input"
+    assert errors[1] == errors[2] == errors[0]
 
 
 def test_fundamental_identity_and_step(fib_coeffs, capsys):
@@ -524,7 +556,7 @@ def test_symbolic_answer_is_written_in_bounded_blocks(monkeypatch):
     monkeypatch.setattr(sys, "stdout", _Sink())
     tracemalloc.start()
     try:
-        cli._emit(payload, None, False)
+        cli._emit(payload, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,7 +9,6 @@ from vclde import BackendMismatchError
 from vclde.hessenberg import (
     BandedHessenbergMatrix,
     HessenbergMatrix,
-    StructureError,
     det_leibniz_oracle,
     det_recurrence,
     leading_principal_chain,
@@ -72,8 +71,7 @@ def test_permutation_signs():
 def test_det_recurrence_base_cases():
     h = HessenbergMatrix.from_function(1, h_sym, "symbolic")
     assert det_recurrence(h) == h_sym(1, 1)
-    empty = HessenbergMatrix.from_rows([])
-    assert det_recurrence(empty) == Fraction(1)
+    assert det_recurrence([]) == Fraction(1)
 
 
 def test_det_recurrence_2x2_symbolic():
@@ -92,7 +90,7 @@ def test_det_recurrence_matches_oracle_random():
 def test_leading_principal_chain():
     h = HessenbergMatrix.from_function(1, h_sym, "symbolic")
     assert leading_principal_chain(h) == [TermSum.constant(1), h_sym(1, 1)]
-    ones = HessenbergMatrix.from_rows([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
+    ones = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
     assert leading_principal_chain(ones) == [Fraction(1), Fraction(1), Fraction(0)]
     rng = Random(7)
     matrix = random_hessenberg(rng, 6)
@@ -128,7 +126,7 @@ def test_band_zero_pattern():
 
 
 def test_superdiagonal_queries_are_exact_zero():
-    matrix = HessenbergMatrix.from_rows([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
+    matrix = HessenbergMatrix.from_function(2, lambda i, j: Fraction(2 * i + j - 2), "rational")
     assert matrix == ((1, 2), (3, 4))
     three = random_hessenberg(Random(1), 3)
     assert three[0][2] == 0
@@ -143,11 +141,3 @@ def test_from_function_entries_must_match_backend():
         HessenbergMatrix.from_function(1, lambda i, j: 1, "symbolic")
     assert HessenbergMatrix.from_function(2, lambda i, j: 1, "rational") == ((1, 1), (1, 1))
     assert HessenbergMatrix.from_function(0, lambda i, j: 0.5, "float64") == ()
-
-
-def test_from_rows_rejects_bad_pattern():
-    with pytest.raises(StructureError):
-        HessenbergMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    with pytest.raises(StructureError):
-        HessenbergMatrix.from_rows([[1, 2], [3]])
-

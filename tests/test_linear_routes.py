@@ -22,6 +22,8 @@ from vclde import (
     MissingForcingError,
     SolutionProblem,
     casorati,
+    evaluate_green,
+    evaluate_solution,
     general_solution,
     general_solution_kittappa,
     green,
@@ -31,7 +33,8 @@ from vclde import (
 from vclde.cli import _corrupted, main
 from vclde.coefficients import build_phi_matrix
 from vclde.hessenberg import det_recurrence, leading_principal_chain
-from vclde.lde import _adjoint_rows, _branch_column, _column, principal_chain
+from vclde.lde import (GREEN_METHODS, SOLVE_METHODS, _adjoint_rows, _branch_column,
+                       _column, principal_chain)
 from vclde.oracles import recursion_oracle
 from vclde.scalar import phi_sym, scalars_close
 from testutil import (
@@ -615,3 +618,48 @@ def test_symbolic_models_never_skip():
         for u in range(1, t + 1):
             product = product * model.phi(p, u)
         assert matrix.abel == (-product if p % 2 == 0 and t % 2 else product)
+
+
+def identical(a, b):
+    """Equal values of one type; floats bit for bit."""
+    return type(a) is type(b) and (a.hex() == b.hex() if isinstance(a, float) else a == b)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(["rational", "float64", "symbolic"]), st.data())
+def test_fundamental_set_shares_one_window_rule(arith, data):
+    # H(t, s) is the first fundamental solution: each Casorati entry is xi at
+    # its own time, and every route answers a window time t <= s with the
+    # window value, for gaps t - s = 0..p+1 where the domain allows.
+    if arith == "symbolic":
+        model = CoefficientModel.symbolic(data.draw(st.integers(1, 4)))
+        p, s = model.p, data.draw(st.integers(-3, 3))
+        t_max = s + p + 1
+        problem = SolutionProblem.symbolic(model, s)
+    else:
+        model = data.draw(tables(max_p=4, arith=arith))
+        p, t_max = model.p, model.t_max
+        s = data.draw(st.integers(model.t_min + p - 1, max(model.t_min + p - 1, t_max - p - 1)))
+        given = values if arith == "rational" else float_values
+        init = tuple(data.draw(given) for _ in range(p))
+        forcing = data.draw(st.one_of(st.none(), st.just({u: model.one for u in
+                                                           range(s + 1, t_max + 1)})))
+        problem = SolutionProblem(model, s, init, forcing)
+    for t in range(s, min(s + p + 1, t_max) + 1):
+        entries = casorati(model, t, s).entries
+        for i in range(p):
+            for m in range(1, p + 1):
+                assert identical(entries[i][m - 1], xi(model, m, t - i, s)), (t, i, m)
+    for t in range(s - p + 1, s + 1):
+        window = model.one if t == s else model.zero
+        for method in GREEN_METHODS:
+            assert identical(evaluate_green(model, t, s, method), window), (t, method)
+        for method in SOLVE_METHODS:
+            assert identical(evaluate_solution(problem, t, method),
+                             problem.prescribed(t)), (t, method)
+    for method in GREEN_METHODS:
+        with pytest.raises(DomainError):
+            evaluate_green(model, s - p, s, method)
+    for method in SOLVE_METHODS:
+        with pytest.raises(DomainError):
+            evaluate_solution(problem, s - p, method)

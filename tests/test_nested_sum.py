@@ -69,7 +69,7 @@ def test_superdiagonal_precondition():
     with pytest.raises(SuperdiagonalError):
         det_nested_sum(matrix)
     with pytest.raises(ValueError):
-        det_nested_sum(HessenbergMatrix.from_rows([]))
+        det_nested_sum([])
 
 
 def test_green_single_step():

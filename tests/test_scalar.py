@@ -26,7 +26,6 @@ from vclde.scalar import (
     scalars_close,
     sum_terms,
     term_sum_json_chunks,
-    term_sum_json_text,
     term_sum_to_json,
     v_sym,
     y_sym,
@@ -303,7 +302,7 @@ def wide_term_sums(draw):
 @given(wide_term_sums())
 def test_term_sum_json_text_equals_reference(value):
     chunks = list(term_sum_json_chunks(value))
-    assert "".join(chunks) == term_sum_json_text(value) == reference_json_text(value)
+    assert "".join(chunks) == reference_json_text(value)
     assert term_sum_to_json(value) == term_sum_dicts(value)
     # one entry per piece, after its separator; "]" closes a non-empty array
     *entries, last = chunks
@@ -313,12 +312,15 @@ def test_term_sum_json_text_equals_reference(value):
 
 
 def test_term_sum_json_text_edge_cases():
-    assert term_sum_json_text(TermSum()) == "[]"
-    assert term_sum_json_text(TermSum.constant(1)) == '[{"factors":[],"sign":1}]'
-    assert term_sum_json_text(TermSum.constant(-2)) == (
+    def text(value):
+        return "".join(term_sum_json_chunks(value))
+
+    assert text(TermSum()) == "[]"
+    assert text(TermSum.constant(1)) == '[{"factors":[],"sign":1}]'
+    assert text(TermSum.constant(-2)) == (
         '[{"factors":[],"sign":-1},{"factors":[],"sign":-1}]')
     value = phi_sym(2, -13) * v_sym(-7) * h_sym(10, 11) - y_sym(100)
-    assert term_sum_json_text(value) == (
+    assert text(value) == (
         '[{"factors":[{"i":10,"j":11,"kind":"h"},{"kind":"phi","m":2,"t":-13},'
         '{"kind":"v","t":-7}],"sign":1},{"factors":[{"kind":"y","t":100}],"sign":-1}]')
 

@@ -110,7 +110,7 @@ def dense_bordered_matrix(problem: SolutionProblem, t: int) -> HessenbergMatrix:
             if q > p:
                 break
             coeff = model.phi(q, s + i)
-            y0 = problem.initial_value(m)
+            y0 = problem.init[problem.p - m]
             if coeff and y0:
                 acc = acc + coeff * y0
         return acc
@@ -211,7 +211,7 @@ def homogeneous_solution(problem, t):
         return problem.prescribed(t)
     total = problem.model.zero
     for m in range(1, problem.p + 1):
-        y0 = problem.initial_value(m)
+        y0 = problem.init[problem.p - m]
         if y0:
             total = total + xi(problem.model, m, t, problem.s) * y0
     return total
