@@ -159,21 +159,19 @@ def _parse(value, arith: str, p: int | None, where: str, key=None):
         raise ValueError(f"{name}: {exc}") from None
 
 
-def _read_problem(path: str) -> tuple[dict, int]:
-    """A problem file's JSON object and its integer anchor s."""
+def load_problem(path: str, arith: str, model: CoefficientModel) -> SolutionProblem:
+    """Build a solution problem from a problem file with an integer anchor
+    ``s``, converting each value once; an absent or empty forcing object
+    declares the equation homogeneous.  In symbolic mode only ``s`` is read:
+    the values are the symbols y(t) and v(t)."""
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError("problem file must be a JSON object")
     s = doc.get("s")
     if not isinstance(s, int) or isinstance(s, bool):
         raise ValueError(f"'s' must be an integer, got {repr(s)[:40]}")
-    return doc, s
-
-
-def load_problem(path: str, arith: str, model: CoefficientModel) -> SolutionProblem:
-    """Build a solution problem from a problem file, converting each value
-    once; an absent or empty forcing object declares the equation homogeneous."""
-    doc, s = _read_problem(path)
+    if arith == scalar.SYMBOLIC:
+        return SolutionProblem.symbolic(model, s)
     init = _parse(doc.get("init"), arith, model.p, "init")
     raw_forcing = doc.get("forcing", {})
     if not isinstance(raw_forcing, dict):
@@ -259,18 +257,14 @@ def cmd_green(args) -> int:
 
 def cmd_solve(args) -> int:
     model = _load_model(args)
-    if args.arith == scalar.SYMBOLIC:
-        if args.s is not None:
-            s = args.s
-        elif args.problem is not None:
-            s = _read_problem(args.problem)[1]
-        else:
-            raise ValueError("symbolic solve needs --s (or a problem file with 's')")
-        problem = SolutionProblem.symbolic(model, s)
-    else:
-        if args.problem is None:
-            raise ValueError("need --problem")
+    symbolic = args.arith == scalar.SYMBOLIC
+    if symbolic and args.s is not None:
+        problem = SolutionProblem.symbolic(model, args.s)
+    elif args.problem is not None:
         problem = load_problem(args.problem, args.arith, model)
+    else:
+        raise ValueError("symbolic solve needs --s (or a problem file with 's')"
+                         if symbolic else "need --problem")
     _guard_symbolic(model, args.t, problem.s)
     value = evaluate_solution(problem, args.t, args.method, enum_limit=_enum_limit())
     payload = {
@@ -336,12 +330,11 @@ def cmd_expand(args) -> int:
 
 def _corrupted(model: CoefficientModel, s: int) -> CoefficientModel:
     # Debug aid for verify: bumps phi_1(s+1) by one so identity checks fail.
-    def fn(m: int, t: int):
-        value = model.phi(m, t)
-        return value + model.one if (m, t) == (1, s + 1) else value
+    def row_fn(t: int):
+        row = model.phi_row(t)
+        return (row[0] + model.one, *row[1:]) if t == s + 1 else row
 
-    return CoefficientModel.from_function(
-        model.p, fn, model.backend, t_min=model.t_min, t_max=model.t_max)
+    return CoefficientModel(model.p, row_fn, model.backend, model.t_min, model.t_max)
 
 
 def _agreement(name: str, values: dict, reference: str, t: int, **where) -> dict:
@@ -415,6 +408,7 @@ def cmd_verify(args) -> int:
 
     if args.problem is not None:
         problem = load_problem(args.problem, args.arith, model)
+        _guard_symbolic(model, t, problem.s)
         solutions = {
             method: evaluate_solution(problem, t, method, enum_limit=limit)
             for method in SOLVE_METHODS

@@ -44,14 +44,20 @@ def _row_length(rows: Sequence[tuple], names, label: str) -> int:
     return p
 
 
-class CoefficientModel:
-    """Coefficients phi_m(t) for 1 <= m <= p over a declared t-domain.
+class CoefficientModel(scalar.Frozen):
+    """Coefficients phi_m(t) for 1 <= m <= p over a declared t-domain,
+    immutable.
 
-    ``phi`` rejects positions outside 1..p and arguments outside the domain;
-    the error is never silently turned into a zero.
+    ``row_fn(t)`` gives (phi_1(t), ..., phi_p(t)); each row is checked as
+    it is read: a row of another length raises ValueError, and a value of
+    another backend :class:`~vclde.scalar.BackendMismatchError`.  ``phi``
+    rejects positions outside 1..p and arguments outside the domain; the
+    error is never silently turned into a zero.  ``period`` is P when row
+    t+P equals row t: 1 for :meth:`constant`, the number of rows for
+    :meth:`periodic`; None for other models and symbolic rows.
     """
 
-    __slots__ = ("p", "backend", "t_min", "t_max", "_row_fn", "_period")
+    __slots__ = ("p", "backend", "t_min", "t_max", "period", "_row_fn")
 
     def __init__(
         self,
@@ -61,22 +67,31 @@ class CoefficientModel:
         t_min: int | None = None,
         t_max: int | None = None,
     ):
+        def checked_row(t: int) -> tuple[Scalar, ...]:
+            row = row_fn(t)
+            if len(row) != p:
+                raise ValueError(f"row t={t} has {len(row)} values, expected {p}")
+            scalar.check_backend((row,), backend)
+            return row
+
+        self._fill(p, checked_row, backend, t_min, t_max, None)
+
+    def _fill(self, p, row_fn, backend, t_min, t_max, period) -> None:
         if p < 1:
             raise ValueError("order p must be >= 1")
         if backend not in scalar.BACKENDS:
             raise ValueError(f"unknown backend: {backend!r}")
-        self.p = p
-        self.backend = backend
-        self.t_min = t_min
-        self.t_max = t_max
-        self._row_fn = row_fn
-        self._period: int | None = None
+        self._set(p=p, backend=backend, t_min=t_min, t_max=t_max, period=period,
+                  _row_fn=row_fn)
 
-    @property
-    def period(self) -> int | None:
-        """P when row t+P equals row t: 1 for :meth:`constant`, the number of
-        rows for :meth:`periodic`; None for other models and symbolic rows."""
-        return self._period
+    @classmethod
+    def _checked_rows(cls, p: int, row_fn, backend: str, period: int | None,
+                      t_min: int | None = None, t_max: int | None = None):
+        """Model over rows already checked for length and backend, read as
+        they are."""
+        model = cls.__new__(cls)
+        model._fill(p, row_fn, backend, t_min, t_max, period)
+        return model
 
     @property
     def zero(self) -> Scalar:
@@ -119,13 +134,7 @@ class CoefficientModel:
 
     @classmethod
     def constant(cls, values: Sequence[Scalar]) -> "CoefficientModel":
-        row = tuple(values)
-        if not row:
-            raise ValueError("need at least one coefficient")
-        backend = scalar.rows_backend((row,))
-        model = cls(len(row), lambda t: row, backend)
-        model._period = None if backend == scalar.SYMBOLIC else 1
-        return model
+        return cls.periodic((values,))
 
     @classmethod
     def from_table(cls, rows: Mapping[int, Sequence[Scalar]]) -> "CoefficientModel":
@@ -139,8 +148,8 @@ class CoefficientModel:
         # tuple() of a tuple is the tuple itself: rows are not copied
         table = list(map(tuple, map(rows.__getitem__, span)))
         p = _row_length(table, span, "row t=")
-        backend = scalar.rows_backend(table)
-        return cls(p, lambda t: table[t - t_min], backend, t_min=t_min, t_max=t_max)
+        return cls._checked_rows(p, lambda t: table[t - t_min], scalar.rows_backend(table),
+                                 None, t_min, t_max)
 
     @classmethod
     def periodic(cls, rows: Sequence[Sequence[Scalar]]) -> "CoefficientModel":
@@ -151,9 +160,8 @@ class CoefficientModel:
             raise ValueError("need at least one periodic row")
         p = _row_length(cycle, range(period), "periodic row ")
         backend = scalar.rows_backend(cycle)
-        model = cls(p, lambda t: cycle[t % period], backend)
-        model._period = None if backend == scalar.SYMBOLIC else period
-        return model
+        return cls._checked_rows(p, lambda t: cycle[t % period], backend,
+                                 None if backend == scalar.SYMBOLIC else period)
 
     @classmethod
     def from_function(
@@ -164,25 +172,14 @@ class CoefficientModel:
         t_min: int | None = None,
         t_max: int | None = None,
     ) -> "CoefficientModel":
-        """Model with phi_m(t) = fn(m, t).  Each row is checked against
-        ``backend`` as it is read: a value of another backend raises
-        :class:`~vclde.scalar.BackendMismatchError`."""
-
-        def row_fn(t: int) -> tuple[Scalar, ...]:
-            row = tuple(fn(m, t) for m in range(1, p + 1))
-            scalar.check_backend((row,), backend)
-            return row
-
-        return cls(p, row_fn, backend, t_min=t_min, t_max=t_max)
+        """Model with phi_m(t) = fn(m, t), its rows checked as they are read."""
+        return cls(p, lambda t: tuple([fn(m, t) for m in range(1, p + 1)]), backend,
+                   t_min, t_max)
 
     @classmethod
     def symbolic(cls, p: int) -> "CoefficientModel":
         """Model whose coefficients are the symbols phi_m(t)."""
-        return cls(
-            p,
-            lambda t: tuple(scalar.phi_sym(m, t) for m in range(1, p + 1)),
-            scalar.SYMBOLIC,
-        )
+        return cls.from_function(p, scalar.phi_sym, scalar.SYMBOLIC)
 
 
 def skip_periods(window, p: int, rows, rest: int, period: int,

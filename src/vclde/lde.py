@@ -96,13 +96,10 @@ class SolutionProblem(scalar.Frozen):
         self._set(model=model, s=s, init=init, forcing=forcing)
 
     @classmethod
-    def symbolic(
-        cls, model: CoefficientModel, s: int, homogeneous: bool = False
-    ) -> "SolutionProblem":
+    def symbolic(cls, model: CoefficientModel, s: int) -> "SolutionProblem":
         """Problem whose initial values and forcing are the symbols y(t), v(t)."""
-        init = tuple(scalar.y_sym(u) for u in range(s - model.p + 1, s + 1))
-        forcing = None if homogeneous else scalar.v_sym
-        return cls(model, s, init, forcing)
+        return cls(model, s, [scalar.y_sym(u) for u in range(s - model.p + 1, s + 1)],
+                   scalar.v_sym)
 
     @property
     def p(self) -> int:
@@ -292,27 +289,24 @@ def green(model: CoefficientModel, t: int, s: int) -> Scalar:
 
 
 class CasoratiMatrix(scalar.Frozen):
-    """p x p matrix with entry (i, j) equal to the branch-j fundamental
-    solution at time t - i + 1; the identity matrix at t = s.  Immutable.
+    """p x p matrix at (t, s) with entry (i, j) equal to the branch-j
+    fundamental solution at time t - i + 1; the identity matrix at t = s.
+    Immutable.
 
     ``abel`` is its determinant by Abel's formula and ``vanishing_row`` the
     first u in s+1..t with phi_p(u) = 0 (None if there is none); both are
     filled in by :func:`casorati`.
     """
 
-    __slots__ = ("p", "t", "s", "entries", "abel", "vanishing_row")
+    __slots__ = ("entries", "abel", "vanishing_row")
 
     def __init__(
         self,
-        p: int,
-        t: int,
-        s: int,
         entries: tuple[tuple[Scalar, ...], ...],
         abel: Scalar,
         vanishing_row: int | None,
     ):
-        self._set(p=p, t=t, s=s, entries=entries, abel=abel,
-                  vanishing_row=vanishing_row)
+        self._set(entries=entries, abel=abel, vanishing_row=vanishing_row)
 
     def casoratian(self) -> Scalar:
         """The Casoratian det C(t, s): each one-step companion matrix has
@@ -343,10 +337,7 @@ def casorati(model: CoefficientModel, t: int, s: int) -> CasoratiMatrix:
         det = det * factor
     if p % 2 == 0 and (t - s) % 2:
         det = -det
-    return CasoratiMatrix(
-        p=p, t=t, s=s, entries=entries,
-        abel=det if det else model.zero, vanishing_row=vanishing_row,
-    )
+    return CasoratiMatrix(entries, det if det else model.zero, vanishing_row)
 
 
 def _column(problem: SolutionProblem) -> Callable[..., Scalar | None]:
@@ -431,9 +422,11 @@ def general_solution_kittappa(problem: SolutionProblem, t: int) -> Scalar:
     """Full solution as a single bordered Hessenbergian of order t-s on the
     banded chain; its first column (:func:`_column`) merges the
     initial-value and forcing contributions by multilinearity.  A
-    homogeneous problem skips periods past its initial terms."""
+    homogeneous problem skips periods past its initial terms.  Window
+    values are the prescribed ones, as in :func:`general_solution`."""
+    _check_window(problem.p, t, problem.s)
     if t <= problem.s:
-        raise DomainError(f"requires t > s, got t={t}, s={problem.s}")
+        return problem.prescribed(t)
     model, s = problem.model, problem.s
     return _banded_chain(model, map(model._row_source(s + 1, t), range(s + 1, t + 1)),
                          t - s, _column(problem))[0][0]

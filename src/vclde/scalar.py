@@ -26,9 +26,6 @@ FLOAT64 = "float64"
 SYMBOLIC = "symbolic"
 BACKENDS = (RATIONAL, FLOAT64, SYMBOLIC)
 
-DEFAULT_ABS_TOL = 1e-12
-DEFAULT_REL_TOL = 1e-9
-
 
 class BackendMismatchError(TypeError):
     """Raised when an operation would mix scalar backends."""
@@ -36,7 +33,7 @@ class BackendMismatchError(TypeError):
 
 class Frozen:
     """Base of the immutable value classes.  A subclass lists its fields in
-    ``__slots__`` and sets each once, in ``__init__``, through
+    ``__slots__`` and sets each once, while the object is built, through
     :meth:`_set`; later assignment or deletion raises AttributeError.
     Equality, hashing and repr go by the field values."""
 
@@ -318,16 +315,10 @@ def one(backend: str) -> Scalar:
     raise ValueError(f"unknown backend: {backend!r}")
 
 
-def scalars_close(
-    a: Scalar,
-    b: Scalar,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> bool:
+def scalars_close(a: Scalar, b: Scalar) -> bool:
     """Equality check: exact for rational/symbolic, tolerant for binary64."""
-    kind = rows_backend(((a, b),))
-    if kind == FLOAT64:
-        return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
+    if rows_backend(((a, b),)) == FLOAT64:
+        return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
     return a == b
 
 

@@ -190,8 +190,8 @@ def test_parse_error_exit_2(tmp_path, capsys, monkeypatch):
 
 
 def test_problem_file_must_be_an_object_with_integer_s(fib_coeffs, tmp_path, capsys):
-    # symbolic solve reads only the anchor s of a problem file, through the
-    # same check as the numeric loader, so both report the same error
+    # a symbolic problem file is read for its anchor s by the same loader as
+    # a numeric one, so both report the same error
     for doc in ([], {"s": True, "init": ["0", "1"]}, {"init": ["0", "1"]}):
         problem = write_json(tmp_path / "p.json", doc)
         errors = []
@@ -202,6 +202,18 @@ def test_problem_file_must_be_an_object_with_integer_s(fib_coeffs, tmp_path, cap
             errors.append(json.loads(err))
         assert errors[0] == errors[1]
         assert errors[0]["error"] == "invalid-input"
+
+
+def test_symbolic_verify_reads_problem_files(tmp_path, capsys):
+    # verify takes a symbolic problem through the one problem loader: its
+    # anchor s, with the symbols y(t) and v(t) as values
+    problem = write_json(tmp_path / "p.json", {"s": 0, "init": ["0", "1"]})
+    code, out, err = run_cli(capsys, ["verify", "--arith", "symbolic", "--p", "2",
+                                      "--problem", problem, "--t", "6", "--s", "0"])
+    assert (code, err) == (0, "")
+    checks = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+    assert checks["solution-five-way"] is True
+    assert all(checks.values())
 
 
 def test_time_keys_must_be_written_as_str_t(fib_coeffs, tmp_path, capsys):
@@ -238,6 +250,8 @@ def test_symbolic_horizon_is_guarded(tmp_path, capsys, monkeypatch):
         ["solve", "--problem", problem, "--t", "40"],
         ["fundamental", "--t", "40", "--s", "0"],
         ["verify", "--t", "40", "--s", "0"],
+        # the problem's own anchor sets the solution's horizon
+        ["verify", "--problem", problem, "--t", "40", "--s", "38"],
     ):
         code, out, err = run_cli(capsys, argv + symbolic)
         assert (code, out) == (3, ""), argv

@@ -51,6 +51,30 @@ def test_from_function_rows_reject_other_backends(backend, value):
         green(model, 5, 0)  # the chain reads rows unchecked by the domain
 
 
+@pytest.mark.parametrize(
+    "backend, row",
+    [("rational", (Fraction(1), 0.5)), ("float64", (0.5, Fraction(1, 2)))],
+)
+def test_bare_constructor_checks_each_row_as_read(backend, row):
+    # the public constructor trusts no row: a mixed one raises on its first
+    # read, whether through phi_row, phi or a chain's unchecked row source
+    model = CoefficientModel(2, lambda t: row, backend)
+    with pytest.raises(BackendMismatchError):
+        model.phi_row(1)
+    with pytest.raises(BackendMismatchError):
+        model.phi(1, 1)
+    with pytest.raises(BackendMismatchError):
+        green(model, 5, 0)
+    # so is a row of another length, which the chain would read as if its
+    # missing entries were zero or its extra ones belonged to the band
+    for short_or_long in (row[:1], row + row[:1]):
+        model = CoefficientModel(2, lambda t: short_or_long, backend)
+        with pytest.raises(ValueError, match="has .* values, expected 2"):
+            model.phi_row(1)
+        with pytest.raises(ValueError, match="has .* values, expected 2"):
+            green(model, 5, 0)
+
+
 def test_from_function_rows_of_its_backend_pass():
     model = CoefficientModel.from_function(2, lambda m, t: Fraction(m, t), "rational")
     # H(3, 1) = phi_1(3) phi_1(2) + phi_2(3)

@@ -249,7 +249,7 @@ def test_homogeneous_green_first_order():
 
 def test_homogeneous_green_symbolic_part():
     model = CoefficientModel.symbolic(2)
-    problem = SolutionProblem.symbolic(model, 2, homogeneous=True)
+    problem = SolutionProblem(model, 2, (y_sym(1), y_sym(2)))
     y1, y2 = y_sym(1), y_sym(2)
     expected = (
         phi_sym(1, 4) * phi_sym(1, 5) * phi_sym(2, 3) * y1

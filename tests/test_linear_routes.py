@@ -657,6 +657,11 @@ def test_fundamental_set_shares_one_window_rule(arith, data):
         for method in SOLVE_METHODS:
             assert identical(evaluate_solution(problem, t, method),
                              problem.prescribed(t)), (t, method)
+        for route in (general_solution, general_solution_kittappa):
+            assert identical(route(problem, t), problem.prescribed(t)), (t, route.__name__)
+    for route in (general_solution, general_solution_kittappa):
+        with pytest.raises(DomainError):
+            route(problem, s - p)
     for method in GREEN_METHODS:
         with pytest.raises(DomainError):
             evaluate_green(model, s - p, s, method)

@@ -158,7 +158,9 @@ def test_value_classes_are_immutable_and_validated():
     assert problem.init == (Fraction(0), Fraction(1))
     matrix = vclde.casorati(model, 5, 0)
     term = next(vclde.leibnizian.enumerate_seps(3))
-    for obj, field in ((problem, "s"), (matrix, "abel"), (term, "sign")):
+    for obj, field in ((problem, "s"), (matrix, "abel"), (term, "sign"), (model, "p"),
+                       (model, "backend"), (model, "t_min"), (model, "t_max"),
+                       (model, "period")):
         with pytest.raises(AttributeError):
             setattr(obj, field, 1)
         with pytest.raises(AttributeError):
@@ -177,4 +179,7 @@ def test_value_classes_are_immutable_and_validated():
     assert term == vclde.leibnizian.SepTerm(term.k, term.columns, term.sign)
     assert hash(term) == hash(vclde.leibnizian.SepTerm(term.k, term.columns, term.sign))
     assert vclde.casorati(model, 5, 0) == matrix
+    # row functions compare by identity, so separately built models differ
+    assert model == model and hash(model) == hash(model)
+    assert CoefficientModel.constant(model.phi_row(0)) != model
     assert repr(term) == f"SepTerm(k=3, columns={term.columns!r}, sign={term.sign})"
