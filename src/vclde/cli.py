@@ -234,6 +234,8 @@ def _error(kind: str, message: str, **extra) -> None:
 
 def _load_model(args) -> CoefficientModel:
     if args.coeffs is not None:
+        if args.p is not None:
+            raise ValueError("--p is read only without --coeffs, whose file sets p")
         return load_coefficients(args.coeffs, args.arith)
     if args.arith == scalar.SYMBOLIC and args.p is not None:
         return CoefficientModel.symbolic(args.p)
@@ -260,6 +262,8 @@ def cmd_solve(args) -> int:
     symbolic = args.arith == scalar.SYMBOLIC
     if symbolic and args.s is not None:
         problem = SolutionProblem.symbolic(model, args.s)
+    elif args.s is not None:
+        raise ValueError("--s is read only in symbolic mode; the problem file sets s")
     elif args.problem is not None:
         problem = load_problem(args.problem, args.arith, model)
     else:
@@ -337,17 +341,19 @@ def _corrupted(model: CoefficientModel, s: int) -> CoefficientModel:
     return CoefficientModel(model.p, row_fn, model.backend, model.t_min, model.t_max)
 
 
-def _agreement(name: str, values: dict, reference: str, t: int, **where) -> dict:
-    """Check that every route's value at time t is close to the
-    ``reference`` route's; a failure's counterexample holds t, ``where`` and
-    every value."""
-    _finite(values.values(), t)
-    passed = all(scalar.scalars_close(values[reference], v) for v in values.values())
-    entry = {"name": name, "passed": passed}
-    if not passed:
-        entry["counterexample"] = {
-            "t": t, **where, "values": {route: _out(v, t) for route, v in values.items()}}
-    return entry
+def _agreement(name: str, reference: str, cases) -> dict:
+    """Check that in each (t, where, values) case every route's value is
+    close to the ``reference`` route's, after checking every value finite in
+    case order; a failure's counterexample is the first failing case: its t,
+    ``where`` and every value."""
+    for t, _, values in cases:
+        _finite(values.values(), t)
+    for t, where, values in cases:
+        if not all(scalar.scalars_close(values[reference], v) for v in values.values()):
+            routes = {route: _out(v, t) for route, v in values.items()}
+            return {"name": name, "passed": False,
+                    "counterexample": {"t": t, **where, "values": routes}}
+    return {"name": name, "passed": True}
 
 
 def cmd_verify(args) -> int:
@@ -358,62 +364,43 @@ def cmd_verify(args) -> int:
     if t <= s:
         raise DomainError(f"verification requires t > s, got t={t}, s={s}")
     limit = _enum_limit()
-    _guard_symbolic(model, t, s)
-    lei_model = _corrupted(model, s) if args.corrupt else model
+    problem = (None if args.problem is None
+               else load_problem(args.problem, args.arith, model))
+    # every input is loaded and every order guarded before any route runs:
+    # the expansions of H(t, s) have order t - s, and those of the solution
+    # at most t - problem.s - 1
+    check_enum_limit(t - s, limit)
+    if problem is not None:
+        _guard_symbolic(model, t, problem.s)
+        check_enum_limit(t - problem.s - 1, limit)
 
     # H(t, s) is the (1, 1) entry of the Casorati matrix and of the companion
-    # product; the product comes after the expansions, so that a horizon
-    # past their enumeration limit is refused before it is paid for
-    xi_matrix = casorati(model, t, s)
-    values = {
-        "recurrence": xi_matrix.entries[0][0],
+    # product
+    xi, product = casorati(model, t, s), companion_product(model, t, s)
+    lei_model = _corrupted(model, s) if args.corrupt else model
+    green = {
+        "recurrence": xi.entries[0][0],
         "leibnizian": evaluate_green(lei_model, t, s, "leibnizian", enum_limit=limit),
         "nested": evaluate_green(model, t, s, "nested", enum_limit=limit),
+        "companion": product[0][0],
     }
-    product = companion_product(model, t, s)
-    values["companion"] = product[0][0]
-    checks = [_agreement("green-four-way", values, "recurrence", t, s=s)]
-
-    for matrix in (xi_matrix.entries, product):
-        for i, row in enumerate(matrix):
-            _finite(row, t - i)
-    mismatch = None
-    for i in range(model.p):
-        for j in range(model.p):
-            if not scalar.scalars_close(xi_matrix.entries[i][j], product[i][j]):
-                mismatch = {
-                    "row": i + 1,
-                    "col": j + 1,
-                    "fundamental": _out(xi_matrix.entries[i][j], t - i),
-                    "companion": _out(product[i][j], t - i),
-                }
-                break
-        if mismatch:
-            break
-    entry = {"name": "fundamental-matrix", "passed": mismatch is None}
-    if mismatch:
-        entry["counterexample"] = mismatch
-    checks.append(entry)
-
-    # By Abel's formula the Casoratian vanishes exactly where some phi_p(u)
-    # does, so the check is exact in every arithmetic.
-    vanishing = xi_matrix.vanishing_row
-    entry = {"name": "casoratian-nonzero", "passed": vanishing is None}
-    if vanishing is not None:
-        entry["counterexample"] = {
-            "casoratian": _out(xi_matrix.casoratian(), t),
-            "u": vanishing,
-        }
-    checks.append(entry)
-
-    if args.problem is not None:
-        problem = load_problem(args.problem, args.arith, model)
-        _guard_symbolic(model, t, problem.s)
-        solutions = {
-            method: evaluate_solution(problem, t, method, enum_limit=limit)
-            for method in SOLVE_METHODS
-        }
-        checks.append(_agreement("solution-five-way", solutions, "recursion", t))
+    # by Abel's formula the Casoratian vanishes exactly where some phi_p(u)
+    # does, so that check is exact in every arithmetic
+    checks = [
+        _agreement("green-four-way", "recurrence", [(t, {"s": s}, green)]),
+        _agreement("fundamental-matrix", "fundamental", [
+            (t - i, {"row": i + 1, "col": j + 1}, {"fundamental": a, "companion": b})
+            for i, (xi_row, row) in enumerate(zip(xi.entries, product))
+            for j, (a, b) in enumerate(zip(xi_row, row))]),
+        {"name": "casoratian-nonzero", "passed": xi.vanishing_row is None},
+    ]
+    if xi.vanishing_row is not None:
+        checks[-1]["counterexample"] = {
+            "casoratian": _out(xi.casoratian(), t), "u": xi.vanishing_row}
+    if problem is not None:
+        solutions = {method: evaluate_solution(problem, t, method, enum_limit=limit)
+                     for method in SOLVE_METHODS}
+        checks.append(_agreement("solution-five-way", "recursion", [(t, {}, solutions)]))
 
     passed = all(c["passed"] for c in checks)
     text = None

@@ -189,18 +189,23 @@ def test_parse_error_exit_2(tmp_path, capsys, monkeypatch):
     assert len(err) < 200
 
 
-def test_problem_file_must_be_an_object_with_integer_s(fib_coeffs, tmp_path, capsys):
+def test_problem_file_must_be_an_object_with_integer_s(fib_coeffs, tmp_path, capsys,
+                                                      monkeypatch):
     # a symbolic problem file is read for its anchor s by the same loader as
-    # a numeric one, so both report the same error
+    # a numeric one, so both report the same error; verify reads it before
+    # any route runs
+    monkeypatch.setattr("vclde.cli.casorati", None)
+    monkeypatch.setattr("vclde.oracles.companion_product", None)
     for doc in ([], {"s": True, "init": ["0", "1"]}, {"init": ["0", "1"]}):
         problem = write_json(tmp_path / "p.json", doc)
         errors = []
         for source in (["--arith", "symbolic", "--p", "2"], ["--coeffs", fib_coeffs]):
-            code, out, err = run_cli(
-                capsys, ["solve", "--problem", problem, "--t", "3"] + source)
-            assert (code, out) == (2, ""), (doc, source)
-            errors.append(json.loads(err))
-        assert errors[0] == errors[1]
+            for argv in (["solve", "--problem", problem, "--t", "3"],
+                         ["verify", "--problem", problem, "--t", "3", "--s", "0"]):
+                code, out, err = run_cli(capsys, argv + source)
+                assert (code, out) == (2, ""), (doc, argv + source)
+                errors.append(json.loads(err))
+        assert all(error == errors[0] for error in errors)
         assert errors[0]["error"] == "invalid-input"
 
 
@@ -269,7 +274,7 @@ def test_domain_error_exit_2(fib_coeffs, capsys):
     assert json.loads(err)["error"] == "invalid-input"
 
 
-def test_enum_limit_env_exit_3(fib_coeffs, capsys, monkeypatch):
+def test_enum_limit_env_exit_3(fib_coeffs, fib_problem, capsys, monkeypatch):
     monkeypatch.setenv("VCLDE_ENUM_LIMIT", "3")
     code, _, err = run_cli(
         capsys,
@@ -277,12 +282,16 @@ def test_enum_limit_env_exit_3(fib_coeffs, capsys, monkeypatch):
     )
     assert code == 3
     assert json.loads(err)["error"] == "enum-limit"
-    # verify refuses such a horizon before it builds the companion product,
-    # which costs far more than the chains at long rational horizons
+    # verify refuses such a horizon before any route runs, the companion
+    # product above all, which costs far more than the chains at long
+    # rational horizons; the solution's expansions reach order t - s - 1 of
+    # the problem's own anchor s, here below --s
+    monkeypatch.setattr("vclde.cli.casorati", None)
     monkeypatch.setattr("vclde.oracles.companion_product", None)
-    code, _, err = run_cli(capsys, ["verify", "--coeffs", fib_coeffs, "--t", "8", "--s", "0"])
-    assert code == 3
-    assert json.loads(err)["error"] == "enum-limit"
+    for argv in (["--t", "8", "--s", "0"], ["--problem", fib_problem, "--t", "6", "--s", "4"]):
+        code, _, err = run_cli(capsys, ["verify", "--coeffs", fib_coeffs] + argv)
+        assert code == 3, argv
+        assert json.loads(err)["error"] == "enum-limit"
 
 
 def test_nested_route_enum_limit_exit_3(fib_coeffs, fib_problem, capsys, monkeypatch):
@@ -505,6 +514,33 @@ def test_verify_passes_and_corrupt_fails(tmp_path, capsys):
     assert payload["passed"] is False
     failed = [c for c in payload["checks"] if not c["passed"]]
     assert failed and "counterexample" in failed[0]
+
+
+def test_verify_reports_the_first_mismatched_matrix_entry(fib_coeffs, capsys, monkeypatch):
+    # --corrupt perturbs only the Leibnizian route, so a wrong companion
+    # product is what makes the fundamental-matrix check fail
+    from vclde import oracles
+
+    product = oracles.companion_product
+
+    def bumped(model, t, s):
+        rows = [list(row) for row in product(model, t, s)]
+        rows[1][0] += 1
+        return rows
+
+    monkeypatch.setattr("vclde.oracles.companion_product", bumped)
+    argv = ["verify", "--coeffs", fib_coeffs, "--t", "7", "--s", "0"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (1, "")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["green-four-way"]["passed"] and checks["casoratian-nonzero"]["passed"]
+    assert checks["fundamental-matrix"] == {
+        "name": "fundamental-matrix", "passed": False,
+        "counterexample": {"col": 1, "row": 2, "t": 6,
+                           "values": {"companion": "14", "fundamental": "13"}}}
+    code, out, _ = run_cli(capsys, argv + ["--pretty"])
+    assert code == 1
+    assert out == "PASS green-four-way\nFAIL fundamental-matrix\nPASS casoratian-nonzero\n"
 
 
 def test_symbolic_payloads_equal_reference_bytes(capsys):
@@ -970,6 +1006,25 @@ def test_symbolic_needs_structure(capsys):
     assert code == 0
     code, _, err = run_cli(capsys, ["green", "--p", "2", "--t", "4", "--s", "2"])
     assert code == 2  # --p alone only works in symbolic mode
+
+
+def test_options_a_file_sets_are_refused(fib_coeffs, fib_problem, capsys):
+    # the coefficient file sets p and the problem file sets s, so an option
+    # that would be ignored is refused instead
+    for argv, option in (
+        (["green", "--coeffs", fib_coeffs, "--p", "7", "--t", "9", "--s", "0"], "--p"),
+        (["solve", "--coeffs", fib_coeffs, "--problem", fib_problem, "--s", "5", "--t", "6"],
+         "--s"),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        body = json.loads(err)
+        assert body["error"] == "invalid-input"
+        assert option in body["message"]
+    # symbolic mode reads --s, and --p without --coeffs
+    code, out, _ = run_cli(capsys, ["solve", "--arith", "symbolic", "--p", "2",
+                                    "--problem", fib_problem, "--s", "5", "--t", "6"])
+    assert (code, json.loads(out)["s"]) == (0, 5)
 
 
 # Integers in the fuzzed documents stay small, because s, p and the time keys
