@@ -260,13 +260,13 @@ def cmd_green(args) -> int:
 def cmd_solve(args) -> int:
     model = _load_model(args)
     symbolic = args.arith == scalar.SYMBOLIC
-    if symbolic and args.s is not None:
-        problem = SolutionProblem.symbolic(model, args.s)
-    elif args.s is not None:
+    if args.s is not None and not symbolic:
         raise ValueError("--s is read only in symbolic mode; the problem file sets s")
-    elif args.problem is not None:
-        problem = load_problem(args.problem, args.arith, model)
-    else:
+    if args.problem is not None:
+        problem = load_problem(args.problem, args.arith, model)  # read even where --s wins
+    if args.s is not None:
+        problem = SolutionProblem.symbolic(model, args.s)
+    elif args.problem is None:
         raise ValueError("symbolic solve needs --s (or a problem file with 's')"
                          if symbolic else "need --problem")
     _guard_symbolic(model, args.t, problem.s)
@@ -307,7 +307,7 @@ def cmd_fundamental(args) -> int:
 
 def cmd_expand(args) -> int:
     from .hessenberg import HessenbergMatrix, det_leibniz_oracle
-    from .leibnizian import det_leibnizian, enumerate_seps
+    from .leibnizian import det_leibnizian
 
     k = args.order
     if k < 1:
@@ -325,7 +325,9 @@ def cmd_expand(args) -> int:
     }
     text = None
     if args.pretty:
-        first, *rest = (term.pretty() for term in enumerate_seps(k))
+        # ascending SEP index order is the reverse of the canonical order
+        first, *rest = (str(scalar.TermSum({factors: coeff}))
+                        for factors, coeff in reversed(expansion.sorted_items()))
         signed = (f"- {body[1:]}" if body.startswith("-") else f"+ {body}" for body in rest)
         text = " ".join([first, *signed]) + "\n" + ("TRUE" if verified else "FALSE")
     _emit(payload, text)

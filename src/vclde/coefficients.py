@@ -44,16 +44,32 @@ def _row_length(rows: Sequence[tuple], names, label: str) -> int:
     return p
 
 
+def _domain_error(t: int, t_min: int | None, t_max: int | None) -> DomainError:
+    return DomainError(
+        f"t={t} outside the declared domain "
+        f"[{'-inf' if t_min is None else t_min}, {'+inf' if t_max is None else t_max}]")
+
+
+class _TableRows(dict):
+    """A table's rows by t.  A t outside the table raises DomainError, so
+    ``__getitem__`` is a checked row function at one dict lookup per row."""
+
+    def __missing__(self, t: int):
+        raise _domain_error(t, min(self), max(self))
+
+
 class CoefficientModel(scalar.Frozen):
     """Coefficients phi_m(t) for 1 <= m <= p over a declared t-domain,
     immutable.
 
-    ``row_fn(t)`` gives (phi_1(t), ..., phi_p(t)); each row is checked as
-    it is read: a row of another length raises ValueError, and a value of
-    another backend :class:`~vclde.scalar.BackendMismatchError`.  ``phi``
-    rejects positions outside 1..p and arguments outside the domain; the
-    error is never silently turned into a zero.  ``period`` is P when row
-    t+P equals row t: 1 for :meth:`constant`, the number of rows for
+    ``row_fn(t)`` gives (phi_1(t), ..., phi_p(t)).  Every model stores one
+    row function, read by :meth:`phi_row`, :meth:`phi` and the chains, that
+    raises DomainError outside the domain rather than return a zero.  The
+    one this constructor stores calls ``row_fn`` only inside the domain and
+    checks the length (ValueError) and backend
+    (:class:`~vclde.scalar.BackendMismatchError`) of each row it reads.
+    ``phi`` rejects positions outside 1..p.  ``period`` is P when row t+P
+    equals row t: 1 for :meth:`constant`, the number of rows for
     :meth:`periodic`; None for other models and symbolic rows.
     """
 
@@ -68,6 +84,8 @@ class CoefficientModel(scalar.Frozen):
         t_max: int | None = None,
     ):
         def checked_row(t: int) -> tuple[Scalar, ...]:
+            if (t_min is not None and t < t_min) or (t_max is not None and t > t_max):
+                raise _domain_error(t, t_min, t_max)
             row = row_fn(t)
             if len(row) != p:
                 raise ValueError(f"row t={t} has {len(row)} values, expected {p}")
@@ -101,35 +119,13 @@ class CoefficientModel(scalar.Frozen):
     def one(self) -> Scalar:
         return scalar.one(self.backend)
 
-    def check_domain(self, t: int) -> None:
-        if (self.t_min is not None and t < self.t_min) or (
-            self.t_max is not None and t > self.t_max
-        ):
-            raise DomainError(
-                f"t={t} outside the declared domain "
-                f"[{self.t_min if self.t_min is not None else '-inf'}, "
-                f"{self.t_max if self.t_max is not None else '+inf'}]"
-            )
-
     def phi_row(self, t: int) -> tuple[Scalar, ...]:
-        """(phi_1(t), ..., phi_p(t)) with the domain check done once."""
-        self.check_domain(t)
+        """(phi_1(t), ..., phi_p(t)); DomainError outside the domain."""
         return self._row_fn(t)
-
-    def _row_source(self, lo: int, hi: int) -> Callable[[int], tuple[Scalar, ...]]:
-        """Row function for a caller that reads rows lo..hi, upward or
-        downward: the unchecked one when the whole range lies in the domain,
-        else :meth:`phi_row`, which raises at the first row read outside it."""
-        if (self.t_min is None or lo >= self.t_min) and (
-            self.t_max is None or hi <= self.t_max
-        ):
-            return self._row_fn
-        return self.phi_row
 
     def phi(self, m: int, t: int) -> Scalar:
         if not 1 <= m <= self.p:
             raise DomainError(f"coefficient position {m} outside 1..{self.p}")
-        self.check_domain(t)
         return self._row_fn(t)[m - 1]
 
     @classmethod
@@ -148,8 +144,8 @@ class CoefficientModel(scalar.Frozen):
         # tuple() of a tuple is the tuple itself: rows are not copied
         table = list(map(tuple, map(rows.__getitem__, span)))
         p = _row_length(table, span, "row t=")
-        return cls._checked_rows(p, lambda t: table[t - t_min], scalar.rows_backend(table),
-                                 None, t_min, t_max)
+        return cls._checked_rows(p, _TableRows(zip(span, table)).__getitem__,
+                                 scalar.rows_backend(table), None, t_min, t_max)
 
     @classmethod
     def periodic(cls, rows: Sequence[Sequence[Scalar]]) -> "CoefficientModel":

@@ -235,7 +235,7 @@ def _branch_column(m: int, n: int, row: tuple[Scalar, ...]) -> Scalar | None:
 def _branch_chain(model: CoefficientModel, m: int, t: int, s: int) -> Sequence[Scalar]:
     """Last p minors of the branch-m matrix over rows s+1..t, newest first;
     the caller ensures 1 <= m <= p and t > s."""
-    return _banded_chain(model, map(model._row_source(s + 1, t), range(s + 1, t + 1)),
+    return _banded_chain(model, map(model._row_fn, range(s + 1, t + 1)),
                          t - s, partial(_branch_column, m))[0]
 
 
@@ -250,7 +250,7 @@ def _adjoint_rows(
     phi_p(t-n+p)), with zeros for the unused entries past row t.  Step n
     reads row t-n+1 (rows t down to s+2), and p lagged copies of that stream
     hold at most p rows."""
-    rows = map(model._row_source(s + 2, t), range(t, s + 1, -1))
+    rows = map(model._row_fn, range(t, s + 1, -1))
     return zip(*(chain(repeat(model.zero, m), map(itemgetter(m), copy))
                  for m, copy in enumerate(tee(rows, model.p))))
 
@@ -329,7 +329,7 @@ def casorati(model: CoefficientModel, t: int, s: int) -> CasoratiMatrix:
               for m, tail in enumerate(tails, 1))
         for i in range(p))
     det, vanishing_row = model.one, None
-    row = model._row_source(s + 1, t)
+    row = model._row_fn
     for u in range(s + 1, t + 1):
         factor = row(u)[p - 1]
         if not factor and vanishing_row is None:
@@ -405,7 +405,7 @@ def general_solution(problem: SolutionProblem, t: int) -> Scalar:
     if isinstance(forcing, Mapping):
         for u in range(s + 1, t + 1):
             if u not in forcing:
-                model.check_domain(u)  # a row outside the domain fails before its forcing
+                model._row_fn(u)  # a row outside the domain fails before its forcing
                 raise MissingForcingError(u)
     return _banded_chain(model, rows, k, first, weight=lambda n: column(k + 1 - n))[1]
 
@@ -428,7 +428,7 @@ def general_solution_kittappa(problem: SolutionProblem, t: int) -> Scalar:
     if t <= problem.s:
         return problem.prescribed(t)
     model, s = problem.model, problem.s
-    return _banded_chain(model, map(model._row_source(s + 1, t), range(s + 1, t + 1)),
+    return _banded_chain(model, map(model._row_fn, range(s + 1, t + 1)),
                          t - s, _column(problem))[0][0]
 
 

@@ -65,10 +65,6 @@ class SepTerm(scalar.Frozen):
             )
         self._set(k=k, columns=columns, sign=sign)
 
-    def pretty(self) -> str:
-        body = " ".join(f"h[{i},{col}]" for i, col in enumerate(self.columns, start=1))
-        return f"-{body}" if self.sign < 0 else body
-
 
 def enumerate_seps(k: int, enum_limit: int | None = None) -> Iterator[SepTerm]:
     """Yield all 2^(k-1) products in ascending index order."""

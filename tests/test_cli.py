@@ -457,6 +457,29 @@ def test_expand_order_one(capsys):
     assert out.strip().splitlines() == ["h[1,1]", "TRUE"]
 
 
+def test_expand_pretty_lists_the_verified_expansion(capsys, monkeypatch):
+    # the text comes from the expansion just verified, in ascending SEP
+    # index order, not from a second enumeration
+    import vclde.leibnizian
+
+    expected = {}
+    for k in range(1, 13):
+        bodies = [("-" if term.sign < 0 else "")
+                  + " ".join(f"h[{i},{col}]" for i, col in enumerate(term.columns, 1))
+                  for term in vclde.leibnizian.enumerate_seps(k)]
+        first, *rest = bodies
+        signed = [f"- {b[1:]}" if b.startswith("-") else f"+ {b}" for b in rest]
+        expected[k] = " ".join([first, *signed]) + "\nTRUE\n"
+
+    def refuse(*_):
+        raise AssertionError("enumerate_seps called")
+
+    monkeypatch.setattr(vclde.leibnizian, "enumerate_seps", refuse)
+    for k, text in expected.items():
+        code, out, _ = run_cli(capsys, ["expand", "--order", str(k), "--pretty"])
+        assert (code, out) == (0, text), k
+
+
 def test_expand_term_count_order_five(capsys):
     code, out, _ = run_cli(capsys, ["expand", "--order", "5"])
     assert code == 0
@@ -1008,7 +1031,7 @@ def test_symbolic_needs_structure(capsys):
     assert code == 2  # --p alone only works in symbolic mode
 
 
-def test_options_a_file_sets_are_refused(fib_coeffs, fib_problem, capsys):
+def test_options_a_file_sets_are_refused(fib_coeffs, fib_problem, tmp_path, capsys):
     # the coefficient file sets p and the problem file sets s, so an option
     # that would be ignored is refused instead
     for argv, option in (
@@ -1025,6 +1048,13 @@ def test_options_a_file_sets_are_refused(fib_coeffs, fib_problem, capsys):
     code, out, _ = run_cli(capsys, ["solve", "--arith", "symbolic", "--p", "2",
                                     "--problem", fib_problem, "--s", "5", "--t", "6"])
     assert (code, json.loads(out)["s"]) == (0, 5)
+    # where --s wins, a given problem file is still read and checked
+    not_an_object = write_json(tmp_path / "list.json", [1, 2])
+    for problem in (str(tmp_path / "missing.json"), not_an_object):
+        code, out, err = run_cli(capsys, ["solve", "--arith", "symbolic", "--p", "2",
+                                          "--problem", problem, "--s", "3", "--t", "5"])
+        assert (code, out) == (2, ""), problem
+        assert json.loads(err)["error"] == "invalid-input"
 
 
 # Integers in the fuzzed documents stay small, because s, p and the time keys

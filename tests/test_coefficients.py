@@ -28,6 +28,19 @@ def test_table_model_domain():
         model.phi_row(2)
     with pytest.raises(DomainError):
         model.phi(2, 4)
+    # the stored row function, which the chains read, is the checked one: it
+    # neither wraps below the table nor runs off its end
+    for t in (2, 6):
+        with pytest.raises(DomainError, match=r"outside the declared domain \[3, 5\]"):
+            model._row_fn(t)
+    twin = CoefficientModel.from_table({3: (Fraction(1),), 4: (Fraction(2),), 5: (Fraction(3),)})
+    assert len({model, twin}) == 2  # each hashes, and they differ
+    # the constructor checks the domain before it calls the row function
+    reads = []
+    bounded = CoefficientModel(1, lambda t: reads.append(t) or (Fraction(t),), "rational", 3, 5)
+    with pytest.raises(DomainError, match=r"t=6 outside the declared domain \[3, 5\]"):
+        green(bounded, 7, 2)
+    assert reads == [3, 4, 5]
 
 
 def test_table_model_rejects_gaps_and_ragged_rows():
@@ -48,7 +61,7 @@ def test_from_function_rows_reject_other_backends(backend, value):
     with pytest.raises(BackendMismatchError):
         model.phi_row(3)
     with pytest.raises(BackendMismatchError):
-        green(model, 5, 0)  # the chain reads rows unchecked by the domain
+        green(model, 5, 0)  # the chain reads the stored row function directly
 
 
 @pytest.mark.parametrize(
@@ -57,7 +70,7 @@ def test_from_function_rows_reject_other_backends(backend, value):
 )
 def test_bare_constructor_checks_each_row_as_read(backend, row):
     # the public constructor trusts no row: a mixed one raises on its first
-    # read, whether through phi_row, phi or a chain's unchecked row source
+    # read, whether through phi_row, phi or a chain
     model = CoefficientModel(2, lambda t: row, backend)
     with pytest.raises(BackendMismatchError):
         model.phi_row(1)
