@@ -3,19 +3,20 @@ variable-coefficient linear difference equations of order p:
 
     y_t = phi_1(t) y_{t-1} + ... + phi_p(t) y_{t-p} + v_t.
 
-Every production value comes from one linear kernel, the banded chain
+Every production value but the Casoratian, Abel's product of phi_p(u) over
+u = s+1..t, comes from one linear kernel, the banded chain
 (``_banded_chain``): one loop, for every arithmetic, that expands an order-k
 banded Hessenbergian along its last row in O(k*p) time and O(p) memory; in
 rational mode it runs on integer numerators over one running denominator
 (fraction-free, after Bareiss), in float64 and symbolic mode on the values
-themselves.  Its first column is a function of
-the row index, so it serves each fundamental-solution branch (Green's
-function, xi, Casorati matrix) and the bordered Kittappa determinants, whose
-column 1 is b_j = v_{s+j} + sum_m phi_{m+j-1}(s+j) y_{s-m+1}.  Over the
-adjoint rows it gives H(t, t-n), n = 0, 1, ..., and weighted by b_{t-s-n}
-the Green's-function solution y_t = sum_j H(t, s+j) b_j.  The kernel has no
-options: on a model with a period every unweighted chain skips whole
-periods once its column 1 is zero.
+themselves.  Its first column is a function of the row index, so it serves
+each fundamental-solution branch (Green's function, xi, Casorati matrix) and
+the bordered Kittappa determinants, whose column 1 is
+b_j = v_{s+j} + sum_m phi_{m+j-1}(s+j) y_{s-m+1}.  Over the adjoint rows it
+gives H(t, t-n), n = 0, 1, ..., and weighted by b_{t-s-n} the
+Green's-function solution y_t = sum_j H(t, s+j) b_j.  The kernel has no
+options: on a model with a period every unweighted chain skips whole periods
+once its column 1 is zero.
 
 The Leibnizian, nested-sum, companion-product and forward-recursion routes
 are independent verification oracles in :mod:`vclde.oracles`, reached by
@@ -291,22 +292,12 @@ def green(model: CoefficientModel, t: int, s: int) -> Scalar:
 class CasoratiMatrix(scalar.Frozen):
     """p x p matrix at (t, s) with entry (i, j) equal to the branch-j
     fundamental solution at time t - i + 1; the identity matrix at t = s.
-    Immutable.
+    Immutable; ``abel`` is its determinant by Abel's formula."""
 
-    ``abel`` is its determinant by Abel's formula and ``vanishing_row`` the
-    first u in s+1..t with phi_p(u) = 0 (None if there is none); both are
-    filled in by :func:`casorati`.
-    """
+    __slots__ = ("entries", "abel")
 
-    __slots__ = ("entries", "abel", "vanishing_row")
-
-    def __init__(
-        self,
-        entries: tuple[tuple[Scalar, ...], ...],
-        abel: Scalar,
-        vanishing_row: int | None,
-    ):
-        self._set(entries=entries, abel=abel, vanishing_row=vanishing_row)
+    def __init__(self, entries: tuple[tuple[Scalar, ...], ...], abel: Scalar):
+        self._set(entries=entries, abel=abel)
 
     def casoratian(self) -> Scalar:
         """The Casoratian det C(t, s): each one-step companion matrix has
@@ -324,20 +315,15 @@ def casorati(model: CoefficientModel, t: int, s: int) -> CasoratiMatrix:
     # t-i) reads tail[i] while t-i > s, then xi's window value
     tails = [_branch_chain(model, m, t, s) if t > s else () for m in range(1, p + 1)]
     entries = tuple(
-        tuple(tail[i] if i < len(tail) else
-              model.one if t - i == s - m + 1 else model.zero
+        tuple(tail[i] if i < len(tail) else xi(model, m, t - i, s)
               for m, tail in enumerate(tails, 1))
         for i in range(p))
-    det, vanishing_row = model.one, None
-    row = model._row_fn
-    for u in range(s + 1, t + 1):
-        factor = row(u)[p - 1]
-        if not factor and vanishing_row is None:
-            vanishing_row = u
-        det = det * factor
+    # rows s+1..t left to right, giving the plain float product bit for bit
+    det = math.prod(map(itemgetter(p - 1), map(model._row_fn, range(s + 1, t + 1))),
+                    start=model.one)
     if p % 2 == 0 and (t - s) % 2:
         det = -det
-    return CasoratiMatrix(entries, det if det else model.zero, vanishing_row)
+    return CasoratiMatrix(entries, det if det else model.zero)
 
 
 def _column(problem: SolutionProblem) -> Callable[..., Scalar | None]:

@@ -182,6 +182,20 @@ def test_parse_error_exit_2(tmp_path, capsys, monkeypatch):
         assert (code, out) == (2, ""), argv
         assert json.loads(err)["error"] == "invalid-input"
         assert len(err) < 200, argv
+    # a periodic file needs one row per phase, and a problem's forcing is an object
+    short_periodic = write_json(tmp_path / "short-periodic.json",
+                                {"p": 1, "kind": "periodic", "period": 2, "rows": [["2"]]})
+    forcing_list = write_json(tmp_path / "forcing-list.json",
+                              {"s": 0, "init": ["1"], "forcing": ["1"]})
+    for argv, message in (
+        (["green", "--coeffs", short_periodic, "--t", "3", "--s", "0"],
+         "periodic coefficients need 'rows' with one row per phase"),
+        (["solve", "--coeffs", fine, "--problem", forcing_list, "--t", "3"],
+         "'forcing' must be an object of t -> value"),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err) == {"error": "invalid-input", "message": message}
     monkeypatch.setenv("VCLDE_ENUM_LIMIT", "9" * 5000)
     code, out, err = run_cli(capsys, ["green", "--coeffs", fine, "--t", "3", "--s", "0"])
     assert (code, out) == (2, "")
@@ -272,6 +286,18 @@ def test_domain_error_exit_2(fib_coeffs, capsys):
     code, _, err = run_cli(capsys, ["green", "--coeffs", fib_coeffs, "--t", "-5", "--s", "0"])
     assert code == 2
     assert json.loads(err)["error"] == "invalid-input"
+    # a symbolic solve needs an anchor, and verify a horizon past it
+    for argv, message in (
+        (["solve", "--arith", "symbolic", "--p", "2", "--t", "4"],
+         "symbolic solve needs --s (or a problem file with 's')"),
+        (["verify", "--coeffs", fib_coeffs, "--t", "3", "--s", "3"],
+         "verification requires t > s, got t=3, s=3"),
+        (["verify", "--coeffs", fib_coeffs, "--t", "2", "--s", "3"],
+         "verification requires t > s, got t=2, s=3"),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err) == {"error": "invalid-input", "message": message}
 
 
 def test_enum_limit_env_exit_3(fib_coeffs, fib_problem, capsys, monkeypatch):
@@ -339,19 +365,30 @@ def test_fundamental_order_12_without_permutation_oracle(tmp_path, capsys, monke
 
 
 def test_verify_names_vanishing_casoratian_row(tmp_path, capsys):
+    # verify names the first u in s+1..t with phi_2(u) = 0; a zero at row s
+    # lies outside that range, so the Casoratian there is nonzero
     rows = random_rows(Random(4), 2, -1, 8, regular=True)
-    rows[4] = (rows[4][0], Fraction(0))
-    coeffs = write_json(
-        tmp_path / "c.json",
-        {"p": 2, "kind": "table",
-         "rows": {str(u): [str(v) for v in row] for u, row in rows.items()}},
-    )
-    code, out, _ = run_cli(capsys, ["verify", "--coeffs", coeffs, "--t", "7", "--s", "1"])
-    assert code == 1
-    checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    assert set(checks) == {"green-four-way", "fundamental-matrix", "casoratian-nonzero"}
-    assert checks["green-four-way"]["passed"] and checks["fundamental-matrix"]["passed"]
-    assert checks["casoratian-nonzero"]["counterexample"] == {"casoratian": "0", "u": 4}
+    for arith, write, zero in (("rational", str, "0"), ("float64", float, 0.0)):
+        for zero_rows, u in (((4,), 4), ((5, 3), 3), ((7,), 7), ((1,), None)):
+            table = {t: (row[0], Fraction(0) if t in zero_rows else row[1])
+                     for t, row in rows.items()}
+            coeffs = write_json(
+                tmp_path / "c.json",
+                {"p": 2, "kind": "table",
+                 "rows": {str(t): [write(v) for v in row] for t, row in table.items()}},
+            )
+            code, out, _ = run_cli(capsys, ["verify", "--coeffs", coeffs, "--arith", arith,
+                                            "--t", "7", "--s", "1"])
+            assert code == (0 if u is None else 1), (arith, zero_rows)
+            checks = {c["name"]: c for c in json.loads(out)["checks"]}
+            assert set(checks) == {"green-four-way", "fundamental-matrix",
+                                   "casoratian-nonzero"}
+            assert checks["green-four-way"]["passed"] and checks["fundamental-matrix"]["passed"]
+            nonzero = checks["casoratian-nonzero"]
+            if u is None:
+                assert nonzero == {"name": "casoratian-nonzero", "passed": True}
+            else:
+                assert nonzero["counterexample"] == {"casoratian": zero, "u": u}
 
 
 def test_verify_float_casoratian_is_exact(tmp_path, capsys):

@@ -157,6 +157,7 @@ def test_value_classes_are_immutable_and_validated():
     problem = SolutionProblem(model, 0, [Fraction(0), Fraction(1)])
     assert problem.init == (Fraction(0), Fraction(1))
     matrix = vclde.casorati(model, 5, 0)
+    assert type(matrix).__slots__ == ("entries", "abel")
     term = next(vclde.leibnizian.enumerate_seps(3))
     for obj, field in ((problem, "s"), (matrix, "abel"), (term, "sign"), (model, "p"),
                        (model, "backend"), (model, "t_min"), (model, "t_max"),
