@@ -9,9 +9,10 @@ stderr with a distinct exit code per failure class:
     1  verification fail   4  missing forcing value
     2  parse/domain error  5  non-finite float64 result
 
-The environment variable VCLDE_ENUM_LIMIT overrides the enumeration guard
-used by the leibnizian and nested routes and by every symbolic query, whose
-values have as many terms as those expansions.  Only ``expand`` and
+The environment variable VCLDE_ENUM_LIMIT sets the enumeration guard of the
+leibnizian and nested routes, of ``expand`` below its cap and of every
+symbolic query, whose values have as many terms as those expansions; a value
+that is not an integer exits 2 for every subcommand.  Only ``expand`` and
 ``verify``, and the methods other than recurrence, green and kittappa,
 import the verification modules (``vclde.oracles`` and the expansions).
 """
@@ -21,12 +22,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import scalar
 from .coefficients import (CoefficientModel, DomainError, EnumLimitError,
-                           check_enum_limit)
+                           check_enum_limit, enum_limit)
 from .lde import (
     GREEN_METHODS,
     SOLVE_METHODS,
@@ -72,21 +72,11 @@ def _out(value, t: int):
     return value if isinstance(value, scalar.TermSum) else scalar_to_json(value)
 
 
-def _enum_limit() -> int | None:
-    raw = os.environ.get("VCLDE_ENUM_LIMIT")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"VCLDE_ENUM_LIMIT must be an integer, got {repr(raw)[:40]}")
-
-
 def _guard_symbolic(model: CoefficientModel, t: int, s: int) -> None:
     """A symbolic H(t, s) has a term for each nonzero product of the
     order-(t-s) expansion, so a symbolic query is guarded like one."""
     if model.backend == scalar.SYMBOLIC:
-        check_enum_limit(t - s, _enum_limit())
+        check_enum_limit(t - s)
 
 
 def _read_json(path: str):
@@ -245,7 +235,7 @@ def _load_model(args) -> CoefficientModel:
 def cmd_green(args) -> int:
     model = _load_model(args)
     _guard_symbolic(model, args.t, args.s)
-    value = evaluate_green(model, args.t, args.s, args.method, enum_limit=_enum_limit())
+    value = evaluate_green(model, args.t, args.s, args.method)
     payload = {
         "H": _out(value, args.t),
         "arith": args.arith,
@@ -270,7 +260,7 @@ def cmd_solve(args) -> int:
         raise ValueError("symbolic solve needs --s (or a problem file with 's')"
                          if symbolic else "need --problem")
     _guard_symbolic(model, args.t, problem.s)
-    value = evaluate_solution(problem, args.t, args.method, enum_limit=_enum_limit())
+    value = evaluate_solution(problem, args.t, args.method)
     payload = {
         "arith": args.arith,
         "s": problem.s,
@@ -365,16 +355,15 @@ def cmd_verify(args) -> int:
     t, s = args.t, args.s
     if t <= s:
         raise DomainError(f"verification requires t > s, got t={t}, s={s}")
-    limit = _enum_limit()
     problem = (None if args.problem is None
                else load_problem(args.problem, args.arith, model))
     # every input is loaded and every order guarded before any route runs:
     # the expansions of H(t, s) have order t - s, and those of the solution
     # at most t - problem.s - 1
-    check_enum_limit(t - s, limit)
+    check_enum_limit(t - s)
     if problem is not None:
         _guard_symbolic(model, t, problem.s)
-        check_enum_limit(t - problem.s - 1, limit)
+        check_enum_limit(t - problem.s - 1)
 
     # H(t, s) is the (1, 1) entry of the Casorati matrix and of the companion
     # product
@@ -382,8 +371,8 @@ def cmd_verify(args) -> int:
     lei_model = _corrupted(model, s) if args.corrupt else model
     green = {
         "recurrence": xi.entries[0][0],
-        "leibnizian": evaluate_green(lei_model, t, s, "leibnizian", enum_limit=limit),
-        "nested": evaluate_green(model, t, s, "nested", enum_limit=limit),
+        "leibnizian": evaluate_green(lei_model, t, s, "leibnizian"),
+        "nested": evaluate_green(model, t, s, "nested"),
         "companion": product[0][0],
     }
     # by Abel's formula the Casoratian vanishes exactly where some phi_p(u)
@@ -401,7 +390,7 @@ def cmd_verify(args) -> int:
         checks[-1]["counterexample"] = {
             "casoratian": _out(xi.casoratian(), t), "u": vanishing}
     if problem is not None:
-        solutions = {method: evaluate_solution(problem, t, method, enum_limit=limit)
+        solutions = {method: evaluate_solution(problem, t, method)
                      for method in SOLVE_METHODS}
         checks.append(_agreement("solution-five-way", "recursion", [(t, {}, solutions)]))
 
@@ -484,6 +473,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        enum_limit()  # a malformed limit is refused before any subcommand runs
         return args.func(args)
     except EnumLimitError as exc:
         _error("enum-limit", str(exc))

@@ -7,6 +7,7 @@ are table-backed or closed-form, never stateful.
 
 from __future__ import annotations
 
+import os
 from functools import reduce
 from itertools import islice
 from operator import add, mul
@@ -26,10 +27,21 @@ class EnumLimitError(ValueError):
     """Raised when an enumeration would exceed the configured term budget."""
 
 
-def check_enum_limit(k: int, enum_limit: int | None) -> None:
-    """Refuse an expansion of order k above ``enum_limit`` (default
-    :data:`DEFAULT_ENUM_LIMIT`); the expansions are exponential in k."""
-    limit = DEFAULT_ENUM_LIMIT if enum_limit is None else enum_limit
+def enum_limit() -> int:
+    """The largest expansion order allowed: the environment variable
+    VCLDE_ENUM_LIMIT, read at each call, or :data:`DEFAULT_ENUM_LIMIT`
+    when it is unset."""
+    raw = os.environ.get("VCLDE_ENUM_LIMIT", DEFAULT_ENUM_LIMIT)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"VCLDE_ENUM_LIMIT must be an integer, got {repr(raw)[:40]}")
+
+
+def check_enum_limit(k: int) -> None:
+    """Refuse an expansion of order k above :func:`enum_limit`; the
+    expansions are exponential in k."""
+    limit = enum_limit()
     if k > limit:
         raise EnumLimitError(f"order {k} exceeds the enumeration limit {limit}")
 

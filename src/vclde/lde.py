@@ -419,11 +419,7 @@ def general_solution_kittappa(problem: SolutionProblem, t: int) -> Scalar:
 
 
 def evaluate_green(
-    model: CoefficientModel,
-    t: int,
-    s: int,
-    method: str = "recurrence",
-    enum_limit: int | None = None,
+    model: CoefficientModel, t: int, s: int, method: str = "recurrence"
 ) -> Scalar:
     """H(t, s) by the chosen route; window values, and every value of
     ``recurrence``, are :func:`green`'s.  Every other method is an oracle of
@@ -434,15 +430,10 @@ def evaluate_green(
         return green(model, t, s)
     from . import oracles
 
-    return oracles.green_by(model, t, s, method, enum_limit)
+    return oracles.green_by(model, t, s, method)
 
 
-def evaluate_solution(
-    problem: SolutionProblem,
-    t: int,
-    method: str = "green",
-    enum_limit: int | None = None,
-) -> Scalar:
+def evaluate_solution(problem: SolutionProblem, t: int, method: str = "green") -> Scalar:
     """y_t by the chosen route; window values, and every value of ``green``,
     are :func:`general_solution`'s.  Every method but ``green`` and
     ``kittappa`` is an oracle of :mod:`vclde.oracles`."""
@@ -454,4 +445,4 @@ def evaluate_solution(
         return general_solution_kittappa(problem, t)
     from . import oracles
 
-    return oracles.solution_by(problem, t, method, enum_limit)
+    return oracles.solution_by(problem, t, method)

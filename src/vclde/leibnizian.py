@@ -66,9 +66,9 @@ class SepTerm(scalar.Frozen):
         self._set(k=k, columns=columns, sign=sign)
 
 
-def enumerate_seps(k: int, enum_limit: int | None = None) -> Iterator[SepTerm]:
+def enumerate_seps(k: int) -> Iterator[SepTerm]:
     """Yield all 2^(k-1) products in ascending index order."""
-    check_enum_limit(k, enum_limit)
+    check_enum_limit(k)
     if k < 1:
         raise ValueError("order must be >= 1")
     # itertools.product runs the leading bit slowest: ascending index m
@@ -77,7 +77,7 @@ def enumerate_seps(k: int, enum_limit: int | None = None) -> Iterator[SepTerm]:
         yield SepTerm(k, _columns_from_bits(mask), -1 if mask.count(0) % 2 else 1)
 
 
-def det_leibnizian(rows, enum_limit: int | None = None) -> Scalar:
+def det_leibnizian(rows) -> Scalar:
     """Hessenbergian as the sum of its 2^(k-1) non-trivial products.
 
     Sums sign-flipped c-entries (so no explicit signature appears) in
@@ -91,12 +91,12 @@ def det_leibnizian(rows, enum_limit: int | None = None) -> Scalar:
     rational mode row i is scaled to integers by the lcm L_i of its
     denominators (:func:`~vclde.scalar.integer_step`), and since every
     product takes one entry from each row, the integer sum is the
-    determinant times L_1 ... L_k.  Guarded by ``enum_limit``: the term
-    count is exponential by nature, so an oversized order is an error
-    rather than a hang.
+    determinant times L_1 ... L_k.  Guarded by VCLDE_ENUM_LIMIT
+    (:func:`~vclde.coefficients.check_enum_limit`): the term count is
+    exponential by nature, so an oversized order is an error, not a hang.
     """
     k = len(rows)
-    check_enum_limit(k, enum_limit)
+    check_enum_limit(k)
     rows = [list(row) for row in rows]
     backend = scalar.rows_backend(rows, scalar.RATIONAL)
     if k == 0:

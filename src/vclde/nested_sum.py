@@ -23,7 +23,7 @@ class SuperdiagonalError(ValueError):
     """Raised when a superdiagonal entry differs from -1."""
 
 
-def det_nested_sum(rows, enum_limit: int | None = None) -> Scalar:
+def det_nested_sum(rows) -> Scalar:
     """Determinant of Hessenberg rows whose superdiagonal is all -1.
 
     h(k,1) plus, for each depth j, the sum over index chains
@@ -40,13 +40,13 @@ def det_nested_sum(rows, enum_limit: int | None = None) -> Scalar:
     of every row it skips, so the entry in column c of row r also carries
     L_c ... L_{r-1} (and column 1 carries L_1 ... L_{r-1}), every chain
     gains L_1 ... L_k, and the integer sum is the determinant times that
-    product.  Guarded by ``enum_limit`` like the Leibnizian expansion,
+    product.  Guarded by VCLDE_ENUM_LIMIT like the Leibnizian expansion,
     which also bounds the depth of the walk.
     """
     k = len(rows)
     if k < 1:
         raise ValueError("nested-sum evaluation needs order >= 1")
-    check_enum_limit(k, enum_limit)
+    check_enum_limit(k)
     rows = [list(row) for row in rows]
     backend = scalar.rows_backend(rows)
     minus_one = -scalar.one(backend)

@@ -70,34 +70,31 @@ def recursion_oracle(problem: SolutionProblem, t: int) -> Scalar:
     return window[-1]
 
 
-def green_by(
-    model: CoefficientModel, t: int, s: int, method: str, enum_limit: int | None
-) -> Scalar:
+def green_by(model: CoefficientModel, t: int, s: int, method: str) -> Scalar:
     """H(t, s) for t > s by the ``companion``, ``leibnizian`` or ``nested``
-    method.  The expansions take the principal banded matrix, guarded by
-    ``enum_limit`` before it is built; their modules are imported at call
-    time, so the companion route never loads them."""
+    method.  The expansions take the principal banded matrix, whose order
+    t - s is checked against VCLDE_ENUM_LIMIT before it is built; their
+    modules are imported at call time, so the companion route never loads
+    them."""
     if method == "companion":
         return companion_product(model, t, s)[0][0]
-    check_enum_limit(t - s, enum_limit)
+    check_enum_limit(t - s)
     matrix = coefficients.build_phi_matrix(model, 1, t, s)
     if method == "leibnizian":
         from . import leibnizian
 
-        return leibnizian.det_leibnizian(matrix, enum_limit=enum_limit)
+        return leibnizian.det_leibnizian(matrix)
     from . import nested_sum
 
-    return nested_sum.det_nested_sum(matrix, enum_limit)
+    return nested_sum.det_nested_sum(matrix)
 
 
-def solution_by(
-    problem: SolutionProblem, t: int, method: str, enum_limit: int | None
-) -> Scalar:
+def solution_by(problem: SolutionProblem, t: int, method: str) -> Scalar:
     """y_t for t > s by the ``recursion`` method, or as sum_j H(t, s+j) b_j
     with each H(t, s+j), s+j < t, from :func:`green_by` by ``method``."""
     if method == "recursion":
         return recursion_oracle(problem, t)
     model, s = problem.model, problem.s
     return _lazy_dot(model.zero, t - s, _column(problem),
-                     lambda j: green_by(model, t, s + j, method, enum_limit)
+                     lambda j: green_by(model, t, s + j, method)
                      if s + j < t else model.one)

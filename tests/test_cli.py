@@ -196,11 +196,25 @@ def test_parse_error_exit_2(tmp_path, capsys, monkeypatch):
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, ""), argv
         assert json.loads(err) == {"error": "invalid-input", "message": message}
-    monkeypatch.setenv("VCLDE_ENUM_LIMIT", "9" * 5000)
-    code, out, err = run_cli(capsys, ["green", "--coeffs", fine, "--t", "3", "--s", "0"])
-    assert (code, out) == (2, "")
-    assert json.loads(err)["error"] == "invalid-input"
-    assert len(err) < 200
+    # a malformed enumeration limit is refused before any subcommand runs,
+    # ahead of its other inputs: here a missing coefficient file
+    fine_problem = write_json(tmp_path / "fine-problem.json", {"s": 0, "init": ["1"]})
+    for argv in (["green", "--coeffs", fine, "--t", "3", "--s", "0"],
+                 ["solve", "--coeffs", fine, "--problem", fine_problem, "--t", "3"],
+                 ["fundamental", "--coeffs", fine, "--t", "3", "--s", "0"],
+                 ["expand", "--order", "3"],
+                 ["verify", "--coeffs", fine, "--t", "3", "--s", "0"]):
+        monkeypatch.setenv("VCLDE_ENUM_LIMIT", "9" * 5000)
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err)["error"] == "invalid-input"
+        assert len(err) < 200, argv
+        monkeypatch.setenv("VCLDE_ENUM_LIMIT", "abc")
+        missing = [str(tmp_path / "missing.json") if a == fine else a for a in argv]
+        code, out, err = run_cli(capsys, missing)
+        assert (code, out) == (2, ""), missing
+        assert json.loads(err) == {"error": "invalid-input",
+                                   "message": "VCLDE_ENUM_LIMIT must be an integer, got 'abc'"}
 
 
 def test_problem_file_must_be_an_object_with_integer_s(fib_coeffs, tmp_path, capsys,
@@ -318,6 +332,12 @@ def test_enum_limit_env_exit_3(fib_coeffs, fib_problem, capsys, monkeypatch):
         code, _, err = run_cli(capsys, ["verify", "--coeffs", fib_coeffs] + argv)
         assert code == 3, argv
         assert json.loads(err)["error"] == "enum-limit"
+    # expand obeys the limit below its own cap of 12
+    assert run_cli(capsys, ["expand", "--order", "3"])[0] == 0
+    code, out, err = run_cli(capsys, ["expand", "--order", "4"])
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "enum-limit",
+                               "message": "order 4 exceeds the enumeration limit 3"}
 
 
 def test_nested_route_enum_limit_exit_3(fib_coeffs, fib_problem, capsys, monkeypatch):
@@ -451,13 +471,19 @@ PRETTY_CASES = [
      "2  3/4\n3/2  1/2\ncasoratian: -1/8\n"),
     (["solve", "--coeffs", "{coeffs}", "--problem", "{problem}", "--t", "3"], "9/2\n"),
     (["green", "--coeffs", "{coeffs}", "--t", "4", "--s", "0"], "11/4\n"),
+    (["green", "--coeffs", "{fcoeffs}", "--arith", "float64", "--t", "3", "--s", "0"],
+     "0.375\n"),
+    (["fundamental", "--coeffs", "{fcoeffs}", "--arith", "float64", "--t", "3", "--s", "0"],
+     "0.375  0.125\n0.5  0.125\ncasoratian: -0.015625\n"),
+    (["solve", "--coeffs", "{fcoeffs}", "--problem", "{fproblem}", "--arith", "float64",
+      "--t", "3"], "2.3125\n"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, pretty", PRETTY_CASES,
     ids=["green-symbolic", "solve-symbolic", "fundamental-symbolic", "fundamental",
-         "solve", "green"],
+         "solve", "green", "green-float", "fundamental-float", "solve-float"],
 )
 def test_pretty_text_rendered_only_under_pretty(tmp_path, capsys, monkeypatch, argv, pretty):
     files = {
@@ -466,6 +492,11 @@ def test_pretty_text_rendered_only_under_pretty(tmp_path, capsys, monkeypatch, a
         "problem": write_json(tmp_path / "p.json",
                               {"s": 0, "init": ["0", "1"],
                                "forcing": {"1": "1/3", "2": "0", "3": "2"}}),
+        "fcoeffs": write_json(tmp_path / "fc.json",
+                              {"p": 2, "kind": "constant", "phi": [0.5, 0.25]}),
+        "fproblem": write_json(tmp_path / "fp.json",
+                               {"s": 0, "init": [1.0, 0.5],
+                                "forcing": {"1": 1.0, "2": 1.0, "3": 1.0}}),
     }
     argv = [arg.format(**files) for arg in argv]
     calls = []

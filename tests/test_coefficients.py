@@ -50,6 +50,8 @@ def test_table_model_rejects_gaps_and_ragged_rows():
         CoefficientModel.from_table({1: (Fraction(1),), 2: (Fraction(1), Fraction(2))})
     with pytest.raises(BackendMismatchError):
         CoefficientModel.from_table({1: (Fraction(1),), 2: (0.5,)})
+    with pytest.raises(ValueError, match="coefficient table is empty"):
+        CoefficientModel.from_table({})
 
 
 @pytest.mark.parametrize(
@@ -86,6 +88,11 @@ def test_bare_constructor_checks_each_row_as_read(backend, row):
             model.phi_row(1)
         with pytest.raises(ValueError, match="has .* values, expected 2"):
             green(model, 5, 0)
+    # the order and the backend are checked when the model is made
+    with pytest.raises(ValueError, match="order p must be >= 1"):
+        CoefficientModel(0, lambda t: row, backend)
+    with pytest.raises(ValueError, match="unknown backend: 'decimal'"):
+        CoefficientModel(2, lambda t: row, "decimal")
 
 
 def test_from_function_rows_of_its_backend_pass():
@@ -100,6 +107,8 @@ def test_periodic_model():
     assert model.phi_row(1) == (Fraction(0), Fraction(1))
     assert model.phi_row(2) == model.phi_row(0)
     assert model.phi_row(-1) == model.phi_row(1)
+    with pytest.raises(ValueError, match="need at least one periodic row"):
+        CoefficientModel.periodic([])
 
 
 def test_extended_accessor():

@@ -58,6 +58,8 @@ def test_oracle_limit_guard():
     with pytest.raises(ValueError):
         det_leibniz_oracle(rows)
     assert det_leibniz_oracle([[2]], oracle_limit=1) == 2
+    with pytest.raises(ValueError, match="row 2 has 1 entries, not square"):
+        det_leibniz_oracle([[1, 2], [3]])
 
 
 def test_permutation_signs():
@@ -123,6 +125,8 @@ def test_band_zero_pattern():
     assert banded[0][2] == 0
     assert banded[3][2] == 1
     assert banded[4][:3] == (0, 0, 0) and banded[4][3] == 1
+    with pytest.raises(ValueError, match="band parameter must be >= 1"):
+        BandedHessenbergMatrix.from_function(3, 0, lambda i, j: Fraction(1), "rational")
 
 
 def test_superdiagonal_queries_are_exact_zero():

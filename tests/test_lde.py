@@ -192,6 +192,8 @@ def test_companion_single_factor():
     assert product == ((phi_sym(1, 3), phi_sym(2, 3)), (TermSum.constant(1), TermSum()))
     assert product[0][0] == phi_sym(1, 3) == green(model, 3, 2)
     assert product[1][0] == TermSum.constant(1)
+    with pytest.raises(DomainError, match="requires t > s, got t=2, s=2"):
+        companion_product(model, 2, 2)
 
 
 def test_companion_two_step_top_left():
@@ -227,6 +229,9 @@ def test_homogeneous_zero_window_is_zero():
     problem = SolutionProblem(model, 0, (Fraction(0), Fraction(0)))
     for t in range(1, 8):
         assert homogeneous_solution(problem, t) == 0
+    # a homogeneous problem's forcing is zero at every t past its anchor
+    assert type(problem.forcing_value(5)) is Fraction
+    assert problem.forcing_value(5) == 0
 
 
 def test_homogeneous_rejects_forcing():
@@ -313,6 +318,9 @@ def test_forcing_keys_must_follow_anchor():
     model = fib_model()
     with pytest.raises(DomainError):
         SolutionProblem(model, 3, (Fraction(1), Fraction(1)), {3: Fraction(1)})
+    problem = SolutionProblem(model, 3, (Fraction(1), Fraction(1)), {4: Fraction(1)})
+    with pytest.raises(DomainError, match="forcing is defined only for t > s, got t=3"):
+        problem.forcing_value(3)
 
 
 def test_anchor_must_fit_domain():
@@ -424,6 +432,9 @@ def test_solution_window_values_are_prescribed():
         assert general_solution(problem, t) == problem.prescribed(t)
         assert evaluate_solution(problem, t, "recursion") == problem.prescribed(t)
         assert general_solution(homogeneous, t) == problem.prescribed(t)
+    for t in (-3, 1):
+        with pytest.raises(DomainError, match=f"t={t} outside the initial window"):
+            problem.prescribed(t)
 
 
 def test_float_paths_close():
@@ -460,3 +471,6 @@ def test_evaluate_green_window_any_method():
         evaluate_green(model, 1, 3)
     with pytest.raises(ValueError):
         evaluate_green(model, 5, 3, "magic")
+    problem = SolutionProblem(model, 3, (Fraction(1), Fraction(1)))
+    with pytest.raises(ValueError, match="unknown solve method 'bogus'"):
+        evaluate_solution(problem, 5, "bogus")

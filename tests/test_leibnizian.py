@@ -163,13 +163,16 @@ def test_enumerate_seps_counts_and_signs():
             assert term.sign == Permutation(term.columns).sign
             seen.add(term.columns)
         assert len(seen) == 1 << (k - 1)
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        list(enumerate_seps(0))
 
 
-def test_enumerate_limit_guard():
+def test_enumerate_limit_guard(monkeypatch):
     with pytest.raises(EnumLimitError):
         list(enumerate_seps(30))
+    monkeypatch.setenv("VCLDE_ENUM_LIMIT", "3")
     with pytest.raises(EnumLimitError):
-        list(enumerate_seps(4, enum_limit=3))
+        list(enumerate_seps(4))
 
 
 def test_det_leibnizian_k4_golden():
@@ -192,10 +195,11 @@ def test_det_leibnizian_matches_both_oracles():
             assert compact == det_leibniz_oracle(matrix)
 
 
-def test_det_leibnizian_limit_guard():
+def test_det_leibnizian_limit_guard(monkeypatch):
     matrix = HessenbergMatrix.from_function(5, h_sym, "symbolic")
+    monkeypatch.setenv("VCLDE_ENUM_LIMIT", "4")
     with pytest.raises(EnumLimitError):
-        det_leibnizian(matrix, enum_limit=4)
+        det_leibnizian(matrix)
 
 
 def test_string_properties_small_orders():

@@ -162,6 +162,10 @@ def test_rational_formatting_round_trip():
         parse_rational("1/0")
     with pytest.raises(ValueError):
         parse_rational("abc")
+    with pytest.raises(ValueError, match="bool is not a rational"):
+        parse_rational(True)
+    with pytest.raises(ValueError, match="rational values must be strings or integers, got 1.5"):
+        parse_rational(1.5)
 
 
 def test_scalar_json_modes():
@@ -175,6 +179,8 @@ def test_scalar_json_modes():
         scalar_from_json(0.5, "rational")
     with pytest.raises(ValueError):
         scalar_from_json("1/3", "float64")
+    ts = h_sym(1, 1) * h_sym(2, 2) - h_sym(1, 2) * h_sym(2, 1)
+    assert scalar_to_json(ts) == term_sum_to_json(ts)
 
 
 @given(term_sums())

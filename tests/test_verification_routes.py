@@ -188,16 +188,22 @@ def test_rational_expansions_equal_recurrence_exactly(pair):
         assert route([list(row) for row in m]) == value
 
 
-def test_nested_route_enum_limit():
+def test_nested_route_enum_limit(monkeypatch):
     model = CoefficientModel.constant((Fraction(1), Fraction(1)))
     with pytest.raises(EnumLimitError):
-        det_nested_sum(principal_matrix(model, 5, 0), enum_limit=4)
-    with pytest.raises(EnumLimitError):
         evaluate_green(model, 34, 0, "nested")
-    assert evaluate_green(model, 5, 0, "nested", enum_limit=5) == 8
-    problem = random_problem(Random(3), random_model(Random(3), 2, -1, 9), 0, 9)
+    monkeypatch.setenv("VCLDE_ENUM_LIMIT", "4")
     with pytest.raises(EnumLimitError):
-        evaluate_solution(problem, 9, "nested", enum_limit=3)
+        det_nested_sum(principal_matrix(model, 5, 0))
+    # the library routes read the limit themselves, as the CLI does
+    with pytest.raises(EnumLimitError, match="order 5 exceeds the enumeration limit 4"):
+        evaluate_green(model, 5, 0, "leibnizian")
+    monkeypatch.setenv("VCLDE_ENUM_LIMIT", "5")
+    assert evaluate_green(model, 5, 0, "nested") == 8
+    problem = random_problem(Random(3), random_model(Random(3), 2, -1, 9), 0, 9)
+    monkeypatch.setenv("VCLDE_ENUM_LIMIT", "3")
+    with pytest.raises(EnumLimitError):
+        evaluate_solution(problem, 9, "nested")
 
 
 values = st.one_of(
