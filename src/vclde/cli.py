@@ -19,10 +19,10 @@ import the verification modules (``vclde.oracles`` and the expansions).
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 from . import scalar
 from .coefficients import (CoefficientModel, DomainError, EnumLimitError,
@@ -46,8 +46,6 @@ EXIT_MISSING_DATA = 4
 EXIT_NON_FINITE = 5
 
 EXPAND_ORDER_CAP = 12
-
-ARITH_CHOICES = (scalar.RATIONAL, scalar.FLOAT64, scalar.SYMBOLIC)
 
 
 class NonFiniteError(ArithmeticError):
@@ -402,79 +400,101 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage errors also emit single-line JSON on stderr, like every other
-    # error path
-    def error(self, message):
-        _error("usage", message)
-        raise SystemExit(EXIT_INPUT)
+# subcommand: (help line, command, required options, options); each option's
+# kind is int, str, a tuple of choices whose first entry is its default, or
+# None for a flag
+_MODEL_OPTIONS = {"coeffs": str, "p": int, "arith": scalar.BACKENDS, "pretty": None}
+COMMANDS = {
+    "green": ("evaluate the Green's function H(t, s)", cmd_green, ("t", "s"),
+              {"t": int, "s": int, **_MODEL_OPTIONS, "method": GREEN_METHODS}),
+    "solve": ("evaluate the general solution y_t", cmd_solve, ("t",),
+              {"t": int, "s": int, **_MODEL_OPTIONS, "problem": str,
+               "method": SOLVE_METHODS}),
+    "fundamental": ("print the fundamental matrix and Casoratian", cmd_fundamental,
+                    ("t", "s"), {"t": int, "s": int, **_MODEL_OPTIONS}),
+    "expand": ("symbolic Hessenbergian expansion", cmd_expand, ("order",),
+               {"order": int, "pretty": None}),
+    "verify": ("run the identity checks", cmd_verify, ("t", "s"),
+               {"t": int, "s": int, **_MODEL_OPTIONS, "problem": str, "corrupt": None}),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="vclde",
-        description=(
-            "Green's functions and solutions of linear difference equations "
-            "with variable coefficients, via banded Hessenbergian determinants."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class UsageError(Exception):
+    """The command line does not fit :data:`COMMANDS`."""
 
-    def common(p, with_method=None, with_problem=False):
-        p.add_argument("--coeffs", help="coefficient file (JSON)")
-        p.add_argument(
-            "--p", type=int, help="equation order (symbolic mode without --coeffs)"
-        )
-        if with_problem:
-            p.add_argument("--problem", help="problem file (JSON)")
-        if with_method:
-            p.add_argument("--method", choices=with_method, default=with_method[0])
-        p.add_argument("--arith", choices=ARITH_CHOICES, default=scalar.RATIONAL)
-        p.add_argument("--pretty", action="store_true", help="text output")
 
-    g = sub.add_parser("green", help="evaluate the Green's function H(t, s)")
-    g.add_argument("--t", type=int, required=True)
-    g.add_argument("--s", type=int, required=True)
-    common(g, with_method=GREEN_METHODS)
-    g.set_defaults(func=cmd_green)
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read ``argv`` against :data:`COMMANDS`: the subcommand, then options
+    as ``--name value`` or ``--name=value`` in any order, a repeated option
+    keeping its last value.  A value may start with "-" only as a negative
+    integer, and no option is abbreviated.  Anything else raises
+    :class:`UsageError`, worded as argparse words it and quoting at most 40
+    characters of the input."""
+    if not argv or argv[0].startswith("-"):
+        raise UsageError("the following arguments are required: command")
+    if argv[0] not in COMMANDS:
+        raise UsageError(f"argument command: invalid choice: {repr(argv[0])[:40]} "
+                         f"(choose from {', '.join(map(repr, COMMANDS))})")
+    _, _, required, options = COMMANDS[argv[0]]
+    values = {name: False if kind is None else kind[0] if isinstance(kind, tuple) else None
+              for name, kind in options.items()}
+    extras, tokens = [], iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token[2:].partition("=")
+        if not token.startswith("--") or name not in options:
+            extras.append(token)
+            continue
+        kind, where = options[name], f"argument --{name}"
+        if kind is None:
+            if eq:
+                raise UsageError(f"{where}: ignored explicit argument {repr(value)[:40]}")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and not value[1:].isdecimal():
+                raise UsageError(f"{where}: expected one argument")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"{where}: invalid int value: {repr(value)[:40]}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise UsageError(f"{where}: invalid choice: {repr(value)[:40]} "
+                             f"(choose from {', '.join(map(repr, kind))})")
+        values[name] = value
+    missing = [f"--{name}" for name in required if values[name] is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)[:40]}")
+    return SimpleNamespace(command=argv[0], **values)
 
-    so = sub.add_parser("solve", help="evaluate the general solution y_t")
-    so.add_argument("--t", type=int, required=True)
-    so.add_argument("--s", type=int, help="anchor (symbolic mode without a problem file)")
-    common(so, with_method=SOLVE_METHODS, with_problem=True)
-    so.set_defaults(func=cmd_solve)
 
-    f = sub.add_parser("fundamental", help="print the fundamental matrix and Casoratian")
-    f.add_argument("--t", type=int, required=True)
-    f.add_argument("--s", type=int, required=True)
-    common(f)
-    f.set_defaults(func=cmd_fundamental)
-
-    e = sub.add_parser("expand", help="symbolic Hessenbergian expansion")
-    e.add_argument("--order", type=int, required=True)
-    e.add_argument("--pretty", action="store_true", help="text output")
-    e.set_defaults(func=cmd_expand)
-
-    v = sub.add_parser("verify", help="run the identity checks")
-    v.add_argument("--t", type=int, required=True)
-    v.add_argument("--s", type=int, required=True)
-    v.add_argument(
-        "--corrupt",
-        action="store_true",
-        help="debug: perturb one matrix entry so verification must fail",
-    )
-    common(v, with_problem=True)
-    v.set_defaults(func=cmd_verify)
-
-    return parser
+def _help() -> str:
+    lines = ["usage: vclde COMMAND [--OPTION VALUE ...]; -h or --help prints this text"]
+    for command, (text, _, required, options) in COMMANDS.items():
+        words = []
+        for name, kind in options.items():
+            word = (f"--{name}" if kind is None else
+                    f"--{name} {{{','.join(kind)}}}" if isinstance(kind, tuple) else
+                    f"--{name} {name.upper()}")
+            words.append(word if name in required else f"[{word}]")
+        lines += [f"  vclde {command} {' '.join(words)}", f"      {text}"]
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_help())
+        return EXIT_OK
     try:
+        args = parse_args(argv)
         enum_limit()  # a malformed limit is refused before any subcommand runs
-        return args.func(args)
+        return COMMANDS[args.command][1](args)
+    except UsageError as exc:
+        _error("usage", str(exc))
+        return EXIT_INPUT
     except EnumLimitError as exc:
         _error("enum-limit", str(exc))
         return EXIT_LIMIT

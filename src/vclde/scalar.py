@@ -18,6 +18,7 @@ import decimal
 import itertools
 import math
 import sys
+from bisect import bisect
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -80,6 +81,12 @@ def _atom_str(atom: Atom) -> str:
     if kind == 1:
         return f"phi{atom[2]}({atom[1]})"
     return f"{_KINDS[kind]}({atom[1]})"
+
+
+def _atoms(value: "TermSum") -> float:
+    """Atoms in the product of a one-product sum; infinite for other sums."""
+    terms = value._terms
+    return len(next(iter(terms))) if len(terms) == 1 else math.inf
 
 
 class TermSum:
@@ -164,11 +171,20 @@ class TermSum:
         if not isinstance(other, TermSum):
             return NotImplemented
         out = TermSum.__new__(TermSum)
-        if len(self._terms) == 1 and len(other._terms) == 1:
-            # one product times one product, as the expansion walks do
-            (f1, c1), = self._terms.items()
-            (f2, c2), = other._terms.items()
-            out._terms = {tuple(sorted(f1 + f2)): c1 * c2}
+        if len(self._terms) == 1 or len(other._terms) == 1:
+            # one product times a sum, as the chain and the expansion walks
+            # do: it maps distinct products to distinct products and scales
+            # each coefficient by a nonzero integer, so no term merges or
+            # cancels.  Each atom of the product (of the shorter one, when
+            # both sides are one product) is inserted in sorted place.
+            one, many = (self, other) if _atoms(self) <= _atoms(other) else (other, self)
+            (f1, c1), = one._terms.items()
+            terms = out._terms = {}
+            for f2, c2 in many._terms.items():
+                for atom in f1:
+                    i = bisect(f2, atom)
+                    f2 = f2[:i] + (atom,) + f2[i:]
+                terms[f2] = c1 * c2
             return out
         merged: dict[tuple[Atom, ...], int] = {}
         for f1, c1 in self._terms.items():

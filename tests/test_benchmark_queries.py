@@ -16,10 +16,7 @@ SEED = 1
 def _outcome(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:  # usage errors exit from argparse
-            code = exc.code
+        code = main(list(argv))  # usage errors too return their exit code
     return code, out.getvalue(), err.getvalue()
 
 

@@ -1077,19 +1077,98 @@ def test_dev_mode_runs_warning_free(tmp_path):
         "s": 0, "init": ["1", "1/2"], "forcing": {str(t): f"1/{t}" for t in range(1, 9)}})
     common = ["--coeffs", coeffs, "--t", "8"]
     argvs = [["green", *common, "--s", "0"], ["solve", *common, "--problem", problem],
-             ["verify", *common, "--s", "0", "--problem", problem]]
-    for argv, (code, out, err) in zip(argvs, run_child(argvs, "-X", "dev", "-W", "error",
-                                                        timeout=60)):
+             ["verify", *common, "--s", "0", "--problem", problem],
+             ["green", *common, "--s", "x"], ["green", "--help"]]
+    results = run_child(argvs, "-X", "dev", "-W", "error", timeout=60)
+    for argv, (code, out, err) in zip(argvs[:3], results):
         assert (code, err) == (0, ""), argv
         json.loads(out)
+    (code, out, err), (help_code, help_out, help_err) = results[3:]
+    assert (code, out, json.loads(err)["error"]) == (2, "", "usage")
+    assert (help_code, help_err) == (0, "") and "vclde green" in help_out
 
 
 def test_usage_error_is_json(fib_coeffs, capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["green", "--coeffs", fib_coeffs, "--t", "4", "--s", "0", "--method", "magic"])
-    assert info.value.code == 2
-    err = capsys.readouterr().err
+    code, out, err = run_cli(capsys, ["green", "--coeffs", fib_coeffs, "--t", "4", "--s", "0",
+                                      "--method", "magic"])
+    assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "usage"
+
+
+def test_command_line_grammar(fib_coeffs, capsys):
+    """Each accepted spelling prints what its plain spelling prints; each
+    refusal exits 2 with one usage line; help names every subcommand and,
+    on that subcommand's line, every one of its options."""
+    green = ["green", "--coeffs", fib_coeffs]
+    plain = green + ["--t", "6", "--s", "-3"]
+    accepted = [
+        (["green", f"--coeffs={fib_coeffs}", "--t=6", "--s=-3"], plain),
+        (["green", "--s", "-3", "--t", "6", "--coeffs", fib_coeffs], plain),
+        (green + ["--t", "9", "--s", "-3", "--t", "6"], plain),
+        (plain + ["--method=nested", "--method", "recurrence", "--arith", "rational"], plain),
+        (plain + ["--pretty", "--pretty"], plain + ["--pretty"]),
+        (["expand", "--order=-1"], ["expand", "--order", "-1"]),
+    ]
+    for argv, plain_argv in accepted:
+        expected = run_cli(capsys, plain_argv)
+        assert run_cli(capsys, argv) == expected, argv
+    methods = "'green', 'kittappa', 'leibnizian', 'nested', 'recursion'"
+    refused = [
+        ([], "the following arguments are required: command"),
+        (["--t", "6"], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' "
+                    "(choose from 'green', 'solve', 'fundamental', 'expand', 'verify')"),
+        (plain + ["--foo", "1"], "unrecognized arguments: --foo 1"),
+        (["green", "--t", "6", "--s", "0", "--coe", "c.json"],
+         "unrecognized arguments: --coe c.json"),
+        (plain + ["stray"], "unrecognized arguments: stray"),
+        (plain + ["-t"], "unrecognized arguments: -t"),
+        (green + ["--t", "6", "--s"], "argument --s: expected one argument"),
+        (green + ["--t", "--s", "0"], "argument --t: expected one argument"),
+        (green + ["--t", "-x", "--s", "0"], "argument --t: expected one argument"),
+        (plain + ["--pretty=yes"], "argument --pretty: ignored explicit argument 'yes'"),
+        (["verify", "--t", "6", "--s", "0", "--corrupt=1"],
+         "argument --corrupt: ignored explicit argument '1'"),
+        (green + ["--t", "x", "--s", "0"], "argument --t: invalid int value: 'x'"),
+        (green + ["--t=-x", "--s", "0"], "argument --t: invalid int value: '-x'"),
+        (plain + ["--method", "bogus"], "argument --method: invalid choice: 'bogus' "
+                                        "(choose from 'recurrence', 'leibnizian', 'nested', "
+                                        "'companion')"),
+        (["solve", "--t", "1", "--method", "bogus"],
+         f"argument --method: invalid choice: 'bogus' (choose from {methods})"),
+        (plain + ["--arith="], "argument --arith: invalid choice: '' "
+                               "(choose from 'rational', 'float64', 'symbolic')"),
+        (green, "the following arguments are required: --t, --s"),
+        (green + ["--s", "0"], "the following arguments are required: --t"),
+        (["expand"], "the following arguments are required: --order"),
+    ]
+    for argv, message in refused:
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err == json.dumps({"error": "usage", "message": message},
+                                 separators=(",", ":")) + "\n", argv
+    for argv in (["-h"], ["--help"], ["green", "--help"], ["bogus", "-h"],
+                 green + ["--t", "x", "-h"]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        lines = {line.split()[1]: line for line in out.splitlines()
+                 if line.startswith("  vclde ")}
+        assert list(lines) == list(cli.COMMANDS), argv
+        for command, (help_line, _, _, options) in cli.COMMANDS.items():
+            assert help_line in out
+            words = [word.strip("[]") for word in lines[command].split()]
+            assert [w for w in words if w.startswith("--")] == [f"--{n}" for n in options]
+
+
+def test_usage_errors_quote_at_most_40_characters(fib_coeffs, capsys):
+    long = "x" * 5000
+    plain = ["green", "--coeffs", fib_coeffs, "--t", "4", "--s", "0"]
+    for argv in (["green", "--coeffs", fib_coeffs, "--t", long, "--s", "0"],
+                 plain + ["--arith", long], plain + [f"--{long}"], [long]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 200
+        assert json.loads(err)["error"] == "usage"
 
 
 def test_symbolic_needs_structure(capsys):

@@ -287,11 +287,11 @@ coefficients = st.sampled_from((-3, -2, -1, 1, 2, 3))
 
 
 @st.composite
-def products(draw):
-    """One product of symbols times a coefficient of +-1 to +-3 (the
+def products(draw, factors=symbols):
+    """One product of ``factors`` times a coefficient of +-1 to +-3 (the
     constant term when it has no factor)."""
     term = TermSum.constant(draw(coefficients))
-    for factor in draw(st.lists(symbols, max_size=4)):
+    for factor in draw(st.lists(factors, max_size=4)):
         term = term * factor
     return term
 
@@ -371,10 +371,18 @@ def test_float_scalars_pass_through_and_non_finite_are_refused():
             scalar_from_json(bad, "float64")
 
 
-@given(st.one_of(products(), term_sums()), st.one_of(products(), term_sums()))
+# one product over a pool of nine atoms repeats atoms often
+_pool_products = products(st.sampled_from(_ATOM_POOL))
+
+
+@given(st.one_of(products(), _pool_products, term_sums()),
+       st.one_of(products(), _pool_products, term_sums(), wide_term_sums()))
 def test_product_equals_reference(a, b):
-    """One-term products (the walks' fast path) and general ones."""
+    """A one-term product times a sum on either side (the chain's and the
+    walks' path, which merges nothing), and a sum times a sum, with repeated
+    atoms and negative coefficients."""
     assert a * b == term_sum_product(a, b)
+    assert b * a == term_sum_product(a, b)
 
 
 @given(st.lists(term_sums(), max_size=6), st.data())

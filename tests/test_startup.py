@@ -18,6 +18,8 @@ from vclde import BackendMismatchError, CoefficientModel, DomainError, SolutionP
 
 EXPANSIONS = {"vclde.leibnizian", "vclde.nested_sum", "vclde.hessenberg"}
 VERIFICATION_ONLY = EXPANSIONS | {"vclde.oracles", "dataclasses"}
+# the command line is read from a table in cli, not by argparse
+ARGPARSE = {"argparse", "gettext"}
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Runs in a fresh interpreter: records the modules loaded since start after
@@ -78,9 +80,10 @@ def test_production_commands_skip_verification_modules(fib_files):
     ])
     assert seen.pop("package") == ["vclde"]
     assert seen.pop("eager") == []
-    assert not VERIFICATION_ONLY & set(seen.pop("import"))
+    assert not (VERIFICATION_ONLY | ARGPARSE) & set(seen.pop("import"))
     for label, (code, modules) in seen.items():
         assert code == 0, label
+        assert not ARGPARSE & set(modules), label
         if label in ("green-companion", "solve-recursion"):
             assert "vclde.oracles" in modules, label
             assert not (VERIFICATION_ONLY - {"vclde.oracles"}) & set(modules), label
@@ -96,8 +99,13 @@ def test_verify_and_expand_load_what_they_run(fib_files):
                     "--s", "0"]],
         ["verify-corrupt", ["verify", "--coeffs", coeffs, "--t", "6", "--s", "0",
                             "--corrupt"]],
+        ["usage-error", ["verify", "--t", "6"]],
+        ["help", ["--help"]],
     ])
-    assert not VERIFICATION_ONLY & set(seen["import"])
+    assert not (VERIFICATION_ONLY | ARGPARSE) & set(seen["import"])
+    for label in ("expand", "verify", "verify-corrupt", "usage-error", "help"):
+        assert not ARGPARSE & set(seen[label][1]), label
+    assert (seen["usage-error"][0], seen["help"][0]) == (2, 0)
     expand_code, expand_modules = seen["expand"]
     assert expand_code == 0
     assert {"vclde.leibnizian", "vclde.hessenberg"} <= set(expand_modules)
