@@ -12,9 +12,11 @@ stderr with a distinct exit code per failure class:
 The environment variable VCLDE_ENUM_LIMIT sets the enumeration guard of the
 leibnizian and nested routes, of ``expand`` below its cap and of every
 symbolic query, whose values have as many terms as those expansions; a value
-that is not an integer exits 2 for every subcommand.  Only ``expand`` and
-``verify``, and the methods other than recurrence, green and kittappa,
-import the verification modules (``vclde.oracles`` and the expansions).
+that is not an integer exits 2 for every subcommand.  ``expand`` and
+``verify`` live in :mod:`vclde.verification`, imported when one of them
+first runs.  Only they, and the methods other than recurrence, green and
+kittappa, import the verification modules (``vclde.oracles`` and the
+expansions).
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ import sys
 from types import SimpleNamespace
 
 from . import scalar
-from .coefficients import (CoefficientModel, DomainError, EnumLimitError,
-                           check_enum_limit, enum_limit)
+from .coefficients import CoefficientModel, EnumLimitError, check_enum_limit, enum_limit
 from .lde import (
     GREEN_METHODS,
     SOLVE_METHODS,
@@ -44,8 +45,6 @@ EXIT_INPUT = 2
 EXIT_LIMIT = 3
 EXIT_MISSING_DATA = 4
 EXIT_NON_FINITE = 5
-
-EXPAND_ORDER_CAP = 12
 
 
 class NonFiniteError(ArithmeticError):
@@ -67,7 +66,7 @@ def _out(value, t: int):
     """JSON form of a result value at time t; a term sum stays as it is,
     for :func:`_json_chunks` to write."""
     _finite((value,), t)
-    return value if isinstance(value, scalar.TermSum) else scalar_to_json(value)
+    return value if scalar.backend_of(value) == scalar.SYMBOLIC else scalar_to_json(value)
 
 
 def _guard_symbolic(model: CoefficientModel, t: int, s: int) -> None:
@@ -115,6 +114,17 @@ def load_coefficients(path: str, arith: str) -> CoefficientModel:
     raise ValueError(f"unknown coefficient kind {repr(kind)[:40]}")
 
 
+def _int_text(text: str) -> int | None:
+    """The integer that ``text`` writes as str(t), or None: a text with a
+    "+", a space, an underscore, a leading zero or a non-ASCII digit names
+    no integer, so no two texts name the same one."""
+    try:
+        t = int(text)
+    except ValueError:
+        return None
+    return t if str(t) == text else None
+
+
 def _entries(raw: dict, where: str, arith: str, p: int | None) -> dict:
     """{t: _parse(value)} over a decoded JSON object in file order, each key
     a time t written as str(t) so that no two name the same t; entries leave
@@ -123,11 +133,8 @@ def _entries(raw: dict, where: str, arith: str, p: int | None) -> dict:
     out = {}
     while keys:
         key = keys.pop()
-        try:
-            t = int(key)
-        except ValueError:
-            t = None
-        if t is None or str(t) != key:
+        t = _int_text(key)
+        if t is None:
             raise ValueError(
                 f"{where} key {repr(key)[:40]} is not an integer written as str(t)")
         out[t] = _parse(raw.pop(key), arith, p, where, key)
@@ -186,10 +193,12 @@ def _json_chunks(obj):
             yield from _json_chunks(item)
             sep = ","
         yield "]" if sep == "," else "[]"
-    elif isinstance(obj, scalar.TermSum):
-        yield from scalar.term_sum_json_chunks(obj)
-    else:
+    elif isinstance(obj, (str, int, float)):
         yield json.dumps(obj)
+    else:  # a term sum, the one other leaf that _out leaves in a payload
+        from .symbolic import term_sum_json_chunks
+
+        yield from term_sum_json_chunks(obj)
 
 
 # stdout is written in blocks of about this many characters, so that an
@@ -293,111 +302,15 @@ def cmd_fundamental(args) -> int:
     return EXIT_OK
 
 
-def cmd_expand(args) -> int:
-    from .hessenberg import HessenbergMatrix, det_leibniz_oracle
-    from .leibnizian import det_leibnizian
+def _verification(name: str):
+    """The command ``name`` of :mod:`vclde.verification`, imported when a
+    verification command first runs."""
+    def command(args) -> int:
+        from . import verification
 
-    k = args.order
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
-    if k > EXPAND_ORDER_CAP:
-        raise EnumLimitError(f"order {k} exceeds the expansion cap {EXPAND_ORDER_CAP}")
-    matrix = HessenbergMatrix.from_function(k, scalar.h_sym, scalar.SYMBOLIC)
-    expansion = det_leibnizian(matrix)
-    verified = expansion == det_leibniz_oracle(matrix, oracle_limit=EXPAND_ORDER_CAP)
-    payload = {
-        "count": 1 << (k - 1),
-        "order": k,
-        "terms": expansion,
-        "verified": verified,
-    }
-    text = None
-    if args.pretty:
-        # ascending SEP index order is the reverse of the canonical order
-        first, *rest = (str(scalar.TermSum({factors: coeff}))
-                        for factors, coeff in reversed(expansion.sorted_items()))
-        signed = (f"- {body[1:]}" if body.startswith("-") else f"+ {body}" for body in rest)
-        text = " ".join([first, *signed]) + "\n" + ("TRUE" if verified else "FALSE")
-    _emit(payload, text)
-    return EXIT_OK if verified else EXIT_VERIFY_FAILED
+        return getattr(verification, name)(args)
 
-
-def _corrupted(model: CoefficientModel, s: int) -> CoefficientModel:
-    # Debug aid for verify: bumps phi_1(s+1) by one so identity checks fail.
-    def row_fn(t: int):
-        row = model.phi_row(t)
-        return (row[0] + model.one, *row[1:]) if t == s + 1 else row
-
-    return CoefficientModel(model.p, row_fn, model.backend, model.t_min, model.t_max)
-
-
-def _agreement(name: str, reference: str, cases) -> dict:
-    """Check that in each (t, where, values) case every route's value is
-    close to the ``reference`` route's, after checking every value finite in
-    case order; a failure's counterexample is the first failing case: its t,
-    ``where`` and every value."""
-    for t, _, values in cases:
-        _finite(values.values(), t)
-    for t, where, values in cases:
-        if not all(scalar.scalars_close(values[reference], v) for v in values.values()):
-            routes = {route: _out(v, t) for route, v in values.items()}
-            return {"name": name, "passed": False,
-                    "counterexample": {"t": t, **where, "values": routes}}
-    return {"name": name, "passed": True}
-
-
-def cmd_verify(args) -> int:
-    from .oracles import companion_product
-
-    model = _load_model(args)
-    t, s = args.t, args.s
-    if t <= s:
-        raise DomainError(f"verification requires t > s, got t={t}, s={s}")
-    problem = (None if args.problem is None
-               else load_problem(args.problem, args.arith, model))
-    # every input is loaded and every order guarded before any route runs:
-    # the expansions of H(t, s) have order t - s, and those of the solution
-    # at most t - problem.s - 1
-    check_enum_limit(t - s)
-    if problem is not None:
-        _guard_symbolic(model, t, problem.s)
-        check_enum_limit(t - problem.s - 1)
-
-    # H(t, s) is the (1, 1) entry of the Casorati matrix and of the companion
-    # product
-    xi, product = casorati(model, t, s), companion_product(model, t, s)
-    lei_model = _corrupted(model, s) if args.corrupt else model
-    green = {
-        "recurrence": xi.entries[0][0],
-        "leibnizian": evaluate_green(lei_model, t, s, "leibnizian"),
-        "nested": evaluate_green(model, t, s, "nested"),
-        "companion": product[0][0],
-    }
-    # by Abel's formula the Casoratian vanishes exactly where some phi_p(u)
-    # does, so that check is exact in every arithmetic
-    vanishing = next((u for u in range(s + 1, t + 1) if not model.phi(model.p, u)), None)
-    checks = [
-        _agreement("green-four-way", "recurrence", [(t, {"s": s}, green)]),
-        _agreement("fundamental-matrix", "fundamental", [
-            (t - i, {"row": i + 1, "col": j + 1}, {"fundamental": a, "companion": b})
-            for i, (xi_row, row) in enumerate(zip(xi.entries, product))
-            for j, (a, b) in enumerate(zip(xi_row, row))]),
-        {"name": "casoratian-nonzero", "passed": vanishing is None},
-    ]
-    if vanishing is not None:
-        checks[-1]["counterexample"] = {
-            "casoratian": _out(xi.casoratian(), t), "u": vanishing}
-    if problem is not None:
-        solutions = {method: evaluate_solution(problem, t, method)
-                     for method in SOLVE_METHODS}
-        checks.append(_agreement("solution-five-way", "recursion", [(t, {}, solutions)]))
-
-    passed = all(c["passed"] for c in checks)
-    text = None
-    if args.pretty:
-        text = "\n".join(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}" for c in checks)
-    _emit({"checks": checks, "passed": passed}, text)
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+    return command
 
 
 # subcommand: (help line, command, required options, options); each option's
@@ -412,9 +325,9 @@ COMMANDS = {
                "method": SOLVE_METHODS}),
     "fundamental": ("print the fundamental matrix and Casoratian", cmd_fundamental,
                     ("t", "s"), {"t": int, "s": int, **_MODEL_OPTIONS}),
-    "expand": ("symbolic Hessenbergian expansion", cmd_expand, ("order",),
+    "expand": ("symbolic Hessenbergian expansion", _verification("cmd_expand"), ("order",),
                {"order": int, "pretty": None}),
-    "verify": ("run the identity checks", cmd_verify, ("t", "s"),
+    "verify": ("run the identity checks", _verification("cmd_verify"), ("t", "s"),
                {"t": int, "s": int, **_MODEL_OPTIONS, "problem": str, "corrupt": None}),
 }
 
@@ -454,10 +367,10 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             if value is None or value.startswith("-") and not value[1:].isdecimal():
                 raise UsageError(f"{where}: expected one argument")
         if kind is int:
-            try:
-                value = int(value)
-            except ValueError:
-                raise UsageError(f"{where}: invalid int value: {repr(value)[:40]}") from None
+            number = _int_text(value)
+            if number is None:
+                raise UsageError(f"{where}: invalid int value: {repr(value)[:40]}")
+            value = number
         elif isinstance(kind, tuple) and value not in kind:
             raise UsageError(f"{where}: invalid choice: {repr(value)[:40]} "
                              f"(choose from {', '.join(map(repr, kind))})")

@@ -187,7 +187,9 @@ class CoefficientModel(scalar.Frozen):
     @classmethod
     def symbolic(cls, p: int) -> "CoefficientModel":
         """Model whose coefficients are the symbols phi_m(t)."""
-        return cls.from_function(p, scalar.phi_sym, scalar.SYMBOLIC)
+        from .symbolic import phi_sym
+
+        return cls.from_function(p, phi_sym, scalar.SYMBOLIC)
 
 
 def skip_periods(window, p: int, rows, rest: int, period: int,

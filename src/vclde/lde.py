@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import partial
 from itertools import chain, islice, repeat, tee
 from operator import itemgetter, mul
@@ -99,8 +98,9 @@ class SolutionProblem(scalar.Frozen):
     @classmethod
     def symbolic(cls, model: CoefficientModel, s: int) -> "SolutionProblem":
         """Problem whose initial values and forcing are the symbols y(t), v(t)."""
-        return cls(model, s, [scalar.y_sym(u) for u in range(s - model.p + 1, s + 1)],
-                   scalar.v_sym)
+        from .symbolic import v_sym, y_sym
+
+        return cls(model, s, [y_sym(u) for u in range(s - model.p + 1, s + 1)], v_sym)
 
     @property
     def p(self) -> int:
@@ -222,6 +222,8 @@ def _banded_chain(
             n += skipped
             period = None
     if step:
+        from fractions import Fraction
+
         return [Fraction(x, scale) for x in dets], Fraction(total, scale * wscale)
     return list(dets), total
 

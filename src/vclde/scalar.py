@@ -3,9 +3,15 @@
 Three backends behind one small ring interface: exact rationals
 (:class:`fractions.Fraction`, with plain ``int`` accepted as an integer
 rational), IEEE-754 binary64 (Python ``float``), and symbolic term sums
-(:class:`TermSum`).  Backends never coerce into each other:
+(:class:`~vclde.symbolic.TermSum`).  Backends never coerce into each other:
 :func:`rows_backend` raises :class:`BackendMismatchError` wherever values
 from different backends meet.
+
+A float64 query loads neither ``fractions`` nor ``decimal``: they are
+imported where a rational is parsed, built, normalized or printed.  The
+symbolic backend lives in :mod:`vclde.symbolic`, which only symbolic
+queries and the verification commands load; its names are reached here on
+first access (PEP 562), as ``scalar.TermSum`` and so on.
 
 All values are immutable after construction and safe to share between
 threads.  :class:`Frozen` is the base of the package's other immutable value
@@ -14,13 +20,10 @@ classes.
 
 from __future__ import annotations
 
-import decimal
 import itertools
 import math
 import sys
-from bisect import bisect
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Union
 
 RATIONAL = "rational"
 FLOAT64 = "float64"
@@ -66,208 +69,54 @@ class Frozen:
         return f"{type(self).__name__}({body})"
 
 
-# An atom is one of (0, i, j) for h[i,j], (1, t, m) for phi_m(t), (2, t) for
-# y(t) and (3, t) for v(t).  Tuple order is the canonical order: h by (i, j),
-# then phi by (t, m), then y, then v by t.  Only this module builds or reads
-# atoms.
-Atom = tuple
-_KINDS = ("h", "phi", "y", "v")
+Scalar = Union["Fraction", int, float, "TermSum"]
+
+_SYMBOLIC_NAMES = frozenset(("TermSum", "h_sym", "phi_sym", "y_sym", "v_sym",
+                             "term_sum_json_chunks", "term_sum_to_json"))
 
 
-def _atom_str(atom: Atom) -> str:
-    kind = atom[0]
-    if kind == 0:
-        return f"h[{atom[1]},{atom[2]}]"
-    if kind == 1:
-        return f"phi{atom[2]}({atom[1]})"
-    return f"{_KINDS[kind]}({atom[1]})"
+def __getattr__(name: str):
+    if name in _SYMBOLIC_NAMES:
+        from . import symbolic
+
+        return getattr(symbolic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _atoms(value: "TermSum") -> float:
-    """Atoms in the product of a one-product sum; infinite for other sums."""
-    terms = value._terms
-    return len(next(iter(terms))) if len(terms) == 1 else math.inf
+# The backend of each exact scalar type.  Fraction and TermSum enter when
+# first met: neither can exist before its module is loaded, and a query that
+# never meets one does not load it.
+_BACKEND_OF_TYPE = {int: RATIONAL, float: FLOAT64}
+_LOADED_LATER = (("fractions", "Fraction", RATIONAL),
+                 (f"{__package__}.symbolic", "TermSum", SYMBOLIC))
 
 
-class TermSum:
-    """Canonical multiset of signed symbol products.
-
-    Stored as a mapping from a sorted factor tuple to a nonzero integer
-    coefficient.  Building the same sum from terms in any order, or the same
-    product from factors in any order, yields the identical object, and
-    opposite-sign copies of a term cancel.  The empty sum is the zero
-    element; ``TermSum.constant(1)`` (the empty product) is the one element.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[tuple[Atom, ...], int] | None = None):
-        if terms:
-            self._terms = {f: c for f, c in terms.items() if c}
-        else:
-            self._terms = {}
-
-    @classmethod
-    def constant(cls, value: int) -> "TermSum":
-        if value == 0:
-            return cls()
-        return cls({(): int(value)})
-
-    @classmethod
-    def single(cls, atom: Atom) -> "TermSum":
-        return cls({(atom,): 1})
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def sorted_items(self) -> list[tuple[tuple[Atom, ...], int]]:
-        """Terms as (factors, coefficient) pairs in canonical order."""
-        return sorted(self._terms.items())
-
-    @property
-    def term_count(self) -> int:
-        """Number of terms counted with multiplicity."""
-        return sum(abs(c) for c in self._terms.values())
-
-    def __add__(self, other: "TermSum") -> "TermSum":
-        if not isinstance(other, TermSum):
-            return NotImplemented
-        merged = dict(self._terms)
-        for factors, coeff in other._terms.items():
-            total = merged.get(factors, 0) + coeff
-            if total:
-                merged[factors] = total
-            else:
-                merged.pop(factors, None)
-        out = TermSum.__new__(TermSum)
-        out._terms = merged
-        return out
-
-    def __neg__(self) -> "TermSum":
-        out = TermSum.__new__(TermSum)
-        out._terms = {f: -c for f, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other: "TermSum") -> "TermSum":
-        if not isinstance(other, TermSum):
-            return NotImplemented
-        return self + (-other)
-
-    @classmethod
-    def sum(cls, values: Iterable["TermSum"]) -> "TermSum":
-        """Sum of ``values``, merged into one dict: linear in the total
-        number of terms, where a fold of ``+`` copies the running sum at
-        every step."""
-        merged: dict[tuple[Atom, ...], int] = {}
-        get = merged.get
-        for value in values:
-            for factors, coeff in value._terms.items():
-                merged[factors] = get(factors, 0) + coeff
-        out = cls.__new__(cls)
-        out._terms = {f: c for f, c in merged.items() if c}
-        return out
-
-    def __mul__(self, other: "TermSum") -> "TermSum":
-        if not isinstance(other, TermSum):
-            return NotImplemented
-        out = TermSum.__new__(TermSum)
-        if len(self._terms) == 1 or len(other._terms) == 1:
-            # one product times a sum, as the chain and the expansion walks
-            # do: it maps distinct products to distinct products and scales
-            # each coefficient by a nonzero integer, so no term merges or
-            # cancels.  Each atom of the product (of the shorter one, when
-            # both sides are one product) is inserted in sorted place.
-            one, many = (self, other) if _atoms(self) <= _atoms(other) else (other, self)
-            (f1, c1), = one._terms.items()
-            terms = out._terms = {}
-            for f2, c2 in many._terms.items():
-                for atom in f1:
-                    i = bisect(f2, atom)
-                    f2 = f2[:i] + (atom,) + f2[i:]
-                terms[f2] = c1 * c2
-            return out
-        merged: dict[tuple[Atom, ...], int] = {}
-        for f1, c1 in self._terms.items():
-            for f2, c2 in other._terms.items():
-                key = tuple(sorted(f1 + f2))
-                total = merged.get(key, 0) + c1 * c2
-                if total:
-                    merged[key] = total
-                else:
-                    merged.pop(key, None)
-        out._terms = merged
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TermSum):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for factors, coeff in self.sorted_items():
-            body = " ".join(_atom_str(a) for a in factors)
-            mag = abs(coeff)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag} {body}"
-            if not parts:
-                parts.append(text if coeff > 0 else f"-{text}")
-            else:
-                parts.append(f"{'+' if coeff > 0 else '-'} {text}")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"TermSum({self})"
-
-
-Scalar = Union[Fraction, int, float, TermSum]
-
-
-def h_sym(i: int, j: int) -> TermSum:
-    """Matrix-entry symbol h(i, j) as a one-term sum."""
-    return TermSum.single((0, i, j))
-
-
-def phi_sym(m: int, t: int) -> TermSum:
-    """Coefficient symbol phi_m(t) as a one-term sum."""
-    return TermSum.single((1, t, m))
-
-
-def y_sym(t: int) -> TermSum:
-    """Prescribed-value symbol y(t) as a one-term sum."""
-    return TermSum.single((2, t))
-
-
-def v_sym(t: int) -> TermSum:
-    """Forcing symbol v(t) as a one-term sum."""
-    return TermSum.single((3, t))
-
-
-_BACKEND_OF_TYPE = {Fraction: RATIONAL, int: RATIONAL, float: FLOAT64, TermSum: SYMBOLIC}
+def _exact_backend(cls: type) -> str | None:
+    """The backend of values of exact type ``cls``; None for bool, for
+    subclasses and for non-scalar types."""
+    backend = _BACKEND_OF_TYPE.get(cls)
+    if backend is None:
+        for module, name, tag in _LOADED_LATER:
+            if cls is getattr(sys.modules.get(module), name, None):
+                backend = _BACKEND_OF_TYPE[cls] = tag
+    return backend
 
 
 def backend_of(value: Scalar) -> str:
     """Backend tag of a scalar value; rejects non-scalar inputs."""
-    backend = _BACKEND_OF_TYPE.get(type(value))
+    backend = _exact_backend(type(value))
     if backend is not None:
         return backend
-    if isinstance(value, TermSum):
-        return SYMBOLIC
     if isinstance(value, bool):
         raise BackendMismatchError("bool is not a scalar")
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return RATIONAL
     if isinstance(value, float):
         return FLOAT64
+    for module, name, tag in _LOADED_LATER:
+        cls = getattr(sys.modules.get(module), name, None)
+        if cls is not None and isinstance(value, cls):
+            return tag
     raise BackendMismatchError(f"not a scalar: {value!r}")
 
 
@@ -277,7 +126,7 @@ def rows_backend(rows: Iterable[Iterable[Scalar]], default: str | None = None) -
     map to one backend they are read in one pass and not held; anything else
     (bool, subclasses, strays, mixtures) takes a second pass, which raises at
     the first offender, so ``rows`` and each row must be iterable twice."""
-    tags = set(map(_BACKEND_OF_TYPE.get, set(map(type, itertools.chain.from_iterable(rows)))))
+    tags = set(map(_exact_backend, set(map(type, itertools.chain.from_iterable(rows)))))
     if len(tags) == 1 and None not in tags:
         return tags.pop()
     found: str | None = None
@@ -293,10 +142,12 @@ def rows_backend(rows: Iterable[Iterable[Scalar]], default: str | None = None) -
 def sum_terms(terms: Iterable[Scalar]) -> Scalar | None:
     """Sum of ``terms``, or None when there are none.  Rationals and floats
     are added left to right, holding one term at a time; term sums are
-    merged by :meth:`TermSum.sum`, in linear time."""
+    merged by :meth:`~vclde.symbolic.TermSum.sum`, in linear time."""
     terms = iter(terms)
     total = next(terms, None)
-    if isinstance(total, TermSum):
+    if total is not None and backend_of(total) == SYMBOLIC:
+        from .symbolic import TermSum
+
         return TermSum.sum(itertools.chain((total,), terms))
     for term in terms:
         total = total + term
@@ -313,52 +164,59 @@ def check_backend(rows: Iterable[Iterable[Scalar]], backend: str) -> None:
 
 def zero(backend: str) -> Scalar:
     if backend == RATIONAL:
+        from fractions import Fraction
+
         return Fraction(0)
     if backend == FLOAT64:
         return 0.0
     if backend == SYMBOLIC:
+        from .symbolic import TermSum
+
         return TermSum()
     raise ValueError(f"unknown backend: {backend!r}")
 
 
 def one(backend: str) -> Scalar:
     if backend == RATIONAL:
+        from fractions import Fraction
+
         return Fraction(1)
     if backend == FLOAT64:
         return 1.0
     if backend == SYMBOLIC:
+        from .symbolic import TermSum
+
         return TermSum.constant(1)
     raise ValueError(f"unknown backend: {backend!r}")
-
-
-def scalars_close(a: Scalar, b: Scalar) -> bool:
-    """Equality check: exact for rational/symbolic, tolerant for binary64."""
-    if rows_backend(((a, b),)) == FLOAT64:
-        return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
-    return a == b
 
 
 def _int_str(n: int) -> str:
     # Decimal converts an int exactly and is not bound by CPython's
     # int-to-str digit limit, which exact answers routinely pass.
-    return str(decimal.Decimal(n))
+    from decimal import Decimal
+
+    return str(Decimal(n))
 
 
-def format_rational(value: Union[Fraction, int]) -> str:
+def format_rational(value: Union["Fraction", int]) -> str:
     """Render a rational as "num/den", or plain "num" when integral, at any
     number of digits."""
+    from fractions import Fraction
+
     f = Fraction(value)
     if f.denominator == 1:
         return _int_str(f.numerator)
     return f"{_int_str(f.numerator)}/{_int_str(f.denominator)}"
 
 
-def parse_rational(text: Union[str, int]) -> Fraction:
+def parse_rational(text: Union[str, int]) -> "Fraction":
     """Parse an integer, or a string "n", "n/d" or a decimal such as
     "-1.25e-3" as Fraction reads it, exactly.  A string whose numerator or
     denominator is written with more than sys.get_int_max_str_digits()
     digits, an exponent counting as its zeros, is refused before any big
     integer is built."""
+    from fractions import Fraction
+
     if isinstance(text, bool):
         raise ValueError("bool is not a rational")
     if isinstance(text, int):
@@ -385,50 +243,14 @@ def parse_rational(text: Union[str, int]) -> Fraction:
         raise ValueError(f"not a rational: {text[:40]!r}") from None
 
 
-def term_sum_json_chunks(value: TermSum) -> Iterator[str]:
-    """The compact sorted-key JSON text of a term sum, one entry at a time:
-    an array of {factors, sign} in canonical order, a term with coefficient
-    c written |c| times.  Each piece is an entry preceded by "[" or ",",
-    and "]" closes the array.  Each distinct atom is rendered once."""
-    atoms: dict[Atom, str] = {}
-    terms = value._terms
-    sep = "["
-    for factors in sorted(terms):
-        coeff = terms[factors]
-        texts = []
-        for atom in factors:
-            text = atoms.get(atom)
-            if text is None:
-                kind = atom[0]
-                if kind == 0:
-                    text = f'{{"i":{atom[1]},"j":{atom[2]},"kind":"h"}}'
-                elif kind == 1:
-                    text = f'{{"kind":"phi","m":{atom[2]},"t":{atom[1]}}}'
-                else:
-                    text = f'{{"kind":"{_KINDS[kind]}","t":{atom[1]}}}'
-                atoms[atom] = text
-            texts.append(text)
-        body = ",".join(texts)
-        sign = 1 if coeff > 0 else -1
-        for _ in range(abs(coeff)):
-            yield f'{sep}{{"factors":[{body}],"sign":{sign}}}'
-            sep = ","
-    yield "]" if sep == "," else "[]"
-
-
-def term_sum_to_json(value: TermSum) -> list[dict]:
-    """Sorted JSON array of {sign, factors}; multiplicities are repeated."""
-    import json
-
-    return json.loads("".join(term_sum_json_chunks(value)))
-
-
 def scalar_to_json(value: Scalar):
     kind = backend_of(value)
     if kind == RATIONAL:
         return format_rational(value)
     if kind == FLOAT64:
         return value
+    from .symbolic import term_sum_to_json
+
     return term_sum_to_json(value)
 
 

@@ -1160,6 +1160,24 @@ def test_command_line_grammar(fib_coeffs, capsys):
             assert [w for w in words if w.startswith("--")] == [f"--{n}" for n in options]
 
 
+def test_integer_options_are_written_as_str_int(fib_coeffs, capsys):
+    # the rule of the file keys: int() reads " 3", "+3" and "٣" as 3 and
+    # "1_0" as 10, but only the text str(int(v)) is accepted
+    commands = {
+        "t": ["green", "--coeffs", fib_coeffs, "--s", "0", "--t"],
+        "s": ["green", "--coeffs", fib_coeffs, "--t", "6", "--s"],
+        "p": ["green", "--arith", "symbolic", "--t", "2", "--s", "0", "--p"],
+        "order": ["expand", "--order"],
+    }
+    for name, argv in commands.items():
+        assert run_cli(capsys, argv + ["3"])[0] == 0, name
+        for value in ("1_0", " 3", "+3", "٣", "-٣", "03", "-0", "3.0", "+" + "9" * 50):
+            code, out, err = run_cli(capsys, argv + [value])
+            assert (code, out) == (2, ""), (name, value)
+            message = f"argument --{name}: invalid int value: {repr(value)[:40]}"
+            assert json.loads(err) == {"error": "usage", "message": message}, (name, value)
+
+
 def test_usage_errors_quote_at_most_40_characters(fib_coeffs, capsys):
     long = "x" * 5000
     plain = ["green", "--coeffs", fib_coeffs, "--t", "4", "--s", "0"]

@@ -30,13 +30,14 @@ from vclde import (
     particular_solution,
     xi,
 )
-from vclde.cli import _corrupted, main
+from vclde.cli import main
 from vclde.coefficients import build_phi_matrix
 from vclde.hessenberg import det_recurrence, leading_principal_chain
 from vclde.lde import (GREEN_METHODS, SOLVE_METHODS, _adjoint_rows, _branch_column,
                        _column, principal_chain)
 from vclde.oracles import recursion_oracle
-from vclde.scalar import phi_sym, scalars_close
+from vclde.scalar import phi_sym
+from vclde.verification import _corrupted, scalars_close
 from testutil import (
     dense_bordered_matrix,
     float_chain,

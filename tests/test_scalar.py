@@ -23,7 +23,6 @@ from vclde.scalar import (
     rows_backend,
     scalar_from_json,
     scalar_to_json,
-    scalars_close,
     sum_terms,
     term_sum_json_chunks,
     term_sum_to_json,
@@ -31,6 +30,7 @@ from vclde.scalar import (
     y_sym,
     zero,
 )
+from vclde.verification import scalars_close
 from testutil import (
     add,
     backend_of_by_isinstance,

@@ -17,7 +17,10 @@ import vclde
 from vclde import BackendMismatchError, CoefficientModel, DomainError, SolutionProblem
 
 EXPANSIONS = {"vclde.leibnizian", "vclde.nested_sum", "vclde.hessenberg"}
-VERIFICATION_ONLY = EXPANSIONS | {"vclde.oracles", "dataclasses"}
+VERIFICATION_ONLY = EXPANSIONS | {"vclde.oracles", "vclde.verification", "dataclasses"}
+# the rational backend's modules, and the symbolic backend
+RATIONAL_ONLY = {"fractions", "decimal"}
+SYMBOLIC_ONLY = {"vclde.symbolic"}
 # the command line is read from a table in cli, not by argparse
 ARGPARSE = {"argparse", "gettext"}
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -41,11 +44,13 @@ print(json.dumps(seen))
 """
 
 
-def run_child(commands):
+def run_child(commands, code=CHILD):
+    """The JSON that ``code`` prints in a fresh interpreter, given the JSON
+    of ``commands`` as its argv[1]."""
     src = str(Path(vclde.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(commands)],
+        [sys.executable, "-c", code, json.dumps(commands)],
         capture_output=True,
         text=True,
         timeout=120,
@@ -91,6 +96,90 @@ def test_production_commands_skip_verification_modules(fib_files):
             assert not VERIFICATION_ONLY & set(modules), label
 
 
+def test_each_arithmetic_loads_only_its_backend(tmp_path, fib_files):
+    # The modules loaded are cumulative: float64, then rational, then symbolic.
+    coeffs = tmp_path / "f.json"
+    coeffs.write_text('{"p": 2, "kind": "constant", "phi": [0.5, 0.25]}')
+    problem = tmp_path / "fp.json"
+    problem.write_text('{"s": 0, "init": [0.0, 1.0], "forcing": {"1": 1.0, "2": 0.5}}')
+    floats = ["--coeffs", str(coeffs), "--arith", "float64"]
+    rational = ["--coeffs", fib_files[0]]
+    commands = []
+    for arith, model, problem_file in (("float64", floats, str(problem)),
+                                       ("rational", rational, fib_files[1])):
+        commands += [
+            [f"{arith}-green", ["green", *model, "--t", "9", "--s", "0"]],
+            [f"{arith}-solve-green", ["solve", *model, "--problem", problem_file,
+                                      "--t", "2"]],
+            [f"{arith}-solve-kittappa", ["solve", *model, "--problem", problem_file,
+                                         "--t", "2", "--method", "kittappa"]],
+            [f"{arith}-fundamental", ["fundamental", *model, "--t", "9", "--s", "0"]],
+        ]
+    commands.append(["symbolic-green", ["green", "--arith", "symbolic", "--p", "2",
+                                        "--t", "4", "--s", "0"]])
+    seen = run_child(commands)
+    assert not (RATIONAL_ONLY | SYMBOLIC_ONLY) & set(seen["import"])
+    for label, _ in commands:
+        code, modules = seen[label]
+        assert code == 0, label
+        assert not VERIFICATION_ONLY & set(modules), label
+        if label.startswith("float64"):
+            assert not (RATIONAL_ONLY | SYMBOLIC_ONLY) & set(modules), label
+        elif label.startswith("rational"):
+            assert RATIONAL_ONLY <= set(modules), label
+            assert not SYMBOLIC_ONLY & set(modules), label
+        else:
+            assert SYMBOLIC_ONLY <= set(modules), label
+
+
+# Runs in a fresh interpreter, where nothing has imported fractions: passes
+# caller-built values through one backend check, named in argv[1], and
+# prints whether fractions was loaded before the caller's import, and each
+# outcome.
+BACKEND_CHILD = """
+import json, sys
+import vclde.cli
+from vclde import scalar
+from vclde.coefficients import CoefficientModel
+loaded = "fractions" in sys.modules
+from fractions import Fraction
+
+class Half(Fraction):
+    pass
+
+name = json.loads(sys.argv[1])
+check = {"backend_of": lambda values: scalar.backend_of(*values),
+         "rows_backend": lambda values: scalar.rows_backend((values,)),
+         "constant": lambda values: CoefficientModel.constant(values).backend}[name]
+cases = {"subclass": [Half(1, 2)], "fraction": [Fraction(1, 3)], "int": [3],
+         "bool": [True], "termsum": [scalar.TermSum.constant(1)],
+         "mixed": [0.5, Fraction(1, 2)]}
+if name == "backend_of":
+    del cases["mixed"]
+outcomes = {}
+for label, values in cases.items():
+    try:
+        outcomes[label] = check(values)
+    except scalar.BackendMismatchError:
+        outcomes[label] = "BackendMismatchError"
+print(json.dumps([loaded, outcomes]))
+"""
+
+
+@pytest.mark.parametrize("check", ["backend_of", "rows_backend", "constant"])
+def test_backends_are_classified_before_their_modules_load(check):
+    # Fraction and TermSum enter the backend table when first met, so each
+    # check meets them first in an interpreter where no file was parsed.
+    loaded, outcomes = run_child(check, BACKEND_CHILD)
+    assert loaded is False
+    expected = {"subclass": "rational", "fraction": "rational", "int": "rational",
+                "bool": "BackendMismatchError", "termsum": "symbolic",
+                "mixed": "BackendMismatchError"}
+    if check == "backend_of":
+        del expected["mixed"]
+    assert outcomes == expected
+
+
 def test_verify_and_expand_load_what_they_run(fib_files):
     coeffs, problem = fib_files
     seen = run_child([
@@ -108,7 +197,7 @@ def test_verify_and_expand_load_what_they_run(fib_files):
     assert (seen["usage-error"][0], seen["help"][0]) == (2, 0)
     expand_code, expand_modules = seen["expand"]
     assert expand_code == 0
-    assert {"vclde.leibnizian", "vclde.hessenberg"} <= set(expand_modules)
+    assert {"vclde.leibnizian", "vclde.hessenberg", "vclde.verification"} <= set(expand_modules)
     assert seen["verify"][0] == 0
     assert {"vclde.oracles", "vclde.leibnizian", "vclde.nested_sum"} <= set(seen["verify"][1])
     assert seen["verify-corrupt"][0] == 1
