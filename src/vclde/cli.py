@@ -206,14 +206,16 @@ def _json_chunks(obj):
 _BLOCK = 1 << 16
 
 
-def _emit(payload: dict, text: str | None) -> None:
-    """Print ``text`` if given (``--pretty``), else the payload's JSON."""
+def _emit(payload, text: str | None) -> None:
+    """Print ``text`` if given (``--pretty``), else the payload's JSON; a
+    payload that is not a dict is the pieces of its JSON text, as ``expand``
+    makes them."""
     if text is not None:
         print(text)
         return
     write = sys.stdout.write
     block, size = [], 0
-    for chunk in _json_chunks(payload):
+    for chunk in _json_chunks(payload) if isinstance(payload, dict) else payload:
         block.append(chunk)
         size += len(chunk)
         if size >= _BLOCK:

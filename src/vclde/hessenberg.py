@@ -12,7 +12,6 @@ rows and reads the backend from their values.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import compress, count
 from typing import Callable, Iterator
 
@@ -117,15 +116,13 @@ def det_leibniz_oracle(rows, oracle_limit: int = ORACLE_LIMIT_DEFAULT) -> Scalar
     backend = rows_backend(rows, scalar.RATIONAL)
     if k == 0:
         return scalar.one(backend)
-    scale = None
-    if backend == scalar.RATIONAL:
-        rows, lcms = zip(*(scalar.integer_step(row)[:2] for row in rows))
-        scale = math.prod(lcms)
+    if backend != scalar.RATIONAL:
+        total = scalar.sum_terms(_permutation_terms(rows, k))
+        return scalar.zero(backend) if total is None else total
+    from fractions import Fraction
 
-    total = scalar.sum_terms(_permutation_terms(rows, k))
-    if total is None:
-        return scalar.zero(backend)
-    return total if scale is None else Fraction(total, scale)
+    rows, lcms = zip(*(scalar.integer_step(row)[:2] for row in rows))
+    return Fraction(scalar.sum_terms(_permutation_terms(rows, k)) or 0, math.prod(lcms))
 
 
 def _permutation_terms(rows, k: int) -> Iterator:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Iterator
 
 from . import scalar
@@ -97,27 +96,38 @@ def det_leibnizian(rows) -> Scalar:
     """
     k = len(rows)
     check_enum_limit(k)
-    rows = [list(row) for row in rows]
+    rows = _c_rows(rows)
     backend = scalar.rows_backend(rows, scalar.RATIONAL)
     if k == 0:
         return scalar.one(backend)
+    if backend != scalar.RATIONAL:
+        total = scalar.sum_terms(_walk(rows))
+        return scalar.zero(backend) if total is None else total
+    from fractions import Fraction
+
+    rows, lcms = zip(*(scalar.integer_step(row)[:2] for row in rows))
+    return Fraction(scalar.sum_terms(_walk(rows)) or 0, math.prod(lcms))
+
+
+def _c_rows(rows) -> list[list]:
+    """The rows as lists of c-entries: c(i, i+1) = -h(i, i+1) on the
+    superdiagonal and c(i, j) = h(i, j) elsewhere, so that each product of
+    the expansion carries its own sign."""
+    rows = [list(row) for row in rows]
     for i, row in enumerate(rows[:-1], start=1):
-        row[i] = -row[i]  # c(i, i+1) = -h(i, i+1)
-    scale = None
-    if backend == scalar.RATIONAL:
-        rows, lcms = zip(*(scalar.integer_step(row)[:2] for row in rows))
-        scale = math.prod(lcms)
-    total = scalar.sum_terms(_walk(rows, k))
-    if total is None:
-        return scalar.zero(backend)
-    return total if scale is None else Fraction(total, scale)
+        row[i] = -row[i]
+    return rows
 
 
-def _walk(rows, k: int) -> Iterator:
-    """The nonzero products of :func:`det_leibnizian`'s walk, in ascending
-    index order."""
-    # (rows chosen, last standard row, their product); the bit-1 child is
-    # pushed first so the bit-0 subtree is walked before it
+def _walk(rows, descending: bool = False) -> Iterator:
+    """The nonzero products of c-entry rows (:func:`_c_rows`), as
+    :func:`det_leibnizian` walks them: in ascending index order, or with
+    ``descending`` in descending index order.  For symbolic rows descending
+    index order is the canonical order of the expansion's term sum, so the
+    expansion can be written a product at a time."""
+    # (rows chosen, last standard row, their product); ascending order
+    # pushes the bit-1 child first, so the bit-0 subtree is walked before it
+    k = len(rows)
     stack: list = [(0, 0, None)]
     while stack:
         i, last, prod = stack.pop()
@@ -128,8 +138,11 @@ def _walk(rows, k: int) -> Iterator:
             if a:
                 yield a if prod is None else prod * a
             continue
+        children = len(stack)
         if a:
             stack.append((i, i, a if prod is None else prod * a))
         a = row[i]
         if a:
             stack.append((i, last, a if prod is None else prod * a))
+        if descending:
+            stack[children:] = stack[children:][::-1]

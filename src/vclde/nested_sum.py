@@ -9,7 +9,6 @@ caller errors.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, chain
 from operator import mul
 from typing import Iterator
@@ -72,7 +71,11 @@ def det_nested_sum(rows) -> Scalar:
     # float sum keeps its order and the sign of a zero result
     zero = scalar.zero(backend) if scale is None else 0
     total = scalar.sum_terms(chain((zero,), _walk(heads, steps, k)))
-    return total if scale is None else Fraction(total, scale)
+    if scale is None:
+        return total
+    from fractions import Fraction
+
+    return Fraction(total, scale)
 
 
 def _walk(heads, steps, k: int) -> Iterator:

@@ -199,35 +199,44 @@ def v_sym(t: int) -> TermSum:
     return TermSum.single((3, t))
 
 
-def term_sum_json_chunks(value: TermSum) -> Iterator[str]:
-    """The compact sorted-key JSON text of a term sum, one entry at a time:
-    an array of {factors, sign} in canonical order, a term with coefficient
-    c written |c| times.  Each piece is an entry preceded by "[" or ",",
-    and "]" closes the array.  Each distinct atom is rendered once."""
-    atoms: dict[Atom, str] = {}
-    terms = value._terms
+class _AtomTexts(dict):
+    """The JSON text of each atom, rendered when first looked up."""
+
+    def __missing__(self, atom: Atom) -> str:
+        kind = atom[0]
+        if kind == 0:
+            text = f'{{"i":{atom[1]},"j":{atom[2]},"kind":"h"}}'
+        elif kind == 1:
+            text = f'{{"kind":"phi","m":{atom[2]},"t":{atom[1]}}}'
+        else:
+            text = f'{{"kind":"{_KINDS[kind]}","t":{atom[1]}}}'
+        self[atom] = text
+        return text
+
+
+def items_json_chunks(items: Iterable[tuple[tuple[Atom, ...], int]]) -> Iterator[str]:
+    """The compact sorted-key JSON text of (factors, coefficient) pairs, one
+    entry at a time, in their order: an array of {factors, sign}, a term
+    with coefficient c written |c| times.  Each piece is an entry preceded
+    by "[" or ",", and "]" closes the array.  Each distinct atom is rendered
+    once, and the items are read as they are written, not held."""
+    text = _AtomTexts().__getitem__
     sep = "["
-    for factors in sorted(terms):
-        coeff = terms[factors]
-        texts = []
-        for atom in factors:
-            text = atoms.get(atom)
-            if text is None:
-                kind = atom[0]
-                if kind == 0:
-                    text = f'{{"i":{atom[1]},"j":{atom[2]},"kind":"h"}}'
-                elif kind == 1:
-                    text = f'{{"kind":"phi","m":{atom[2]},"t":{atom[1]}}}'
-                else:
-                    text = f'{{"kind":"{_KINDS[kind]}","t":{atom[1]}}}'
-                atoms[atom] = text
-            texts.append(text)
-        body = ",".join(texts)
+    for factors, coeff in items:
+        body = ",".join(map(text, factors))
         sign = 1 if coeff > 0 else -1
         for _ in range(abs(coeff)):
             yield f'{sep}{{"factors":[{body}],"sign":{sign}}}'
             sep = ","
     yield "]" if sep == "," else "[]"
+
+
+def term_sum_json_chunks(value: TermSum) -> Iterator[str]:
+    """The JSON text of a term sum, in pieces: :func:`items_json_chunks` of
+    its terms in canonical order."""
+    terms = value._terms
+    keys = sorted(terms)
+    return items_json_chunks(zip(keys, map(terms.__getitem__, keys)))
 
 
 def term_sum_to_json(value: TermSum) -> list[dict]:

@@ -9,6 +9,7 @@ bindings, looked up at each call, so a name rebound there is seen here too.
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
 from . import cli, hessenberg, leibnizian, scalar
 from .coefficients import CoefficientModel, DomainError, EnumLimitError, check_enum_limit
@@ -25,31 +26,43 @@ def scalars_close(a: Scalar, b: Scalar) -> bool:
 
 
 def cmd_expand(args) -> int:
-    from .symbolic import TermSum, h_sym
+    from .symbolic import h_sym, items_json_chunks
 
     k = args.order
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
     if k > EXPAND_ORDER_CAP:
         raise EnumLimitError(f"order {k} exceeds the expansion cap {EXPAND_ORDER_CAP}")
+    check_enum_limit(k)
     matrix = hessenberg.HessenbergMatrix.from_function(k, h_sym, scalar.SYMBOLIC)
-    expansion = leibnizian.det_leibnizian(matrix)
-    verified = expansion == hessenberg.det_leibniz_oracle(matrix,
-                                                          oracle_limit=EXPAND_ORDER_CAP)
-    payload = {
-        "count": 1 << (k - 1),
-        "order": k,
-        "terms": expansion,
-        "verified": verified,
-    }
-    text = None
+    # Both walks make their products in the canonical order of the
+    # expansion's term sum, so each product is written as it is made and
+    # checked against the permutation oracle's product at its place: streams
+    # that agree pair by pair have equal sums, and neither sum is ever held.
+    pairs = zip_longest(leibnizian._walk(leibnizian._c_rows(matrix), descending=True),
+                        hessenberg._permutation_terms(matrix, k))
+    verified = True
+
+    def products():
+        nonlocal verified
+        for product, expected in pairs:
+            verified = verified and product == expected
+            if product is not None:
+                yield product
+
     if args.pretty:
         # ascending SEP index order is the reverse of the canonical order
-        first, *rest = (str(TermSum({factors: coeff}))
-                        for factors, coeff in reversed(expansion.sorted_items()))
+        first, *rest = reversed([str(product) for product in products()])
         signed = (f"- {body[1:]}" if body.startswith("-") else f"+ {body}" for body in rest)
-        text = " ".join([first, *signed]) + "\n" + ("TRUE" if verified else "FALSE")
-    cli._emit(payload, text)
+        cli._emit(None, " ".join([first, *signed]) + "\n" + ("TRUE" if verified else "FALSE"))
+    else:
+        def chunks():
+            yield f'{{"count":{1 << (k - 1)},"order":{k},"terms":'
+            yield from items_json_chunks(
+                item for product in products() for item in product.sorted_items())
+            yield f',"verified":{"true" if verified else "false"}}}'
+
+        cli._emit(chunks(), None)
     return cli.EXIT_OK if verified else cli.EXIT_VERIFY_FAILED
 
 

@@ -19,9 +19,10 @@ from vclde import CoefficientModel, SolutionProblem, casorati, cli, evaluate_gre
 from vclde.cli import load_coefficients, load_problem, main
 from vclde.hessenberg import HessenbergMatrix
 from vclde.leibnizian import det_leibnizian
-from vclde.scalar import (format_rational, h_sym, render_scalar, scalar_from_json,
-                          term_sum_json_chunks)
-from testutil import random_rows, reference_json_text, term_sum_from_json
+from vclde.scalar import (TermSum, format_rational, h_sym, render_scalar,
+                          scalar_from_json, term_sum_json_chunks)
+from testutil import (enumerate_seps, random_rows, reference_json_text, term_sum_dicts,
+                      term_sum_from_json)
 
 from test_lde import expected_green_5_2, expected_solution_5
 
@@ -565,6 +566,65 @@ def test_expand_limits(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("k", range(1, 13))
+def test_expand_bytes_equal_an_independent_reference(k, capsys):
+    # each SEP's entry from its columns; canonical order sorts the factor
+    # tuples, whose rows run 1..k, so it sorts the column sequences
+    terms = [{"factors": [{"i": i, "j": col, "kind": "h"}
+                          for i, col in enumerate(term.columns, start=1)],
+              "sign": term.sign}
+             for term in sorted(enumerate_seps(k), key=lambda term: term.columns)]
+    payload = {"count": 1 << (k - 1), "order": k, "terms": terms, "verified": True}
+    expected = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert run_cli(capsys, ["expand", "--order", str(k)]) == (0, expected, "")
+
+
+def _drop(products):
+    del products[1]
+
+
+def _flip(products):
+    products[2] = -products[2]
+
+
+def _append(products):
+    products.append(products[0])
+
+
+@pytest.mark.parametrize("corrupt", [_drop, _flip, _append])
+@pytest.mark.parametrize("stream", ["leibnizian", "oracle"])
+def test_expand_checks_every_streamed_product(stream, corrupt, capsys, monkeypatch):
+    """A product dropped, negated or added on either side fails the
+    pairwise check, and the terms written are the Leibnizian stream's."""
+    from vclde import hessenberg, leibnizian
+
+    expansion = det_leibnizian(HessenbergMatrix.from_function(5, h_sym, "symbolic"))
+    written = []
+
+    def patched(walk, side):
+        def run(*args, **kwargs):
+            products = list(walk(*args, **kwargs))
+            if side == stream:
+                corrupt(products)
+            if side == "leibnizian":
+                written.extend(products)
+            return iter(products)
+
+        return run
+
+    monkeypatch.setattr(leibnizian, "_walk", patched(leibnizian._walk, "leibnizian"))
+    monkeypatch.setattr(hessenberg, "_permutation_terms",
+                        patched(hessenberg._permutation_terms, "oracle"))
+    code, out, err = run_cli(capsys, ["expand", "--order", "5"])
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["verified"] is False and payload["count"] == 16
+    assert payload["terms"] == [entry for product in written
+                                for entry in term_sum_dicts(product)]
+    if stream == "oracle":
+        assert TermSum.sum(written) == expansion and len(written) == 16
+
+
 def test_verify_passes_and_corrupt_fails(tmp_path, capsys):
     rng = Random(20240827)
     rows = random_rows(rng, 3, -4, 9, regular=True)
@@ -702,6 +762,26 @@ def test_symbolic_answer_is_written_in_bounded_blocks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < len(text) / 4
+
+
+def test_expand_holds_a_block_not_its_terms(monkeypatch):
+    """expand writes and checks its terms a product at a time: from order 8
+    (128 terms, under one block of text) to order 12 (2048 terms, about
+    0.8 MB) its peak grows by at most what one output block holds while it
+    is written, its pieces and their joined text, where holding either
+    term sum would cost some 0.4 MB."""
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    peaks = {}
+    for k in (8, 12):
+        argv = ["expand", "--order", str(k)]
+        assert main(argv) == 0  # imports and first-use caches are not traced
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[12] - peaks[8] <= 2 * cli._BLOCK
 
 
 def test_verify_homogeneous_problem(tmp_path, fib_coeffs, capsys):

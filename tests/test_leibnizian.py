@@ -5,8 +5,9 @@ from random import Random
 import pytest
 
 from vclde import EnumLimitError
-from vclde.hessenberg import HessenbergMatrix, det_leibniz_oracle, det_recurrence
-from vclde.leibnizian import SepTerm, det_leibnizian, enumerate_seps
+from vclde.hessenberg import (HessenbergMatrix, _permutation_terms, det_leibniz_oracle,
+                              det_recurrence)
+from vclde.leibnizian import SepTerm, _c_rows, _walk, det_leibnizian, enumerate_seps
 from vclde.scalar import TermSum, h_sym
 from testutil import (
     Permutation,
@@ -193,6 +194,22 @@ def test_det_leibnizian_matches_both_oracles():
             compact = det_leibnizian(matrix)
             assert compact == det_recurrence(matrix)
             assert compact == det_leibniz_oracle(matrix)
+
+
+def test_walk_orders():
+    # descending index order is ascending order reversed, and on symbolic
+    # rows it is the canonical order, in which the permutation oracle also
+    # makes its products: one product per term, as expand writes them
+    rng = Random(20261022)
+    for k in range(1, 9):
+        rows = _c_rows(random_hessenberg(rng, k))
+        assert list(_walk(rows, descending=True)) == list(_walk(rows))[::-1]
+    for k in range(1, 10):
+        matrix = HessenbergMatrix.from_function(k, h_sym, "symbolic")
+        canonical = det_leibnizian(matrix).sorted_items()
+        for products in (_walk(_c_rows(matrix), descending=True),
+                         _permutation_terms(matrix, k)):
+            assert [item for p in products for item in p.sorted_items()] == canonical
 
 
 def test_det_leibnizian_limit_guard(monkeypatch):

@@ -180,9 +180,17 @@ def test_backends_are_classified_before_their_modules_load(check):
     assert outcomes == expected
 
 
-def test_verify_and_expand_load_what_they_run(fib_files):
+def test_verify_and_expand_load_what_they_run(tmp_path, fib_files):
+    # The modules loaded are cumulative, so float64 verify runs before the
+    # symbolic expand, and the rational commands run last.
     coeffs, problem = fib_files
+    float_coeffs = tmp_path / "f.json"
+    float_coeffs.write_text('{"p": 2, "kind": "constant", "phi": [0.5, 0.25]}')
+    float_problem = tmp_path / "fp.json"
+    float_problem.write_text('{"s": 0, "init": [0.0, 1.0], "forcing": {"1": 1.0, "2": 0.5}}')
     seen = run_child([
+        ["verify-float64", ["verify", "--coeffs", str(float_coeffs), "--arith", "float64",
+                            "--problem", str(float_problem), "--t", "2", "--s", "0"]],
         ["expand", ["expand", "--order", "4"]],
         ["verify", ["verify", "--coeffs", coeffs, "--problem", problem, "--t", "2",
                     "--s", "0"]],
@@ -192,14 +200,21 @@ def test_verify_and_expand_load_what_they_run(fib_files):
         ["help", ["--help"]],
     ])
     assert not (VERIFICATION_ONLY | ARGPARSE) & set(seen["import"])
-    for label in ("expand", "verify", "verify-corrupt", "usage-error", "help"):
+    for label in ("verify-float64", "expand", "verify", "verify-corrupt", "usage-error",
+                  "help"):
         assert not ARGPARSE & set(seen[label][1]), label
     assert (seen["usage-error"][0], seen["help"][0]) == (2, 0)
     expand_code, expand_modules = seen["expand"]
     assert expand_code == 0
     assert {"vclde.leibnizian", "vclde.hessenberg", "vclde.verification"} <= set(expand_modules)
+    assert SYMBOLIC_ONLY <= set(expand_modules)
+    assert not RATIONAL_ONLY & set(expand_modules)
+    float_code, float_modules = seen["verify-float64"]
+    assert float_code == 0
+    assert {"vclde.oracles", "vclde.leibnizian", "vclde.nested_sum"} <= set(float_modules)
+    assert not (RATIONAL_ONLY | SYMBOLIC_ONLY) & set(float_modules)
     assert seen["verify"][0] == 0
-    assert {"vclde.oracles", "vclde.leibnizian", "vclde.nested_sum"} <= set(seen["verify"][1])
+    assert RATIONAL_ONLY <= set(seen["verify"][1])
     assert seen["verify-corrupt"][0] == 1
     assert "dataclasses" not in set(seen["verify-corrupt"][1])
 
