@@ -20,7 +20,7 @@ _EXPORTS = {
         "coefficients": "CoefficientModel DomainError EnumLimitError",
         "lde": """GREEN_METHODS MissingForcingError SOLVE_METHODS SolutionProblem
             casorati evaluate_green evaluate_solution general_solution
-            general_solution_kittappa green particular_solution xi""",
+            general_solution_kittappa green xi""",
     }.items()
     for name in names.split()
 }

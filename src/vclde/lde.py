@@ -31,14 +31,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Mapping
-from functools import partial
+from functools import partial, reduce
 from itertools import chain, islice, repeat, tee
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from typing import Callable, Iterator, Sequence, Union
 
 from . import scalar
-from .coefficients import (CoefficientModel, DomainError, build_phi_matrix,
-                           skip_periods)
+from .coefficients import CoefficientModel, DomainError, build_phi_matrix
 from .scalar import Scalar
 
 GREEN_METHODS = ("recurrence", "leibnizian", "nested", "companion")
@@ -168,10 +167,16 @@ def _banded_chain(
     the weight denominators so far; the results are normalized once, so no
     Fraction arithmetic runs in the loop.  In float64 and symbolic mode L,
     D and W stay 1 and nothing is scaled; float terms are summed left to
-    right.  On a model with a period an unweighted chain skips whole periods
-    once column 1 is zero (:func:`~vclde.coefficients.skip_periods`, on the
-    same steps); every chain's rows, the adjoint diagonals included, repeat
-    with ``model.period``.
+    right.  On a model with period P an unweighted chain skips whole
+    periods once column 1 is zero after step n: each later step maps
+    x = (N_n, ..., N_{n-p+1}) to (c . x, L x_1, ..., L x_{p-1}), c its row
+    as scaled, and one period's map is the monodromy M (Floquet theory).
+    When stepping ((k-n) p operations) costs more than building M from the
+    next P rows (P p^2) and squaring it (2 p^3 per bit of q = (k-n) // P),
+    the chain sets x <- M^q x by repeated squaring and D <- D F^q, F the
+    period's product of L; as q >= 1, the rows left in ``rows`` equal those
+    past the skipped periods.  Every chain's rows, the adjoint diagonals
+    included, repeat with ``model.period``.
     """
     p, period = model.p, model.period if weight is None else None
     step = scalar.integer_step if model.backend == scalar.RATIONAL else None
@@ -215,11 +220,25 @@ def _banded_chain(
             total *= lcm
         dets.appendleft(value)
         if first is None and period:
-            window, skipped, factor = skip_periods(
-                dets, p, rows, k - n, period, step, zero, unit)
-            dets = deque(window, p)
-            scale *= factor
-            n += skipped
+            q = (k - n) // period
+            if (k - n) * p > period * p * p + 2 * p**3 * q.bit_length():
+                mono = [[unit if i == j else zero for j in range(p)] for i in range(p)]
+                factor = unit
+                for row in islice(rows, period):
+                    c, f = step(row)[:2] if step else (row, unit)
+                    top = [reduce(add, map(mul, c, col)) for col in zip(*mono)]
+                    mono = [top, *([f * v for v in line] for line in mono[:-1])]
+                    factor = factor * f
+                x = [[v] for v in dets] + [[zero]] * (p - len(dets))
+                scale *= factor**q
+                n += q * period
+                while q:
+                    if q & 1:
+                        x = scalar.mat_mul(mono, x, zero)
+                    q >>= 1
+                    if q:
+                        mono = scalar.mat_mul(mono, mono, zero)
+                dets = deque([v for v, in x], p)
             period = None
     if step:
         from fractions import Fraction
@@ -259,11 +278,14 @@ def _adjoint_rows(
 
 
 def principal_chain(model: CoefficientModel, m: int, t: int, s: int) -> list[Scalar]:
-    """Determinants of the leading blocks of the branch-m banded matrix.
+    """Determinants of the leading blocks of the branch-m banded matrix, a
+    reference for the tests.
 
     Returns [d_0, ..., d_{t-s}] where d_n is the order-n leading principal
-    minor (d_0 = 1), computed by the Hessenbergian recurrence on the banded
-    rows in O((t-s)*p) scalar multiplies.
+    minor (d_0 = 1), by the Hessenbergian recurrence on the rows of
+    :func:`~vclde.coefficients.build_phi_matrix`.  Those rows are dense, so
+    it takes O((t-s)^2) time and memory; the production values run on
+    :func:`_banded_chain` instead.
     """
     from .hessenberg import leading_principal_chain
 
@@ -396,14 +418,6 @@ def general_solution(problem: SolutionProblem, t: int) -> Scalar:
                 model._row_fn(u)  # a row outside the domain fails before its forcing
                 raise MissingForcingError(u)
     return _banded_chain(model, rows, k, first, weight=lambda n: column(k + 1 - n))[1]
-
-
-def particular_solution(problem: SolutionProblem, t: int) -> Scalar:
-    """Solution with zero initial values, sum_j H(t, s+j) v_{s+j}: the
-    :func:`general_solution` of the same forcing from a zero window."""
-    model = problem.model
-    return general_solution(
-        SolutionProblem(model, problem.s, (model.zero,) * model.p, problem.forcing), t)
 
 
 def general_solution_kittappa(problem: SolutionProblem, t: int) -> Scalar:

@@ -17,7 +17,6 @@ from vclde import (
     general_solution,
     general_solution_kittappa,
     green,
-    particular_solution,
     xi,
 )
 from vclde.coefficients import build_phi_matrix
@@ -29,6 +28,7 @@ from testutil import (
     float_model,
     float_problem,
     homogeneous_solution,
+    particular_solution,
     random_model,
     random_problem,
     random_rows,

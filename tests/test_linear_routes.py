@@ -27,7 +27,6 @@ from vclde import (
     general_solution,
     general_solution_kittappa,
     green,
-    particular_solution,
     xi,
 )
 from vclde.cli import main
@@ -42,6 +41,7 @@ from testutil import (
     dense_bordered_matrix,
     float_chain,
     homogeneous_solution,
+    particular_solution,
     to_dense,
     zero_init,
 )
@@ -511,6 +511,28 @@ def test_period_skip_is_exact(case, s):
 def test_period_skip_float64_within_tolerance(case, s):
     model, gap = case
     check_period_skip(model, s, gap, close)
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([(0.6, 0.4)],
+     ("0x1.6db6db6db676bp-1", "0x1.2492492491f88p-2", "0x1.492492492437ap-1",
+      "0x1.4924924924379p-1")),
+    ([(0.1, 0.2, 0.3, 0.4), (0.4, 0.3, 0.2, 0.1), (0.25, 0.25, 0.25, 0.25),
+      (0.7, 0.1, 0.1, 0.1), (0.2, 0.5, 0.2, 0.1)],
+     ("0x1.98361be478230p-2", "0x1.5ba3582a9e0fep-5", "0x1.7906e221e1734p-2",
+      "0x1.7906e221e15efp-2")),
+])
+def test_period_skip_float64_bits(rows, expected):
+    # Rows are non-negative and sum to 1, so values stay near 1.  The
+    # step-by-step chain differs from these in the last bits, so the pin
+    # holds the skip's own order: the monodromy built row by row, its
+    # powers by scalar.mat_mul.
+    model = CoefficientModel.periodic(rows)
+    p, t = model.p, 10**5
+    problem = SolutionProblem(model, 0, tuple(1.0 / (m + 1) for m in range(p)))
+    values = (green(model, t, 0), xi(model, p, t, 0), general_solution(problem, t),
+              general_solution_kittappa(problem, t))
+    assert tuple(v.hex() for v in values) == expected
 
 
 def test_period_skip_is_taken(monkeypatch):

@@ -254,11 +254,13 @@ def test_unknown_names_raise():
     for name in ("green_leibnizian", "green_nested_sum", "general_solution_leibnizian",
                  "general_solution_nested", "homogeneous_solution_green",
                  "companion_matrix", "hessenberg_to_json", "hessenberg_from_json",
-                 "xi_via_green", "homogeneous_solution", "particular_solution_det"):
+                 "xi_via_green", "homogeneous_solution", "particular_solution_det",
+                 "particular_solution"):
         assert name not in vclde.__all__
         with pytest.raises(AttributeError):
             getattr(vclde, name)
     assert not hasattr(vclde.lde, "particular_solution_det")
+    assert not hasattr(vclde.lde, "particular_solution")
     assert not hasattr(vclde.hessenberg.HessenbergMatrix, "from_entries")
     with pytest.raises(ImportError):
         exec("from vclde import no_such_name", {})

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from vclde import CoefficientModel, DomainError, SolutionProblem, green, scalar, xi
+from vclde import (CoefficientModel, DomainError, SolutionProblem, general_solution, green,
+                   scalar, xi)
 from vclde.hessenberg import HessenbergMatrix
 from vclde.leibnizian import SepTerm, _columns_from_bits, enumerate_seps
 from vclde.scalar import BackendMismatchError, TermSum, h_sym, rows_backend
@@ -93,6 +94,13 @@ def zero_init(problem: SolutionProblem) -> SolutionProblem:
     solution is the particular solution."""
     model = problem.model
     return SolutionProblem(model, problem.s, (model.zero,) * model.p, problem.forcing)
+
+
+def particular_solution(problem: SolutionProblem, t: int):
+    """Reference for the solution with zero initial values,
+    sum_j H(t, s+j) v_{s+j}: the general solution of the same forcing from
+    a zero window."""
+    return general_solution(zero_init(problem), t)
 
 
 def dense_bordered_matrix(problem: SolutionProblem, t: int) -> HessenbergMatrix:
